@@ -26,7 +26,7 @@ from synchrolab.points import (BiSeq, agree_on, alignment_bound, bracket,
                                decide_relation, enumerate_points, future_splice,
                                past_splice, point_in_shift, replace_window, shift_by,
                                splice)
-from synchrolab.shift import SFT, Sofic, fischer_cover, shift_flags
+from synchrolab.shift import SFT, Sofic, shift_flags
 from synchrolab.sync import (cylinder_representatives, central_word_synchronizes,
                              classify_point)
 
@@ -362,35 +362,6 @@ def _lifts(s, x):
     return preimage_count(canonical_cover(s), x)["preimages"]
 
 
-def _past_pin(s, x, upto):
-    """Cover states compatible at position ``upto`` with x's whole past."""
-    g = fischer_cover(s)
-    anchor = min(x.origin, upto)
-    pattern = x.left_pattern_at(anchor)
-    alive = frozenset(g.states)
-    while True:
-        nxt = g.run(alive, pattern)
-        if nxt == alive:
-            break
-        alive = nxt
-    return g.run(alive, x.window(anchor, upto))
-
-
-def _future_pin(s, x, start):
-    """Cover states at ``start`` admitting a run of x's whole future."""
-    g = fischer_cover(s)
-    anchor = max(x.right_start, start)
-    pattern = x.right_pattern_at(anchor)
-    alive = set(g.states)
-    while True:
-        nxt = {q for q in alive if g.run({q}, pattern) & alive}
-        if nxt == alive:
-            break
-        alive = nxt
-    mid = x.window(start, anchor)
-    return {q for q in g.states if g.run({q}, mid) & alive}
-
-
 def lifted_germ(s, x, y, kind, verify=True):
     """A sofic germ obtained by lifting to the canonical cover.
 
@@ -403,6 +374,7 @@ def lifted_germ(s, x, y, kind, verify=True):
     signals a sound refusal (no related lift pair, or no pinning).
     """
     cover = canonical_cover(s)
+    g = cover.presentation  # the Fischer cover
     relation = _REQUIRED_RELATION[kind]
     witness = 0
     if kind == "lc":
@@ -429,10 +401,12 @@ def lifted_germ(s, x, y, kind, verify=True):
                         and is_sync_word(s, y.window(lo, hi + 1))):
                     continue
             elif kind == "lcs":
-                if len(_past_pin(s, x, hi + 1)) != 1 or len(_past_pin(s, y, hi + 1)) != 1:
+                if (g.past_set(x, hi + 1).bit_count() != 1
+                        or g.past_set(y, hi + 1).bit_count() != 1):
                     continue
             else:
-                if len(_future_pin(s, x, lo)) != 1 or len(_future_pin(s, y, lo)) != 1:
+                if (g.future_set(x, lo).bit_count() != 1
+                        or g.future_set(y, lo).bit_count() != 1):
                     continue
             germ = Germ(s, kind, x, y, lo, hi, LiftedRule(cover, inner))
             try:

@@ -288,11 +288,6 @@ def preimage_count(c, x):
     return {"count": total, "preimages": tuple(assembled)}
 
 
-def lift_point(c, x):
-    """The edge-shift preimages of ``x`` (finite case)."""
-    return preimage_count(c, x)["preimages"]
-
-
 def almost_one_to_one_check(c, max_period):
     """Preimage uniqueness over periodic points of the image.
 

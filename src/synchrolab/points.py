@@ -40,19 +40,6 @@ class Dyadic:
     def zero():
         return Dyadic(0, True)
 
-    @staticmethod
-    def pow2(exponent):
-        """2**exponent for exponent <= 0."""
-        return Dyadic(-exponent)
-
-    @property
-    def numerator(self):
-        return 0 if self.is_zero else 1
-
-    @property
-    def denominator(self):
-        return 1 if self.is_zero else 2 ** self.k
-
     def __le__(self, other):
         if self.is_zero:
             return True
@@ -62,13 +49,6 @@ class Dyadic:
 
     def half(self):
         return self if self.is_zero else Dyadic(self.k + 1)
-
-    def double(self):
-        if self.is_zero:
-            return self
-        if self.k == 0:
-            raise ValueError("doubling would leave the dyadic range [0, 1]")
-        return Dyadic(self.k - 1)
 
     def __str__(self):
         return "0" if self.is_zero else f"2^-{self.k}"
@@ -119,6 +99,7 @@ class BiSeq:
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "right_start", origin + len(core))
 
     @staticmethod
     def periodic(cycle, phase=0):
@@ -132,10 +113,6 @@ class BiSeq:
         return BiSeq.periodic((symbol,))
 
     @property
-    def right_start(self):
-        return self.origin + len(self.core)
-
-    @property
     def symbols(self):
         return set(self.left) | set(self.core) | set(self.right)
 
@@ -147,8 +124,17 @@ class BiSeq:
         return self.left[(i - self.origin) % len(self.left)]
 
     def window(self, lo, hi):
-        """The word occupying coordinates [lo, hi)."""
-        return tuple(self.at(i) for i in range(lo, hi))
+        """The word occupying coordinates [lo, hi); ``()`` when hi <= lo."""
+        origin, right_start = self.origin, self.right_start
+        out = ()
+        if lo < origin:
+            out = _cycle_slice(self.left, lo - origin, min(hi, origin) - lo)
+        if lo < right_start and hi > origin:
+            out += self.core[max(lo, origin) - origin:min(hi, right_start) - origin]
+        if hi > right_start:
+            start = max(lo, right_start)
+            out += _cycle_slice(self.right, start - right_start, hi - start)
+        return out
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -163,17 +149,15 @@ class BiSeq:
         """
         if pos > self.origin:
             raise ValueError("left tail is pure cycle only up to the origin")
-        n = len(self.left)
-        d = (pos - self.origin) % n
-        return tuple(self.left[(k + d) % n] for k in range(n))
+        d = (pos - self.origin) % len(self.left)
+        return self.left[d:] + self.left[:d]
 
     def right_pattern_at(self, pos):
         """The right cycle re-anchored to start at ``pos >= right_start``."""
         if pos < self.right_start:
             raise ValueError("right tail is pure cycle only beyond the core")
-        n = len(self.right)
-        d = (pos - self.right_start) % n
-        return tuple(self.right[(k + d) % n] for k in range(n))
+        d = (pos - self.right_start) % len(self.right)
+        return self.right[d:] + self.right[:d]
 
     def description_size(self):
         return len(self.left) + len(self.core) + len(self.right) + abs(self.origin)
@@ -186,6 +170,15 @@ class BiSeq:
 
     def __str__(self):
         return self.literal()
+
+
+def _cycle_slice(cycle, offset, count):
+    # ``count`` symbols of ``cycle`` repeated, starting at ``offset`` (mod |cycle|).
+    if count <= 0:
+        return ()
+    n = len(cycle)
+    start = offset % n
+    return (cycle * ((start + count - 1) // n + 1))[start:start + count]
 
 
 def _canonical(left, core, right, origin):
@@ -246,7 +239,7 @@ def distance(x, y):
 
 def agree_on(x, y, lo, hi):
     """True iff the points agree on every coordinate in [lo, hi)."""
-    return all(x.at(i) == y.at(i) for i in range(lo, hi))
+    return x.window(lo, hi) == y.window(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -343,40 +336,20 @@ def replace_window(x, lo, pattern):
 def point_in_shift(s, x):
     """Exact membership for SFT/sofic shifts; window-bounded for oracles.
 
-    Returns one of ``"yes"``, ``"no"``, ``"unverified"``.  For a sofic
-    shift the decision runs the presentation: a state set closed under
-    reading the left cycle, then the core, must reach a state with an
-    infinite forward run of the right cycle.
+    Returns one of ``"yes"``, ``"no"``, ``"unverified"``.  SFT and sofic
+    shifts are decided alike on their presentation (for an SFT, its
+    higher-block one): x is a point iff, at the cut ``x.right_start``,
+    the past set (states ending a left-infinite path reading x below the
+    cut) meets the future set (states starting a right-infinite path
+    reading x from the cut on).
     """
     for symbol in x.symbols:
         if symbol not in s.alphabet:
             return "no"
-    if isinstance(s, SFT):
-        m = s.memory
-        lo = x.origin - len(x.left) - m
-        hi = x.right_start + len(x.right) + m
-        for p in range(lo, hi):
-            if not s.window_admissible(x.window(p, p + m)):
-                return "no"
-        return "yes"
-    if isinstance(s, Sofic):
+    if isinstance(s, (SFT, Sofic)):
         g = s.presentation
-        left_word = x.left_pattern_at(x.origin)
-        alive = frozenset(g.states)
-        while True:
-            nxt = g.run(alive, left_word)
-            if nxt == alive:
-                break
-            alive = nxt
-        reached = g.run(alive, x.core)
-        right_word = x.right_pattern_at(x.right_start)
-        forward = set(g.states)
-        while True:
-            nxt = {q for q in forward if g.run({q}, right_word) & forward}
-            if nxt == forward:
-                break
-            forward = nxt
-        return "yes" if reached & forward else "no"
+        cut = x.right_start
+        return "yes" if g.past_set(x, cut) & g.future_set(x, cut) else "no"
     if isinstance(s, OracleShift):
         width = s.window_bound
         lo = x.origin - len(x.left) - width

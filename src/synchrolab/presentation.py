@@ -8,6 +8,11 @@ machinery: trimming to the essential part, structural flags
 determinization, follower-set reduction, and the minimal deterministic
 irreducible cover of an irreducible sofic shift.
 
+Each presentation compiles once into a bitmask kernel (state sets as
+``int`` masks, per-label successor masks).  On it sit the tail sets of
+an eventually periodic point at a cut -- the past set and the future
+set -- which decide membership and pin cover states.
+
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
 """
@@ -106,6 +111,71 @@ class Presentation:
     def accepts(self, word):
         """True iff some path in the graph reads ``word``."""
         return bool(self.run(self.states, word))
+
+    @cached_property
+    def masks(self):
+        """The compiled kernel: ``{label: successor masks}``.
+
+        State ``states[i]`` is bit ``i`` of a state-set mask, and
+        ``masks[a][i]`` is the mask of targets of ``a``-edges out of it.
+        """
+        index = {q: i for i, q in enumerate(self.states)}
+        rows = {a: [0] * len(self.states) for a in self.alphabet}
+        for (p, a, q) in self.edges:
+            rows[a][index[p]] |= 1 << index[q]
+        return {a: tuple(row) for a, row in rows.items()}
+
+    @cached_property
+    def full_mask(self):
+        return (1 << len(self.states)) - 1
+
+    @cached_property
+    def _kernel(self):
+        # Forward and backward, per label: each state's image mask, and the
+        # image of every state mask met so far (the subset automaton, built
+        # lazily).
+        index = {q: i for i, q in enumerate(self.states)}
+        sources = {a: [0] * len(self.states) for a in self.masks}
+        for (p, a, q) in self.edges:
+            sources[a][index[q]] |= 1 << index[p]
+        return ({a: (rows, {}) for a, rows in self.masks.items()},
+                {a: (tuple(rows), {}) for a, rows in sources.items()})
+
+    def run_mask(self, mask, word):
+        """Mask of the states reached from ``mask`` reading ``word``."""
+        return _read(self._kernel[0], mask, word)
+
+    def back_mask(self, mask, word):
+        """Mask of the states with a path reading ``word`` into ``mask``."""
+        return _read(self._kernel[1], mask, reversed(word))
+
+    def _tail_fixpoint(self, cycle, backward):
+        # Reading ``cycle`` (backward: in reverse) from all states only
+        # shrinks the set, so the decreasing iteration reaches the states
+        # ending (backward: starting) an infinite run of cycle reads.
+        read = self.back_mask if backward else self.run_mask
+        alive = self.full_mask
+        while True:
+            nxt = read(alive, cycle)
+            if nxt == alive:
+                return alive
+            alive = nxt
+
+    def past_set(self, x, cut):
+        """Mask of the states ending a left-infinite path that reads the
+        eventually periodic point ``x`` (a ``points.BiSeq``) below ``cut``:
+        the tail fixpoint of x's left cycle, then the word from the
+        cycle's anchor to ``cut`` read forward."""
+        anchor = min(cut, x.origin)
+        alive = self._tail_fixpoint(x.left_pattern_at(anchor), False)
+        return self.run_mask(alive, x.window(anchor, cut))
+
+    def future_set(self, x, cut):
+        """Mask of the states starting a right-infinite path that reads
+        ``x`` from ``cut`` on; the mirror image of ``past_set``."""
+        anchor = max(cut, x.right_start)
+        alive = self._tail_fixpoint(x.right_pattern_at(anchor), True)
+        return self.back_mask(alive, x.window(cut, anchor))
 
     @cached_property
     def sccs(self):
@@ -216,6 +286,24 @@ class Presentation:
             [mapping[q] for q in self.states],
             [(mapping[p], a, mapping[q]) for (p, a, q) in self.edges],
         )
+
+
+def _read(kernel, mask, word):
+    # Steps ``mask`` through ``word`` in one direction of ``_kernel``.
+    for a in word:
+        entry = kernel.get(a)
+        if entry is None:
+            return 0
+        rows, images = entry
+        image = images.get(mask)
+        if image is None:
+            image = 0
+            for i, row in enumerate(rows):
+                if mask >> i & 1:
+                    image |= row
+            images[mask] = image
+        mask = image
+    return mask
 
 
 def trim(p):

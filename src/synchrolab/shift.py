@@ -91,15 +91,6 @@ class SFT(Shift):
         """Window length within which every constraint is visible."""
         return max((len(w) for w in self.forbidden), default=1)
 
-    def window_admissible(self, w):
-        """True iff the finite word ``w`` contains no forbidden factor."""
-        for f in self.forbidden:
-            lf = len(f)
-            for i in range(len(w) - lf + 1):
-                if tuple(w[i:i + lf]) == f:
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class Sofic(Shift):
@@ -209,13 +200,13 @@ def build_sofic(alphabet, presentation):
 def contains_word(s, w):
     """True iff ``w`` occurs in some point of the shift.
 
-    For an oracle shift the predicate is consulted; queries longer than
-    the window bound raise ``WindowExceeded``.
+    SFT and sofic shifts run their trimmed presentation, whose paths
+    all extend to bi-infinite ones.  For an oracle shift the predicate
+    is consulted; queries longer than the window bound raise
+    ``WindowExceeded``.
     """
     w = s.alphabet.check_word(w)
-    if isinstance(s, SFT):
-        return s.window_admissible(w)
-    if isinstance(s, Sofic):
+    if isinstance(s, (SFT, Sofic)):
         return s.presentation.accepts(w)
     if isinstance(s, OracleShift):
         if len(w) > s.window_bound:
@@ -278,11 +269,6 @@ def shift_flags(s):
 
 def product_symbol(a, b):
     return f"{a}|{b}"
-
-
-def split_product_symbol(symbol):
-    left, _, right = symbol.partition("|")
-    return left, right
 
 
 def product(s1, s2):

@@ -55,39 +55,20 @@ class NonSyncReport:
 def is_sync_word(s, w):
     """True iff all runs of ``w`` in the Fischer cover end at one state."""
     cover = fischer_cover(s)
-    terminal = cover.run(cover.states, w)
+    terminal = cover.run_mask(cover.full_mask, w)
     if not terminal:
         raise NotInLanguage(f"word {w!r} is not in the language")
-    return len(terminal) == 1
-
-
-def _limit_state_set(cover, x):
-    """The stabilized state set after reading x's infinite past.
-
-    Reading ever more of the left tail gives a decreasing chain of
-    state sets; the limit is the fixpoint under reading one left cycle,
-    pushed through the core.  Returns (limit set at the core boundary,
-    number of cycle reads consumed to stabilize).
-    """
-    left_word = x.left_pattern_at(x.origin)
-    alive = frozenset(cover.states)
-    reads = 0
-    while True:
-        nxt = cover.run(alive, left_word)
-        if nxt == alive:
-            break
-        alive = nxt
-        reads += 1
-    return cover.run(alive, x.core), reads
+    return terminal.bit_count() == 1
 
 
 def classify_point(s, x, max_window=None):
     """Classifies a point as synchronizing or not, exactly.
 
-    The limit state set along x stabilizes into a periodic subset orbit
-    while reading the right tail; the point is synchronizing iff the
-    orbit reaches a singleton.  When it does, the verdict carries the
-    smallest central word ``x[-N..N]`` that is synchronizing.
+    The past set of x at the core boundary stabilizes into a periodic
+    subset orbit while reading the right tail; the point is
+    synchronizing iff the orbit reaches a singleton.  When it does, the
+    verdict carries the smallest central word ``x[-N..N]`` that is
+    synchronizing.
 
     Oracle shifts return ``unverified``.
     """
@@ -98,27 +79,28 @@ def classify_point(s, x, max_window=None):
     if point_in_shift(s, x) != "yes":
         raise NotInShift("point is not in the shift")
     cover = fischer_cover(s)
-    current, reads = _limit_state_set(cover, x)
     pos = x.right_start
+    current = cover.past_set(x, pos)
     period = len(x.right)
     seen = {(current, 0)}
     cap = pos + (max_window if max_window is not None
                  else (2 ** len(cover.states) + 1) * period + 1)
-    while len(current) > 1 and pos < cap:
-        current = cover.step(current, x.at(pos))
+    while current.bit_count() > 1 and pos < cap:
+        current = cover.run_mask(current, (x.at(pos),))
         pos += 1
         key = (current, (pos - x.right_start) % period)
         if key in seen:
             return SyncVerdict("nonSynchronizing")
         seen.add(key)
-    if len(current) > 1:
+    if current.bit_count() > 1:
         return SyncVerdict("nonSynchronizing")
-    # Singleton certified within [origin - reads*|left|, pos); report the
-    # smallest synchronizing central word.
-    left_reach = abs(x.origin - reads * len(x.left))
+    # The past-set fixpoint takes at most |states| left-cycle reads, so
+    # the singleton is certified within [origin - |states|*|left|, pos);
+    # report the smallest synchronizing central word.
+    left_reach = abs(x.origin - len(cover.states) * len(x.left))
     for n in range(max(abs(pos), left_reach) + 1):
         word = x.window(-n, n + 1)
-        if len(cover.run(cover.states, word)) == 1:
+        if cover.run_mask(cover.full_mask, word).bit_count() == 1:
             return SyncVerdict("synchronizing", word, n)
     raise AssertionError("synchronizing limit set without central witness")
 
@@ -128,21 +110,6 @@ def central_word_synchronizes(s, x, N):
     if N < 2:
         return False
     return is_sync_word(s, x.window(1 - N, N))
-
-
-def unstable_representatives(s, x, N, L, cycle_len=2):
-    """Points of ``X^u(x, 2**-N)`` whose free future fits in window L.
-
-    Each representative equals ``x`` on coordinates <= N-1 and continues
-    with an arbitrary admissible word then a cycle; exhaustive over that
-    description class.
-    """
-    return cylinder_representatives(s, x, N, L, cycle_len, side="u")
-
-
-def stable_representatives(s, x, N, L, cycle_len=2):
-    """Points of ``X^s(x, 2**-N)`` whose free past fits in window L."""
-    return cylinder_representatives(s, x, N, L, cycle_len, side="s")
 
 
 def cylinder_representatives(s, x, N, L, cycle_len, side):
@@ -158,14 +125,18 @@ def cylinder_representatives(s, x, N, L, cycle_len, side):
     words = [w for n in range(free + 1) for w in iproduct(symbols, repeat=n)]
     out = []
     seen = set()
+    if side == "u":
+        a = min(x.origin, N)
+        past, head = x.left_pattern_at(a), x.window(a, N)
+    else:
+        b = max(x.right_start, 1 - N)
+        tail, future = x.window(1 - N, b), x.right_pattern_at(b)
     for u in words:
         for c in cycles:
             if side == "u":
-                a = min(x.origin, N)
-                y = BiSeq(x.left_pattern_at(a), x.window(a, N) + u, c, a)
+                y = BiSeq(past, head + u, c, a)
             else:
-                b = max(x.right_start, 1 - N)
-                y = BiSeq(c, u + x.window(1 - N, b), x.right_pattern_at(b), 1 - N - len(u))
+                y = BiSeq(c, u + tail, future, 1 - N - len(u))
             if y in seen:
                 continue
             seen.add(y)
@@ -191,8 +162,8 @@ def rectangle_check(s, x, N, L):
         raise NotSynchronizing(f"point classifies {verdict.status}")
     if not central_word_synchronizes(s, x, N):
         raise NotSynchronizing(f"central word at radius {N} is not synchronizing")
-    unstable = unstable_representatives(s, x, N, L)
-    stable = stable_representatives(s, x, N, L)
+    unstable = cylinder_representatives(s, x, N, L, 2, "u")
+    stable = cylinder_representatives(s, x, N, L, 2, "s")
     if not unstable or not stable:
         raise WindowTooSmall(f"no representatives fit in window {L}")
     failures = []

@@ -9,6 +9,8 @@ from synchrolab.periodic import (enumerate_periodic, find_periodic_by_bracket,
 from synchrolab.points import BiSeq, distance, point_in_shift, shift_by
 from synchrolab.shift import fischer_cover
 
+from membership_reference import reference_point_in_shift
+
 ZEROS = BiSeq.constant("0")
 ONES = BiSeq.constant("1")
 
@@ -24,12 +26,13 @@ def adjacency(p):
 
 def brute_force_periodic_words(s, n):
     """Independent oracle: all length-n words whose periodization is a
-    point, checked by scanning a wide window for forbidden behavior."""
+    point, decided by the reference membership (window scan for SFTs,
+    frozenset fixpoint for sofic shifts), not by ``point_in_shift``."""
     from itertools import product as iproduct
     points = set()
     for w in iproduct(s.alphabet.symbols, repeat=n):
         candidate = BiSeq.periodic(w)
-        if point_in_shift(s, candidate) == "yes":
+        if reference_point_in_shift(s, candidate) == "yes":
             for phase in range(n):
                 points.add(BiSeq.periodic(w, phase))
     return points

@@ -7,6 +7,10 @@ from synchrolab.points import (BiSeq, CylinderS, CylinderU, Dyadic, agree_on,
                                alignment_bound, bracket, decide_relation, distance,
                                enumerate_points, point_in_shift, shift_by, splice,
                                try_bracket)
+from synchrolab.presentation import Presentation
+from synchrolab.shift import Alphabet, build_sft, build_sofic
+
+from membership_reference import reference_point_in_shift
 
 ZEROS = BiSeq.constant("0")
 ONES = BiSeq.constant("1")
@@ -372,3 +376,76 @@ def test_membership_against_sft_route(even_shift):
         status = point_in_shift(even_shift, p)
         if status == "yes":
             assert parity_ok(p), p
+
+
+# -- membership against an independent reference -----------------------------
+
+def test_point_in_shift_matches_reference(golden_mean, even_shift, even_times_golden,
+                                          full_two):
+    binary = Alphabet(("0", "1"))
+    shifts = {
+        "golden": golden_mean, "even": even_shift, "even_x_golden": even_times_golden,
+        "full2": full_two,
+        "gap3": build_sofic(binary, Presentation.build(
+            ["A", "B", "C"],
+            [("A", "1", "A"), ("A", "0", "B"), ("B", "0", "C"), ("C", "0", "A")])),
+        "dead_end": build_sft(binary, {("1", "1"), ("1", "0")}),
+        "reducible": build_sofic(binary, Presentation.build(
+            ["A", "B", "C"],
+            [("A", "0", "A"), ("A", "1", "B"), ("B", "1", "B"), ("B", "0", "C"),
+             ("C", "0", "C")])),
+        "unused_symbol": build_sofic(Alphabet(("0", "1", "2")), golden_mean.presentation),
+    }
+    for name, s in shifts.items():
+        answers = set()
+        for x in small_points(s.alphabet.symbols, core_len=3, origin_radius=2):
+            expected = reference_point_in_shift(s, x)
+            assert point_in_shift(s, x) == expected, (name, x)
+            answers.add(expected)
+        assert answers == {"yes", "no"} or name == "full2", name
+
+
+# -- windows against per-coordinate access -----------------------------------
+
+def _window_points():
+    """Points with empty and non-empty cores, negative origins and
+    cycles of length 1-3."""
+    cycles = [("0",), ("1", "0"), ("0", "1", "1"), ("1", "1", "0")]
+    cores = [(), ("1",), ("0", "0", "1")]
+    points = {BiSeq(left, core, right, origin)
+              for left in cycles for right in cycles for core in cores
+              for origin in (-4, -1, 0, 3)}
+    return sorted(points, key=lambda p: (p.description_size(), str(p)))
+
+
+def test_window_matches_per_coordinate_access():
+    points = _window_points()
+    assert any(not p.core for p in points) and any(p.origin < 0 for p in points)
+    for x in points:
+        lo_min = x.origin - 2 * len(x.left) - 3
+        hi_max = x.right_start + 2 * len(x.right) + 3
+        for lo in range(lo_min, hi_max + 1):
+            for hi in range(lo_min, hi_max + 1):
+                expected = tuple(x.at(i) for i in range(lo, hi))
+                assert x.window(lo, hi) == expected, (x, lo, hi)
+                assert x[lo:hi] == expected
+        assert x.window(3, 3) == () and x.window(5, 2) == ()
+
+
+def test_agreement_and_cylinders_match_coordinatewise_definition():
+    points = _window_points()[::3]
+    reach = 40  # beyond every core and joint period of these points
+
+    def agree(x, y, lo, hi):
+        return all(x.at(i) == y.at(i) for i in range(lo, hi))
+
+    for x in points:
+        for y in points:
+            for lo in range(-6, 6):
+                for hi in (lo - 1, lo, lo + 1, lo + 4):
+                    assert agree_on(x, y, lo, hi) == agree(x, y, lo, hi)
+            for N in (1, 2, 3):
+                assert CylinderS(x, N).contains(y) == agree(x, y, 1 - N, reach)
+                assert CylinderS(x, N).contains(y, strict=True) == agree(x, y, -N, reach)
+                assert CylinderU(x, N).contains(y) == agree(x, y, -reach, N)
+                assert CylinderU(x, N).contains(y, strict=True) == agree(x, y, -reach, N + 1)

@@ -3,10 +3,13 @@
 import pytest
 
 from synchrolab.errors import EmptyShift, NotIrreducible, WindowExceeded
+from synchrolab.points import BiSeq, point_in_shift
 from synchrolab.presentation import (Presentation, determinize, graph_isomorphic,
                                      minimal_cover, same_language, structure_flags, trim)
 from synchrolab.shift import (Alphabet, build_sft, contains_word, enumerate_words,
                               fischer_cover, full_shift, product, word)
+
+from membership_reference import window_admissible
 
 BINARY = Alphabet(("0", "1"))
 
@@ -153,9 +156,20 @@ def test_sft_membership_agrees_with_presentation_route(golden_mean):
     # both routes: forbidden-factor scan vs cover run
     cover = fischer_cover(golden_mean)
     for w in enumerate_words(full_shift(BINARY), 8):
-        by_scan = golden_mean.window_admissible(w)
+        by_scan = window_admissible(golden_mean, w)
         by_cover = bool(cover.run(cover.states, w))
         assert by_scan == by_cover
+
+
+def test_sft_words_occur_in_points_despite_dead_ends():
+    # "1" may follow nothing, so no point contains a 1 although the
+    # words 1, 01, 001 have no forbidden factor
+    s = build_sft(BINARY, {word("11"), word("10")})
+    assert enumerate_words(s, 3) == [(), word("0"), word("00"), word("000")]
+    for w in (word("1"), word("01"), word("001")):
+        assert window_admissible(s, w)
+        assert not contains_word(s, w)
+        assert point_in_shift(s, BiSeq(("0",), w, ("0",), 0)) == "no"
 
 
 def test_oracle_window_exceeded(ray_oracle):
