@@ -22,11 +22,11 @@ from synchrolab.periodic import (PeriodicSet, enumerate_periodic,
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, Dyadic, bracket,
                                decide_relation, distance, point_in_shift, shift_by,
                                splice, try_bracket)
-from synchrolab.presentation import Presentation, determinize, structure_flags, trim
+from synchrolab.presentation import Presentation, determinize, trim
 from synchrolab.shift import (SFT, Alphabet, OracleShift, Sofic, build_sft,
                               build_sofic, contains_word, enumerate_words,
                               fischer_cover, full_shift, product, shift_flags, word)
-from synchrolab.specfile import SpecFile, load_spec, parse_point, parse_spec
+from synchrolab.specfile import SpecFile, load_spec, parse_point
 from synchrolab.sync import (NonSyncReport, SyncVerdict, classify_point,
                              is_sync_word, nonsync_subshift, rectangle_check,
                              sync_density_check)

@@ -63,13 +63,9 @@ class CoverMap:
                      tuple(lab[e] for e in x.core),
                      tuple(lab[e] for e in x.right), x.origin)
 
-    @cached_property
+    @property
     def right_resolving(self):
-        for q in self.presentation.states:
-            labels = [a for (_, a, _) in self.presentation.out_edges[q]]
-            if len(labels) != len(set(labels)):
-                return False
-        return True
+        return self.presentation.deterministic
 
     @cached_property
     def left_resolving(self):
@@ -111,41 +107,20 @@ def _paths_reading(g, start, word):
 
 
 class _CycleGraph:
-    """Multigraph of runs of one tail-cycle word between graph states."""
+    """Multigraph of runs of one tail-cycle word between ``alive`` states."""
 
-    def __init__(self, g, word):
-        self.word = word
+    def __init__(self, g, word, alive):
         self.arcs = []  # (source state, edge-index tuple, target state)
-        for q in g.states:
+        for q in alive:
             for (dst, trail) in _paths_reading(g, q, word):
-                self.arcs.append((q, trail, dst))
-
-    def restricted(self, alive):
-        out = _CycleGraph.__new__(_CycleGraph)
-        out.word = self.word
-        out.arcs = [a for a in self.arcs if a[0] in alive and a[2] in alive]
-        return out
+                if dst in alive:
+                    self.arcs.append((q, trail, dst))
 
     def predecessors(self, v):
         return [a for a in self.arcs if a[2] == v]
 
     def successors(self, u):
         return [a for a in self.arcs if a[0] == u]
-
-
-def _alive(states, cycle_graph, backward):
-    """States with an infinite run of cycle reads in one direction."""
-    alive = set(states)
-    while True:
-        if backward:
-            nxt = {v for v in alive
-                   if any(a[0] in alive for a in cycle_graph.predecessors(v))}
-        else:
-            nxt = {v for v in alive
-                   if any(a[2] in alive for a in cycle_graph.successors(v))}
-        if nxt == alive:
-            return alive
-        alive = nxt
 
 
 def _tail_runs(g, word, backward):
@@ -159,9 +134,9 @@ def _tail_runs(g, word, backward):
     each run: the cycle repeats outward and the connector joins it to
     ``q``.
     """
-    cg = _CycleGraph(g, word)
-    alive = _alive(g.states, cg, backward)
-    cg = cg.restricted(alive)
+    # Runs ending at a state (backward) come from reading the cycle forward.
+    alive = g.names(g.tail_fixpoint(word, not backward))
+    cg = _CycleGraph(g, word, alive)
 
     def neighbors(v):
         return cg.predecessors(v) if backward else cg.successors(v)

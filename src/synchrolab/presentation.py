@@ -4,14 +4,15 @@ A presentation is a finite directed multigraph whose edges carry symbol
 labels.  The shift it presents is the set of bi-infinite label sequences
 read along bi-infinite paths.  This module supplies the graph-level
 machinery: trimming to the essential part, structural flags
-(deterministic, irreducible, period, mixing), the subset-construction
-determinization, follower-set reduction, and the minimal deterministic
-irreducible cover of an irreducible sofic shift.
+(deterministic, irreducible, period, mixing), the subset automaton
+(determinization), follower-set reduction, language equality, and the
+minimal deterministic irreducible cover of an irreducible sofic shift.
 
-Each presentation compiles once into a bitmask kernel (state sets as
-``int`` masks, per-label successor masks).  On it sit the tail sets of
-an eventually periodic point at a cut -- the past set and the future
-set -- which decide membership and pin cover states.
+Each presentation compiles once into a bitmask kernel: state sets are
+``int`` masks (state ``states[i]`` is bit ``i``) stepped by per-label
+successor masks.  On it sit the tail sets of an eventually periodic
+point at a cut -- the past set and the future set -- which decide
+membership and pin cover states.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -90,28 +91,6 @@ class Presentation:
             table[(p, a)] = q
         return table
 
-    def step(self, state_set, label):
-        """Image of ``state_set`` under one transition on ``label``."""
-        out = set()
-        for q in state_set:
-            for (_, a, r) in self.out_edges[q]:
-                if a == label:
-                    out.add(r)
-        return frozenset(out)
-
-    def run(self, state_set, word):
-        """Image of ``state_set`` after reading ``word``."""
-        current = frozenset(state_set)
-        for a in word:
-            current = self.step(current, a)
-            if not current:
-                break
-        return current
-
-    def accepts(self, word):
-        """True iff some path in the graph reads ``word``."""
-        return bool(self.run(self.states, word))
-
     @cached_property
     def masks(self):
         """The compiled kernel: ``{label: successor masks}``.
@@ -141,19 +120,39 @@ class Presentation:
         return ({a: (rows, {}) for a, rows in self.masks.items()},
                 {a: (tuple(rows), {}) for a, rows in sources.items()})
 
-    def run_mask(self, mask, word):
+    def step(self, mask, label):
+        """Mask of the targets of ``label``-edges out of ``mask``'s states.
+
+        Computed afresh, for searches that meet each mask once; ``run``
+        memoizes the same images.
+        """
+        rows = self.masks.get(label)
+        return 0 if rows is None else _image(rows, mask)
+
+    def run(self, mask, word):
         """Mask of the states reached from ``mask`` reading ``word``."""
         return _read(self._kernel[0], mask, word)
 
-    def back_mask(self, mask, word):
+    def back(self, mask, word):
         """Mask of the states with a path reading ``word`` into ``mask``."""
         return _read(self._kernel[1], mask, reversed(word))
 
-    def _tail_fixpoint(self, cycle, backward):
-        # Reading ``cycle`` (backward: in reverse) from all states only
-        # shrinks the set, so the decreasing iteration reaches the states
-        # ending (backward: starting) an infinite run of cycle reads.
-        read = self.back_mask if backward else self.run_mask
+    def accepts(self, word):
+        """True iff some path in the graph reads ``word``."""
+        return self.run(self.full_mask, word) != 0
+
+    def names(self, mask):
+        """The member states of ``mask``, in canonical order."""
+        return tuple(q for i, q in enumerate(self.states) if mask >> i & 1)
+
+    def tail_fixpoint(self, cycle, backward):
+        """Mask of the states ending (``backward``: starting) an infinite
+        run of ``cycle`` reads.
+
+        Reading ``cycle`` (backward: in reverse) from all states only
+        shrinks the set, so the decreasing iteration reaches the fixpoint.
+        """
+        read = self.back if backward else self.run
         alive = self.full_mask
         while True:
             nxt = read(alive, cycle)
@@ -167,15 +166,15 @@ class Presentation:
         the tail fixpoint of x's left cycle, then the word from the
         cycle's anchor to ``cut`` read forward."""
         anchor = min(cut, x.origin)
-        alive = self._tail_fixpoint(x.left_pattern_at(anchor), False)
-        return self.run_mask(alive, x.window(anchor, cut))
+        alive = self.tail_fixpoint(x.left_pattern_at(anchor), False)
+        return self.run(alive, x.window(anchor, cut))
 
     def future_set(self, x, cut):
         """Mask of the states starting a right-infinite path that reads
         ``x`` from ``cut`` on; the mirror image of ``past_set``."""
         anchor = max(cut, x.right_start)
-        alive = self._tail_fixpoint(x.right_pattern_at(anchor), True)
-        return self.back_mask(alive, x.window(cut, anchor))
+        alive = self.tail_fixpoint(x.right_pattern_at(anchor), True)
+        return self.back(alive, x.window(cut, anchor))
 
     @cached_property
     def sccs(self):
@@ -288,6 +287,15 @@ class Presentation:
         )
 
 
+def _image(rows, mask):
+    # Union of the successor rows of ``mask``'s states.
+    image = 0
+    for i, row in enumerate(rows):
+        if mask >> i & 1:
+            image |= row
+    return image
+
+
 def _read(kernel, mask, word):
     # Steps ``mask`` through ``word`` in one direction of ``_kernel``.
     for a in word:
@@ -297,11 +305,7 @@ def _read(kernel, mask, word):
         rows, images = entry
         image = images.get(mask)
         if image is None:
-            image = 0
-            for i, row in enumerate(rows):
-                if mask >> i & 1:
-                    image |= row
-            images[mask] = image
+            image = images[mask] = _image(rows, mask)
         mask = image
     return mask
 
@@ -336,14 +340,28 @@ def trim(p):
     )
 
 
-def structure_flags(p):
-    """Structural flags of a trimmed presentation.
+def subset_automaton(p, least):
+    """The subset automaton of ``p`` on state sets of ``least`` or more
+    states.
 
-    Returns
-    -------
-    dict with keys ``irreducible``, ``mixing``, ``period``.
+    Its states are the masks reachable from the full state set through
+    images of at least ``least`` states, each named by its members in
+    canonical order; the result is trimmed.
     """
-    return {"irreducible": p.irreducible, "mixing": p.mixing, "period": p.period}
+    full = p.full_mask
+    name = {full: p.names(full)} if full.bit_count() >= least else {}
+    queue = list(name)
+    edges = []
+    for current in queue:
+        for a in p.alphabet:
+            nxt = p.step(current, a)
+            if nxt.bit_count() < least:
+                continue
+            if nxt not in name:
+                name[nxt] = p.names(nxt)
+                queue.append(nxt)
+            edges.append((name[current], a, name[nxt]))
+    return trim(Presentation.build(name.values(), edges))
 
 
 def determinize(p):
@@ -353,29 +371,7 @@ def determinize(p):
     reachable from the full state set; the result is trimmed.  Membership
     of every finite word agrees between input and output.
     """
-    if not p.states:
-        return p
-    start = frozenset(p.states)
-    alphabet = p.alphabet
-    seen = {start}
-    queue = [start]
-    edges = []
-    while queue:
-        current = queue.pop(0)
-        for a in alphabet:
-            nxt = p.step(current, a)
-            if not nxt:
-                continue
-            edges.append((_subset_name(current), a, _subset_name(nxt)))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    out = Presentation.build([_subset_name(s) for s in seen], edges)
-    return trim(out)
-
-
-def _subset_name(subset):
-    return tuple(sorted(subset, key=_state_key))
+    return subset_automaton(p, 1)
 
 
 def follower_partition(p):
@@ -460,43 +456,28 @@ def minimal_cover(p):
     det = determinize(p)
     merged = merge_followers(det)
     core = terminal_component(trim(merged))
-    if not same_language(det, core, bound=2 * (len(det.states) + len(core.states)) + 2):
+    if not same_language(det, core):
         raise NotIrreducible("terminal component presents a proper sublanguage")
     return core.renamed()
 
 
-def same_language(p1, p2, bound):
-    """True iff ``p1`` and ``p2`` accept the same words of length <= bound."""
-    pair = (frozenset(p1.states), frozenset(p2.states))
+def same_language(p1, p2):
+    """True iff ``p1`` and ``p2`` accept the same finite words.
+
+    Decided by a search over the pairs of state sets reachable from the
+    full pair: the languages differ iff some reachable pair has exactly
+    one empty side.
+    """
+    pair = (p1.full_mask, p2.full_mask)
     seen = {pair}
-    queue = [(pair, 0)]
+    queue = [pair]
     alphabet = sorted(set(p1.alphabet) | set(p2.alphabet))
-    while queue:
-        (s1, s2), depth = queue.pop(0)
+    for (s1, s2) in queue:
         if bool(s1) != bool(s2):
             return False
-        if depth >= bound:
-            continue
         for a in alphabet:
             nxt = (p1.step(s1, a), p2.step(s2, a))
-            if nxt == (frozenset(), frozenset()):
-                continue
-            if nxt not in seen:
+            if nxt != (0, 0) and nxt not in seen:
                 seen.add(nxt)
-                queue.append((nxt, depth + 1))
+                queue.append(nxt)
     return True
-
-
-def graph_isomorphic(p1, p2):
-    """Label-respecting graph isomorphism by brute force over small graphs."""
-    if len(p1.states) != len(p2.states) or len(p1.edges) != len(p2.edges):
-        return False
-    from itertools import permutations
-
-    targets = list(p2.states)
-    for perm in permutations(targets):
-        mapping = dict(zip(p1.states, perm))
-        mapped = {(mapping[p], a, mapping[q]) for (p, a, q) in p1.edges}
-        if mapped == set(p2.edges):
-            return True
-    return False

@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from itertools import product as iproduct
 
 from synchrolab.errors import EmptyShift, NotIrreducible, WindowExceeded
-from synchrolab.presentation import Presentation, minimal_cover, structure_flags, trim
+from synchrolab.presentation import Presentation, minimal_cover, trim
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,6 @@ class Alphabet:
 def word(text):
     """Builds a word (tuple of single-character symbols) from a string."""
     return tuple(text)
-
-
-def format_word(w):
-    """Renders a word for display; multi-character symbols are comma-joined."""
-    if not w:
-        return "ε"
-    if all(len(s) == 1 for s in w):
-        return "".join(w)
-    return ",".join(w)
 
 
 class Shift:
@@ -262,9 +253,10 @@ def shift_flags(s):
     if isinstance(s, OracleShift):
         return {"irreducible": None, "mixing": None, "period": None}
     try:
-        return structure_flags(fischer_cover(s))
+        p = fischer_cover(s)
     except NotIrreducible:
-        return structure_flags(s.presentation)
+        p = s.presentation
+    return {"irreducible": p.irreducible, "mixing": p.mixing, "period": p.period}
 
 
 def product_symbol(a, b):

@@ -253,6 +253,3 @@ def load_spec(ref):
         spec.shift.with_name(name)
         return spec
     raise ParseError(f"no file or builtin named {ref!r}")
-
-
-parse_spec = load_spec

@@ -15,7 +15,7 @@ from synchrolab.errors import (NotInLanguage, NotInShift, NotSynchronizing,
                                SearchExhausted, WindowTooSmall)
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, point_in_shift,
                                try_bracket)
-from synchrolab.presentation import Presentation, trim
+from synchrolab.presentation import Presentation, subset_automaton
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 
 
@@ -55,7 +55,7 @@ class NonSyncReport:
 def is_sync_word(s, w):
     """True iff all runs of ``w`` in the Fischer cover end at one state."""
     cover = fischer_cover(s)
-    terminal = cover.run_mask(cover.full_mask, w)
+    terminal = cover.run(cover.full_mask, w)
     if not terminal:
         raise NotInLanguage(f"word {w!r} is not in the language")
     return terminal.bit_count() == 1
@@ -86,7 +86,7 @@ def classify_point(s, x, max_window=None):
     cap = pos + (max_window if max_window is not None
                  else (2 ** len(cover.states) + 1) * period + 1)
     while current.bit_count() > 1 and pos < cap:
-        current = cover.run_mask(current, (x.at(pos),))
+        current = cover.run(current, (x.at(pos),))
         pos += 1
         key = (current, (pos - x.right_start) % period)
         if key in seen:
@@ -100,7 +100,7 @@ def classify_point(s, x, max_window=None):
     left_reach = abs(x.origin - len(cover.states) * len(x.left))
     for n in range(max(abs(pos), left_reach) + 1):
         word = x.window(-n, n + 1)
-        if cover.run_mask(cover.full_mask, word).bit_count() == 1:
+        if cover.run(cover.full_mask, word).bit_count() == 1:
             return SyncVerdict("synchronizing", word, n)
     raise AssertionError("synchronizing limit set without central witness")
 
@@ -203,24 +203,7 @@ def nonsync_subshift(s):
     iff the trimmed graph is a disjoint union of cycles, in which case
     all its points are periodic and are enumerated.
     """
-    cover = fischer_cover(s)
-    full = frozenset(cover.states)
-    states = set()
-    edges = []
-    if len(full) >= 2:
-        queue = [full]
-        states.add(full)
-        while queue:
-            current = queue.pop(0)
-            for a in cover.alphabet:
-                nxt = cover.step(current, a)
-                if len(nxt) < 2:
-                    continue
-                edges.append((_name(current), a, _name(nxt)))
-                if nxt not in states:
-                    states.add(nxt)
-                    queue.append(nxt)
-    p = trim(Presentation.build([_name(v) for v in states], edges))
+    p = subset_automaton(fischer_cover(s), 2)
     if not p.states:
         return NonSyncReport(p, "finite", ())
     out_degree = {q: len(p.out_edges[q]) for q in p.states}
@@ -246,22 +229,17 @@ def nonsync_subshift(s):
     return NonSyncReport(p, "finite", ordered)
 
 
-def _name(subset):
-    return tuple(sorted(subset, key=str))
-
-
 def close_orbit_through(cover, word):
     """A periodic point whose orbit reads ``word`` starting at 0.
 
     Finds a run of ``word`` and a return path in the cover, producing a
     point of the shift passing through the cylinder [word].
     """
-    starts = [q for q in cover.states if cover.run({q}, word)]
-    if not starts:
+    runs = [(q0, cover.run(1 << i, word)) for i, q0 in enumerate(cover.states)]
+    if not any(ends for (_, ends) in runs):
         raise NotInLanguage(f"no run of {word!r}")
-    for q0 in sorted(starts, key=str):
-        ends = sorted(cover.run({q0}, word), key=str)
-        for qe in ends:
+    for (q0, ends) in runs:
+        for qe in cover.names(ends):
             path = _shortest_path(cover, qe, q0, allow_empty=bool(word))
             if path is not None:
                 return BiSeq.periodic(word + tuple(path), 0)
@@ -287,14 +265,13 @@ def _shortest_path(cover, source, target, allow_empty=True):
 
 def _sync_extension(cover, word):
     """Shortest ``u`` with ``word + u`` synchronizing; BFS over subsets."""
-    start = cover.run(cover.states, word)
+    start = cover.run(cover.full_mask, word)
     if not start:
         raise NotInLanguage(f"no run of {word!r}")
     queue = [(start, ())]
     seen = {start}
-    while queue:
-        current, u = queue.pop(0)
-        if len(current) == 1:
+    for (current, u) in queue:
+        if current.bit_count() == 1:
             return u
         for a in cover.alphabet:
             nxt = cover.step(current, a)

@@ -1,28 +1,48 @@
 """Graph-level machinery: trimming, flags, determinization, covers."""
 
+import random
+from itertools import permutations
+from itertools import product as iproduct
+
 import pytest
 
 from synchrolab.errors import EmptyShift, NotIrreducible, WindowExceeded
 from synchrolab.points import BiSeq, point_in_shift
-from synchrolab.presentation import (Presentation, determinize, graph_isomorphic,
-                                     minimal_cover, same_language, structure_flags, trim)
-from synchrolab.shift import (Alphabet, build_sft, contains_word, enumerate_words,
-                              fischer_cover, full_shift, product, word)
+from synchrolab.presentation import (Presentation, determinize, merge_followers,
+                                     minimal_cover, same_language, subset_automaton,
+                                     terminal_component, trim)
+from synchrolab.shift import (Alphabet, build_sft, build_sofic, contains_word,
+                              enumerate_words, fischer_cover, full_shift, product,
+                              shift_flags, word)
+from synchrolab.sync import nonsync_subshift
 
-from membership_reference import window_admissible
+from membership_reference import (distinguishing_word, reference_subset_automaton,
+                                  reference_tail_states, window_admissible)
 
 BINARY = Alphabet(("0", "1"))
 
 
+def graph_isomorphic(p1, p2):
+    """Label-respecting graph isomorphism by brute force over small graphs."""
+    if len(p1.states) != len(p2.states) or len(p1.edges) != len(p2.edges):
+        return False
+    for perm in permutations(p2.states):
+        mapping = dict(zip(p1.states, perm))
+        mapped = {(mapping[p], a, mapping[q]) for (p, a, q) in p1.edges}
+        if mapped == set(p2.edges):
+            return True
+    return False
+
+
 def brute_language(p, max_len):
     """Independent language oracle: BFS over explicit paths."""
-    words = {()}
-    frontier = [(q, ()) for q in p.states]
+    frontier = {(q, ()) for q in p.states}
+    words = {w for (_, w) in frontier}
     for _ in range(max_len):
-        nxt = []
+        nxt = set()
         for (q, w) in frontier:
             for (_, a, r) in p.out_edges[q]:
-                nxt.append((r, w + (a,)))
+                nxt.add((r, w + (a,)))
         frontier = nxt
         words.update(w for (_, w) in frontier)
     return words
@@ -54,15 +74,14 @@ def test_trim_removes_one_sided_dead_ends():
     assert trimmed.states == ("a",)
 
 
-def test_structure_flags_golden_and_even(golden_mean, even_shift):
+def test_shift_flags_golden_and_even(golden_mean, even_shift):
     for s in (golden_mean, even_shift):
-        flags = structure_flags(fischer_cover(s))
-        assert flags == {"irreducible": True, "mixing": True, "period": 1}
+        assert shift_flags(s) == {"irreducible": True, "mixing": True, "period": 1}
 
 
-def test_structure_flags_pure_two_cycle():
+def test_flags_pure_two_cycle():
     p = Presentation.build(["a", "b"], [("a", "x", "b"), ("b", "y", "a")])
-    assert structure_flags(p) == {"irreducible": True, "mixing": False, "period": 2}
+    assert (p.irreducible, p.mixing, p.period) == (True, False, 2)
 
 
 def test_period_divides_every_cycle_length(even_shift, golden_mean, period_two):
@@ -82,7 +101,7 @@ def test_determinize_identity_on_deterministic(even_shift):
     p = even_shift.presentation
     d = determinize(p)
     assert d.deterministic
-    assert same_language(p, d, bound=10)
+    assert same_language(p, d)
 
 
 def test_determinize_preserves_language_on_nondeterministic():
@@ -157,7 +176,7 @@ def test_sft_membership_agrees_with_presentation_route(golden_mean):
     cover = fischer_cover(golden_mean)
     for w in enumerate_words(full_shift(BINARY), 8):
         by_scan = window_admissible(golden_mean, w)
-        by_cover = bool(cover.run(cover.states, w))
+        by_cover = bool(cover.run(cover.full_mask, w))
         assert by_scan == by_cover
 
 
@@ -204,3 +223,100 @@ def test_product_language_is_pairwise_zip(even_shift, golden_mean, even_times_go
                 continue
             zipped = tuple(f"{a}|{b}" for a, b in zip(lw, rw))
             assert contains_word(even_times_golden, zipped)
+
+
+# -- subset automata against a frozenset reference ---------------------------
+
+def _random_presentations(count=30, seed=0):
+    """Seeded labeled graphs with at most 4 states and 3 symbols."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        states = [f"q{i}" for i in range(rng.randint(1, 4))]
+        symbols = "abc"[:rng.randint(1, 3)]
+        edges = {(rng.choice(states), rng.choice(symbols), rng.choice(states))
+                 for _ in range(rng.randint(1, 3 * len(states)))}
+        out.append(Presentation.build(states, edges))
+    return out
+
+
+@pytest.fixture(scope="module")
+def named_shifts(golden_mean, even_shift, even_times_golden):
+    """Golden, even, 3-gap, even x golden, the dead-end SFT and a reducible
+    3-component sofic shift."""
+    return [golden_mean, even_shift,
+            build_sofic(BINARY, Presentation.build(
+                ["A", "B", "C"],
+                [("A", "1", "A"), ("A", "0", "B"), ("B", "0", "C"), ("C", "0", "A")])),
+            even_times_golden,
+            build_sft(BINARY, {word("11"), word("10")}),
+            build_sofic(BINARY, Presentation.build(
+                ["A", "B", "C"],
+                [("A", "0", "A"), ("A", "1", "B"), ("B", "1", "B"), ("B", "0", "C"),
+                 ("C", "0", "C")]))]
+
+
+@pytest.fixture(scope="module")
+def reference_graphs(named_shifts):
+    return [s.presentation for s in named_shifts] + _random_presentations()
+
+
+@pytest.fixture(scope="module")
+def reference_shifts(named_shifts):
+    shifts = list(named_shifts)
+    for p in _random_presentations():
+        try:
+            shifts.append(build_sofic(Alphabet(p.alphabet), p))
+        except EmptyShift:
+            continue
+    return shifts
+
+
+def test_subset_automata_match_frozenset_reference(reference_graphs):
+    for p in reference_graphs:
+        assert determinize(p) == reference_subset_automaton(p, 1), p
+        for least in (2, 3):
+            assert subset_automaton(p, least) == reference_subset_automaton(p, least), p
+
+
+def test_nonsync_subshift_matches_frozenset_reference(reference_shifts):
+    checked = 0
+    for s in reference_shifts:
+        try:
+            cover = fischer_cover(s)
+        except NotIrreducible:
+            continue
+        expected = reference_subset_automaton(cover, 2, key=str)
+        assert nonsync_subshift(s).presentation == expected, s
+        checked += 1
+    assert checked >= 15
+
+
+def test_same_language_decides_against_brute_force(reference_graphs):
+    pairs = list(zip(reference_graphs, reference_graphs[1:]))
+    for p in reference_graphs:
+        d = determinize(p)
+        pairs += [(p, d), (p, trim(p))]
+        try:
+            pairs.append((d, terminal_component(trim(merge_followers(d)))))
+        except NotIrreducible:
+            pass
+    verdicts = set()
+    for (p1, p2) in pairs:
+        w = distinguishing_word(p1, p2)
+        assert same_language(p1, p2) == (w is None), (p1, p2)
+        if w is None:
+            assert brute_language(p1, 6) == brute_language(p2, 6)
+        else:
+            assert (w in brute_language(p1, len(w))) != (w in brute_language(p2, len(w)))
+        verdicts.add(w is None)
+    assert verdicts == {True, False}
+
+
+def test_tail_fixpoint_matches_cycle_graph_reference(reference_graphs):
+    for p in reference_graphs:
+        for n in (1, 2, 3):
+            for w in iproduct(p.alphabet, repeat=n):
+                for backward in (False, True):
+                    got = set(p.names(p.tail_fixpoint(w, backward)))
+                    assert got == reference_tail_states(p, w, backward), (p, w, backward)
