@@ -114,8 +114,7 @@ def cmd_find_periodic(args, spec):
 
 
 def cmd_classify(args, spec):
-    verdict = sync.classify_point(spec.shift, _point(spec, args.point),
-                                  max_window=args.max_window)
+    verdict = sync.classify_point(spec.shift, _point(spec, args.point))
     report = {"command": "classify", "spec": spec.name, "point": args.point,
               "status": verdict.status, "window_used": verdict.window_used}
     if verdict.witness is not None:
@@ -245,10 +244,8 @@ def build_parser():
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--return-point")
     p.add_argument("--n", type=int)
-    p = add("classify", help="synchronizing verdict for a point")
-    p.add_argument("--point", required=True)
-    p.add_argument("--max-window", type=int,
-                   help="override the classification stabilization bound")
+    add("classify", help="exact synchronizing verdict for a point").add_argument(
+        "--point", required=True)
     add("nonsync", help="the non-synchronizing subshift")
     p = add("bracket", help="bracket of two points")
     p.add_argument("--x", required=True)
@@ -265,7 +262,8 @@ def build_parser():
     p = add("factor", help="cover map analysis")
     p.add_argument("--check", choices=("resolving", "degree", "a1to1"),
                    default="resolving")
-    p.add_argument("--point")
+    p.add_argument("--point", help="with --check degree: count and list the "
+                   "point's preimages (count 'infinite' when there are infinitely many)")
     p.add_argument("--maxper", type=int, default=4)
     add("report", help="invariant fingerprint report")
     add("product", help="product with a second shift").add_argument("other")

@@ -17,10 +17,10 @@ sampler emits only sound arrows.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from synchrolab.errors import (BracketUndefined, NotAgreeing, NotConstructive,
-                               NotHomoclinic, NotInDomain, NotInRectangle,
-                               NotInShift, NotSFT, NotSynchronizing,
-                               SearchExhausted, Unverified)
+from synchrolab.errors import (BracketUndefined, InvariantViolation, NotAgreeing,
+                               NotConstructive, NotHomoclinic, NotInDomain,
+                               NotInRectangle, NotInShift, NotSFT,
+                               NotSynchronizing, SearchExhausted, Unverified)
 from synchrolab.factor import CoverMap, preimage_count
 from synchrolab.points import (BiSeq, agree_on, alignment_bound, bracket,
                                decide_relation, enumerate_points, future_splice,
@@ -261,15 +261,18 @@ def domain_samples(germ, budget=6):
 
 
 def verify_germ(germ, budget=6):
-    """Asserts the germ invariants on domain representatives.
+    """Checks the germ invariants on domain representatives.
 
     Checks that the source maps to the target, values stay in the
     shift, the rule never edits coordinates outside the window in the
     directions the kind controls, and the rule is injective on the
-    sample.  Returns the number of representatives exercised.
+    sample.  Returns the number of representatives exercised; raises
+    ``InvariantViolation`` when a check fails.
     """
-    assert germ.kind in KINDS
-    assert germ.apply(germ.source) == germ.target
+    if germ.kind not in KINDS:
+        raise InvariantViolation(f"unknown germ kind {germ.kind!r}")
+    if germ.apply(germ.source) != germ.target:
+        raise InvariantViolation("the germ does not map its source to its target")
     samples = domain_samples(germ, budget)
     images = []
     for z in samples:
@@ -281,11 +284,14 @@ def verify_germ(germ, budget=6):
         if germ.kind in ("lc", "lcs"):
             # forward defect vanishes beyond the window
             hi = germ.window if germ.kind == "lc" else germ.dom_hi + 1
-            assert agree_on(z, out, hi + 1, bound), (germ.kind, z, out)
+            if not agree_on(z, out, hi + 1, bound):
+                raise InvariantViolation(f"{germ.kind} rule edits {z} after {hi}")
         if germ.kind in ("lc", "lcu"):
             lo = -germ.window if germ.kind == "lc" else germ.dom_lo - 1
-            assert agree_on(z, out, -bound, lo), (germ.kind, z, out)
-    assert len(set(images)) == len(images), "rule is not injective on the sample"
+            if not agree_on(z, out, -bound, lo):
+                raise InvariantViolation(f"{germ.kind} rule edits {z} before {lo}")
+    if len(set(images)) != len(images):
+        raise InvariantViolation("rule is not injective on the sample")
     return len(images)
 
 
@@ -414,7 +420,7 @@ def lifted_germ(s, x, y, kind, verify=True):
                     verify_germ(germ)
                 else:
                     germ.apply(x)
-            except (NotInDomain, AssertionError):
+            except (NotInDomain, InvariantViolation):
                 continue
             return germ
     raise NotConstructive(f"no {kind} germ between the lifts of {x} and {y}")
@@ -483,7 +489,6 @@ def compose_lcs_lcu(s, gu, gs, x, y, verify=True):
     n = max(vx.window_used + 1, vy.window_used + 1, gu.window, gs.window, 2)
     germ = Germ(s, "lc", x, y, -n, n, ComposeRule(gu, gs, x, n))
     if verify:
-        assert germ.apply(x) == y
         verify_germ(germ, budget=4)
     return germ
 

@@ -102,3 +102,7 @@ class SemanticError(SynchrolabError):
 
 class UsageError(SynchrolabError):
     """Bad command-line invocation."""
+
+
+class InvariantViolation(SynchrolabError):
+    """A result failed the internal check that certifies it."""

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from synchrolab.errors import NotInShift, NotResolving
+from synchrolab.errors import InvariantViolation, NotInShift, NotResolving
 from synchrolab.points import BiSeq, point_in_shift
 from synchrolab.shift import SFT, Alphabet, Sofic, build_sft, fischer_cover
 
@@ -106,160 +106,100 @@ def _paths_reading(g, start, word):
     return paths
 
 
-class _CycleGraph:
-    """Multigraph of runs of one tail-cycle word between ``alive`` states."""
-
-    def __init__(self, g, word, alive):
-        self.arcs = []  # (source state, edge-index tuple, target state)
-        for q in alive:
-            for (dst, trail) in _paths_reading(g, q, word):
-                if dst in alive:
-                    self.arcs.append((q, trail, dst))
-
-    def predecessors(self, v):
-        return [a for a in self.arcs if a[2] == v]
-
-    def successors(self, u):
-        return [a for a in self.arcs if a[0] == u]
-
-
 def _tail_runs(g, word, backward):
-    """Counts and representatives of one-sided infinite tail runs.
+    """The one-sided infinite runs of ``word``-cycles, per state.
 
-    Returns ``(counts, reps)`` where ``counts[q]`` is the number of
-    infinite runs of ``word``-cycles ending at (backward) or starting
-    from (forward) state ``q`` -- 0, a positive integer, or ``inf`` --
-    and ``reps[q]`` lists, in the finite case, pairs
-    ``(cycle_edges, connector_edges)`` of edge-index words describing
-    each run: the cycle repeats outward and the connector joins it to
-    ``q``.
+    Maps each state ``q`` ending (``backward``) or starting (forward)
+    such a run to ``math.inf`` when there are infinitely many, and
+    otherwise to the list of runs as pairs ``(cycle_edges,
+    connector_edges)`` of edge-index words: the cycle repeats outward
+    and the connector joins it to ``q``.
+
+    A depth-first walk outward from ``q``, over the runs of ``word``
+    between the states of its tail fixpoint, closes when it returns to a
+    state on its path; the closed part is the run's cycle.  Every state
+    of the fixpoint continues outward, so the walk may leave a cycle
+    with a second arc after any number of turns: that state's count is
+    infinite exactly when some closed cycle has such a state.
     """
     # Runs ending at a state (backward) come from reading the cycle forward.
     alive = g.names(g.tail_fixpoint(word, not backward))
-    cg = _CycleGraph(g, word, alive)
-
-    def neighbors(v):
-        return cg.predecessors(v) if backward else cg.successors(v)
-
-    def neighbor_state(arc):
-        return arc[0] if backward else arc[2]
-
-    # vertices on cycles of the restricted graph
-    on_cycle = set()
-    for v in alive:
-        seen = {v}
-        frontier = {neighbor_state(a) for a in neighbors(v)}
-        while frontier:
-            if v in frontier:
-                on_cycle.add(v)
-                break
-            seen |= frontier
-            frontier = {neighbor_state(a) for u in frontier for a in neighbors(u)} - seen
-    infinite = {v for v in on_cycle if len(neighbors(v)) >= 2}
-    # propagate: anything that can see a branching cycle vertex has
-    # infinitely many runs
-    reach_inf = set(infinite)
-    changed = True
-    while changed:
-        changed = False
-        for v in alive:
-            if v not in reach_inf and any(neighbor_state(a) in reach_inf
-                                          for a in neighbors(v)):
-                reach_inf.add(v)
-                changed = True
-
-    counts = {q: 0 for q in g.states}
-    reps = {q: [] for q in g.states}
-
-    # explicit enumeration by depth-first search with on-path cycle closing
-    def enumerate_runs(v):
-        results = []
-
-        def walk(current, trail, visited):
-            # trail: list of arcs from current ... to v (nearest first)
-            for arc in neighbors(current):
-                u = neighbor_state(arc)
-                new_trail = [arc] + trail if backward else trail + [arc]
-                if u in visited:
-                    # the repeated part (from u around to u) is the cycle
-                    results.append((u, new_trail))
+    arcs = {q: [] for q in alive}  # state -> [(next state outward, edges)]
+    for p in alive:
+        for (r, trail) in _paths_reading(g, p, word):
+            if r in arcs:
+                if backward:
+                    arcs[r].append((p, trail))
                 else:
-                    walk(u, new_trail, visited | {u})
+                    arcs[p].append((r, trail))
 
-        walk(v, [], {v})
-        return results
-
-    for q in alive:
-        if q in reach_inf:
-            counts[q] = math.inf
-            continue
-        found = []
-        for (anchor, trail) in enumerate_runs(q):
-            # split trail into the cycle at ``anchor`` and the connector
-            if backward:
-                # trail reads forward: anchor ... anchor ... q
-                states_seq = [trail[0][0]] + [a[2] for a in trail]
-                first = states_seq.index(anchor)
-                second = states_seq.index(anchor, first + 1)
-                cycle_arcs = trail[first:second]
-                conn_arcs = trail[second:]
+    def walks(path, trails):
+        # each walk ends at its first return, to ``path[j]``
+        for (r, trail) in arcs[path[-1]]:
+            if r in path:
+                yield path.index(r), path, trails + (trail,)
             else:
-                states_seq = [trail[0][0]] + [a[2] for a in trail]
-                last = len(states_seq) - 1 - states_seq[::-1].index(anchor)
-                firsts = [i for i, st in enumerate(states_seq) if st == anchor]
-                first = firsts[-2] if len(firsts) >= 2 else firsts[0]
-                cycle_arcs = trail[first:last]
-                conn_arcs = trail[:first]
-            cycle = tuple(i for a in cycle_arcs for i in a[1])
-            conn = tuple(i for a in conn_arcs for i in a[1])
-            found.append((cycle, conn))
-        counts[q] = len(found)
-        reps[q] = found
-    return counts, reps
+                yield from walks(path + (r,), trails + (trail,))
+
+    def edges(trails):
+        # a left tail is read toward ``q``: reverse the outward order
+        return tuple(i for t in (trails[::-1] if backward else trails) for i in t)
+
+    runs = {}
+    for q in alive:
+        runs[q] = []
+        for (j, path, trails) in walks((q,), ()):
+            if any(len(arcs[s]) > 1 for s in path[j:]):
+                runs[q] = math.inf
+                break
+            runs[q].append((edges(trails[j:]), edges(trails[:j])))
+    return runs
 
 
 def preimage_count(c, x):
     """Exact count and list of edge-shift preimages of a point.
 
     Decomposes a bi-infinite run into an infinite left tail run, a core
-    path, and an infinite right tail run; counts multiply and sum.
-    Returns ``{"count": int or inf, "preimages": tuple of BiSeq}`` with
+    path, and an infinite right tail run; counts multiply and sum.  A
+    tail state has infinitely many runs when a tail cycle it reaches has
+    a state with a second arc, since a run may leave the cycle after any
+    number of turns; the count is then ``math.inf`` as soon as a core
+    path joins it to a tail state with runs on the other side.  Returns
+    ``{"count": int or math.inf, "preimages": tuple of BiSeq}`` with
     preimages listed only when the count is finite.
     """
     if point_in_shift(c.target, x) != "yes":
         raise NotInShift("point is not in the cover's image shift")
     g = c.presentation
-    left_counts, left_reps = _tail_runs(g, x.left_pattern_at(x.origin), backward=True)
-    right_counts, right_reps = _tail_runs(g, x.right_pattern_at(x.right_start),
-                                          backward=False)
+    left = _tail_runs(g, x.left_pattern_at(x.origin), backward=True)
+    right = _tail_runs(g, x.right_pattern_at(x.right_start), backward=False)
+    names = c.edge_names
     total = 0
     assembled = []
-    for q in g.states:
-        if left_counts[q] == 0:
+    for q, lruns in left.items():
+        if not lruns:
             continue
         for (v, core_trail) in _paths_reading(g, q, x.core):
-            if right_counts[v] == 0:
+            rruns = right.get(v)
+            if not rruns:
                 continue
-            term = left_counts[q] * right_counts[v]
-            total += term
-            if math.isinf(total):
-                continue
-            for (lcycle, lconn) in left_reps[q]:
-                for (rcycle, rconn) in right_reps[v]:
+            if lruns is math.inf or rruns is math.inf:
+                return {"count": math.inf, "preimages": ()}
+            total += len(lruns) * len(rruns)
+            for (lcycle, lconn) in lruns:
+                for (rcycle, rconn) in rruns:
                     core = lconn + core_trail + rconn
-                    names = c.edge_names
-                    pre = BiSeq(tuple(names[i] for i in lcycle),
-                                tuple(names[i] for i in core),
-                                tuple(names[i] for i in rcycle),
-                                x.origin - len(lconn))
-                    assembled.append(pre)
-    if math.isinf(total):
-        return {"count": math.inf, "preimages": ()}
+                    assembled.append(BiSeq(tuple(names[i] for i in lcycle),
+                                           tuple(names[i] for i in core),
+                                           tuple(names[i] for i in rcycle),
+                                           x.origin - len(lconn)))
     assembled = sorted(set(assembled), key=lambda p: (p.description_size(), str(p)))
     for pre in assembled:
-        assert point_in_shift(c.source, pre) == "yes"
-        assert c.project(pre) == x
-    assert len(assembled) == total, (total, assembled)
+        if point_in_shift(c.source, pre) != "yes" or c.project(pre) != x:
+            raise InvariantViolation(f"assembled preimage {pre} does not cover {x}")
+    if len(assembled) != total:
+        raise InvariantViolation(
+            f"{total} runs assembled into {len(assembled)} distinct preimages")
     return {"count": total, "preimages": tuple(assembled)}
 
 

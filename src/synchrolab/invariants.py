@@ -9,7 +9,7 @@ dimension when that set is finite.
 
 from dataclasses import dataclass
 
-from synchrolab.errors import NotIrreducible
+from synchrolab.errors import InvariantViolation, NotIrreducible
 from synchrolab.shift import SFT, OracleShift, Sofic, fischer_cover, shift_flags
 from synchrolab.sync import nonsync_subshift
 
@@ -189,14 +189,16 @@ def smith_normal_form(a):
     rank = sum(1 for d in diagonal if d != 0)
     umat = IntMatrix.from_rows(u)
     vmat = IntMatrix.from_rows(v)
-    assert abs(umat.determinant()) == 1 and abs(vmat.determinant()) == 1
+    if abs(umat.determinant()) != 1 or abs(vmat.determinant()) != 1:
+        raise InvariantViolation("Smith transforms are not unimodular")
     det = a.determinant() if rows == cols else None
     form = SmithForm(diagonal, rank, det, umat, vmat)
     check = umat.mul(a).mul(vmat)
     for i in range(rows):
         for j in range(cols):
             expected = diagonal[i] if i == j and i < len(diagonal) else 0
-            assert check[i, j] == expected
+            if check[i, j] != expected:
+                raise InvariantViolation(f"U A V differs from the Smith form at {(i, j)}")
     return form
 
 

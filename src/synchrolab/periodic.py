@@ -12,8 +12,9 @@ of the current iterate.
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from synchrolab.errors import (BracketUndefined, NoConvergence, NotAgreeing,
-                               NotInShift, NotSynchronizing, SearchExhausted, Unverified)
+from synchrolab.errors import (BracketUndefined, InvariantViolation, NoConvergence,
+                               NotAgreeing, NotInShift, NotSynchronizing,
+                               SearchExhausted, Unverified)
 from synchrolab.points import BiSeq, agree_on, bracket, distance, point_in_shift, shift_by
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 from synchrolab.sync import (close_orbit_through, oracle_density_entry,
@@ -98,7 +99,7 @@ def find_periodic_by_bracket(s, x, y, n, N, cap=None):
 
     and stops when ``z_{m+1}`` agrees on [-K, K], K = n(m+1), with the
     2n-periodization of ``z_m``; that periodization is returned after
-    asserting it is shift^(2n)-fixed and lies in the shift.
+    checking it is shift^(2n)-fixed and lies in the shift.
 
     Raises
     ------
@@ -131,7 +132,7 @@ def find_periodic_by_bracket(s, x, y, n, N, cap=None):
         K = n * (m + 1)
         if agree_on(z_next, p, -K, K + 1):
             if shift_by(p, 2 * n) != p:
-                raise AssertionError("periodization is not shift^(2n)-fixed")
+                raise InvariantViolation("periodization is not shift^(2n)-fixed")
             if point_in_shift(s, p) != "yes":
                 raise NotInShift("periodization leaves the shift")
             return p

@@ -12,7 +12,7 @@ Words are tuples of symbols; symbols are non-empty strings.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from itertools import product as iproduct
 
 from synchrolab.errors import EmptyShift, NotIrreducible, WindowExceeded

@@ -11,8 +11,8 @@ size->=2 part of the subset automaton.
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from synchrolab.errors import (NotInLanguage, NotInShift, NotSynchronizing,
-                               SearchExhausted, WindowTooSmall)
+from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
+                               NotSynchronizing, SearchExhausted, WindowTooSmall)
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, point_in_shift,
                                try_bracket)
 from synchrolab.presentation import Presentation, subset_automaton
@@ -61,14 +61,15 @@ def is_sync_word(s, w):
     return terminal.bit_count() == 1
 
 
-def classify_point(s, x, max_window=None):
+def classify_point(s, x):
     """Classifies a point as synchronizing or not, exactly.
 
     The past set of x at the core boundary stabilizes into a periodic
     subset orbit while reading the right tail; the point is
     synchronizing iff the orbit reaches a singleton.  When it does, the
     verdict carries the smallest central word ``x[-N..N]`` that is
-    synchronizing.
+    synchronizing.  The orbit is read until a singleton or a repeated
+    (set, cycle phase) pair, so no bound enters the verdict.
 
     Oracle shifts return ``unverified``.
     """
@@ -83,17 +84,13 @@ def classify_point(s, x, max_window=None):
     current = cover.past_set(x, pos)
     period = len(x.right)
     seen = {(current, 0)}
-    cap = pos + (max_window if max_window is not None
-                 else (2 ** len(cover.states) + 1) * period + 1)
-    while current.bit_count() > 1 and pos < cap:
+    while current.bit_count() > 1:
         current = cover.run(current, (x.at(pos),))
         pos += 1
         key = (current, (pos - x.right_start) % period)
         if key in seen:
             return SyncVerdict("nonSynchronizing")
         seen.add(key)
-    if current.bit_count() > 1:
-        return SyncVerdict("nonSynchronizing")
     # The past-set fixpoint takes at most |states| left-cycle reads, so
     # the singleton is certified within [origin - |states|*|left|, pos);
     # report the smallest synchronizing central word.
@@ -102,7 +99,7 @@ def classify_point(s, x, max_window=None):
         word = x.window(-n, n + 1)
         if cover.run(cover.full_mask, word).bit_count() == 1:
             return SyncVerdict("synchronizing", word, n)
-    raise AssertionError("synchronizing limit set without central witness")
+    raise InvariantViolation("synchronizing limit set without central witness")
 
 
 def central_word_synchronizes(s, x, N):

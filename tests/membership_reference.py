@@ -4,9 +4,13 @@ Points are read coordinate by coordinate with ``BiSeq.at``; SFTs are
 decided by scanning windows for forbidden factors and sofic shifts by a
 fixpoint over frozensets of state names, stepped along out-edge lists.
 Subset automata, language equality and tail fixpoints are computed the
-same way, on frozensets.  The library computes all of these on bitmasks,
-so agreement between the two is a differential check.
+same way, on frozensets, and preimage counts by counting edge paths on
+finite windows between those tail sets.  The library computes these on
+bitmasks and by walks over tail-cycle runs, so agreement between the two
+is a differential check.
 """
+
+import math
 
 from synchrolab.presentation import Presentation, trim
 from synchrolab.shift import SFT, Sofic
@@ -47,20 +51,61 @@ def reference_point_in_shift(s, x):
         return "yes"
     assert isinstance(s, Sofic)
     g = s.presentation
+    reached = _step(g, _past(g, left), core)
+    return "yes" if reached & _future(g, right) else "no"
+
+
+def _past(g, left):
+    """States ending a left-infinite run that repeats ``left``."""
     past = frozenset(g.states)
     while True:
         nxt = _step(g, past, left)
         if nxt == past:
-            break
+            return past
         past = nxt
-    reached = _step(g, past, core)
+
+
+def _future(g, right):
+    """States starting a right-infinite run that repeats ``right``."""
     future = frozenset(g.states)
     while True:
         nxt = frozenset(q for q in future if _step(g, {q}, right) & future)
         if nxt == future:
-            break
+            return future
         future = nxt
-    return "yes" if reached & future else "no"
+
+
+def _window_paths(g, x, k):
+    """Edge paths of ``g`` reading ``x`` on [-k, k) from a past state to a
+    future state; ``k`` must reach past the core on both sides."""
+    left = tuple(x.at(-k - len(x.left) + i) for i in range(len(x.left)))
+    right = tuple(x.at(k + i) for i in range(len(x.right)))
+    paths = {q: 1 for q in _past(g, left)}
+    for i in range(-k, k):
+        a = x.at(i)
+        nxt = {}
+        for q, m in paths.items():
+            for (_, b, r) in g.out_edges[q]:
+                if b == a:
+                    nxt[r] = nxt.get(r, 0) + m
+        paths = nxt
+    future = _future(g, right)
+    return sum(m for q, m in paths.items() if q in future)
+
+
+def reference_preimage_count(g, x):
+    """The number of bi-infinite edge paths of ``g`` reading the point ``x``.
+
+    Counts the distinct restrictions of those paths to [-K, K) and to
+    [-2K, 2K).  With K past the core by |states| + 1 turns of each tail
+    cycle, finitely many paths are all told apart within [-K, K), while
+    infinitely many have two that part between K and 2K (or -2K and -K),
+    so a count that still grows is infinite.
+    """
+    n = len(g.states)
+    k = abs(x.origin) + abs(x.origin + len(x.core)) + (n + 1) * (len(x.left) + len(x.right))
+    near, far = _window_paths(g, x, k), _window_paths(g, x, 2 * k)
+    return near if near == far else math.inf
 
 
 def _canonical_key(state):

@@ -2,12 +2,13 @@
 
 import pytest
 
-from synchrolab.conjugacy import (compose_lcs_lcu, construct_germ,
-                                  groupoid_sample, heteroclinic_bridge,
-                                  identity_germ, rectangle_germs, ruelle_germ,
-                                  sync_bridge, verify_germ)
-from synchrolab.errors import (NotConstructive, NotHomoclinic, NotInRectangle,
-                               NotSFT)
+from synchrolab.conjugacy import (Germ, IdentityRule, compose_lcs_lcu,
+                                  construct_germ, groupoid_sample,
+                                  heteroclinic_bridge, identity_germ,
+                                  rectangle_germs, ruelle_germ, sync_bridge,
+                                  verify_germ)
+from synchrolab.errors import (InvariantViolation, NotConstructive, NotHomoclinic,
+                               NotInRectangle, NotSFT)
 from synchrolab.points import (BiSeq, decide_relation, enumerate_points,
                                point_in_shift, shift_by)
 from synchrolab.sync import classify_point
@@ -301,3 +302,11 @@ def test_groupoid_axioms_on_sample(even_shift):
                 assert direct.apply(x) == composed.apply(x)
                 count += 1
     assert count > 0
+
+
+def test_verify_germ_raises_when_source_misses_target(golden_mean):
+    # a typed error, so the check also runs under ``python -O``
+    target = BiSeq(("0",), ("1",), ("0",), 0)
+    germ = Germ(golden_mean, "lc", ZEROS, target, -2, 2, IdentityRule())
+    with pytest.raises(InvariantViolation):
+        verify_germ(germ)

@@ -1,10 +1,11 @@
 """Labelings as factor maps: resolving flags, degrees, preimages."""
 
 import math
+import random
 
 import pytest
 
-from synchrolab.errors import NotResolving
+from synchrolab.errors import EmptyShift, NotResolving
 from synchrolab.factor import (CoverMap, almost_one_to_one_check, degree_bound,
                                preimage_count, resolving_check)
 from synchrolab.periodic import enumerate_periodic
@@ -12,6 +13,8 @@ from synchrolab.points import (BiSeq, decide_relation, enumerate_points,
                                point_in_shift, shift_by)
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet
+
+from membership_reference import reference_preimage_count
 
 ZEROS = BiSeq.constant("0")
 ONES = BiSeq.constant("1")
@@ -215,3 +218,40 @@ def test_almost_one_to_one_reports_violation():
     assert not report["passed"]
     assert report["exceptional"][0]["count"] == 2
     assert report["exceptional"][0]["status"] == "synchronizing"
+
+
+def test_infinite_count_behind_a_branching_two_cycle():
+    # the right tail turns around Q -> R -> Q any number of times before
+    # it leaves R for the loop at S
+    p = Presentation.build(
+        ["P", "Q", "R", "S"],
+        [("P", "x", "P"), ("P", "y", "Q"), ("Q", "0", "R"), ("R", "0", "Q"),
+         ("R", "0", "S"), ("S", "0", "S")])
+    point = BiSeq(("x",), ("y",), ("0",), 0)
+    assert preimage_count(CoverMap.build(p), point)["count"] is math.inf
+
+
+def _random_cover_maps(count=120, seed=0):
+    """Labeling maps of seeded graphs with at most 4 states and 2 symbols."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        states = [f"q{i}" for i in range(rng.randint(1, 4))]
+        symbols = "ab"[:rng.randint(1, 2)]
+        edges = {(rng.choice(states), rng.choice(symbols), rng.choice(states))
+                 for _ in range(rng.randint(1, 3 * len(states)))}
+        try:
+            out.append(CoverMap.build(Presentation.build(states, edges)))
+        except EmptyShift:
+            continue
+    return out
+
+
+def test_preimage_counts_match_windowed_path_counts():
+    finite = set()
+    for c in _random_cover_maps():
+        for x in enumerate_points(c.target, cycle_len=2, core_len=2):
+            count = preimage_count(c, x)["count"]
+            assert count == reference_preimage_count(c.presentation, x), (c.presentation, x)
+            finite.add(count != math.inf)
+    assert finite == {True, False}
