@@ -279,7 +279,8 @@ def main(argv=None):
     try:
         spec = load_spec(args.spec)
         report, status = HANDLERS[args.command](args, spec)
-    except (ParseError, SemanticError, UsageError) as exc:
+    except (ParseError, SemanticError, UsageError, ValueError) as exc:
+        # The library rejects out-of-range arguments with ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SynchrolabError as exc:

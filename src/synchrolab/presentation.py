@@ -12,7 +12,9 @@ Each presentation compiles once into a bitmask kernel: state sets are
 ``int`` masks (state ``states[i]`` is bit ``i``) stepped by per-label
 successor masks.  On it sit the tail sets of an eventually periodic
 point at a cut -- the past set and the future set -- which decide
-membership and pin cover states.
+membership and pin cover states.  Graph structure -- components,
+irreducibility, period, trimming and the terminal component -- reads
+one reachability closure of the same masks, ``Presentation.reach``.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -177,100 +179,74 @@ class Presentation:
         return self.back(alive, x.window(cut, anchor))
 
     @cached_property
+    def reach(self):
+        """``reach[i]`` is the mask of the states at the end of a non-empty
+        path from ``states[i]``: Warshall's closure of the ``masks`` rows.
+
+        The graph structure below -- components, flags, ``trim`` and
+        ``terminal_component`` -- all reads this one closure.
+        """
+        reach = [0] * len(self.states)
+        for rows in self.masks.values():
+            for i, row in enumerate(rows):
+                reach[i] |= row
+        for k in range(len(reach)):
+            bit = 1 << k
+            for i, row in enumerate(reach):
+                if row & bit:
+                    reach[i] = row | reach[k]
+        return tuple(reach)
+
+    @cached_property
     def sccs(self):
-        """Strongly connected components (Tarjan), canonically ordered."""
-        index = {}
-        low = {}
-        on_stack = set()
-        stack = []
-        counter = [0]
+        """Strongly connected components as state masks, ordered by least
+        member (the canonical order)."""
+        reach = self.reach
         components = []
-
-        successors = {q: sorted({e[2] for e in self.out_edges[q]}, key=_state_key)
-                      for q in self.states}
-
-        def connect(root):
-            # Iterative Tarjan: (node, iterator position) work stack.
-            work = [(root, 0)]
-            while work:
-                node, pos = work.pop()
-                if pos == 0:
-                    index[node] = low[node] = counter[0]
-                    counter[0] += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                recurse = False
-                succ = successors[node]
-                for i in range(pos, len(succ)):
-                    nxt = succ[i]
-                    if nxt not in index:
-                        work.append((node, i + 1))
-                        work.append((nxt, 0))
-                        recurse = True
-                        break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if recurse:
-                    continue
-                if low[node] == index[node]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        component.append(w)
-                        if w == node:
-                            break
-                    components.append(frozenset(component))
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-
-        for q in self.states:
-            if q not in index:
-                connect(q)
-        return tuple(sorted(components, key=lambda c: sorted(map(_state_key, c))))
-
-    def _nontrivial_scc_states(self):
-        # States lying on some cycle: member of an SCC with an internal edge.
-        cyclic = set()
-        for component in self.sccs:
-            if any(p in component and q in component for (p, _, q) in self.edges):
-                cyclic.update(component)
-        return cyclic
+        left = self.full_mask
+        for i, row in enumerate(reach):
+            if left >> i & 1:
+                component = 1 << i
+                for j in range(i + 1, len(reach)):
+                    if row >> j & 1 and reach[j] >> i & 1:
+                        component |= 1 << j
+                components.append(component)
+                left &= ~component
+        return tuple(components)
 
     @cached_property
     def irreducible(self):
-        """True iff the graph is strongly connected (and non-empty)."""
-        return len(self.sccs) == 1 and bool(self.states)
+        """True iff the graph is non-empty and every state reaches every
+        state by a non-empty path."""
+        return bool(self.states) and all(row == self.full_mask for row in self.reach)
 
     @cached_property
     def period(self):
         """gcd of all cycle lengths; 0 for an acyclic graph.
 
-        Computed per SCC by the standard level-gcd argument and combined
-        across SCCs, so it divides the length of every cycle.
+        Computed per cyclic SCC by the standard level-gcd argument and
+        combined across SCCs, so it divides the length of every cycle.
         """
         overall = 0
         for component in self.sccs:
-            inner = [(p, q) for (p, _, q) in self.edges if p in component and q in component]
-            if not inner:
+            if not _image(self.reach, component) & component:
                 continue
-            adjacency = {}
-            for (p, q) in inner:
-                adjacency.setdefault(p, set()).add(q)
-            root = min(component, key=_state_key)
+            root = (component & -component).bit_length() - 1
             level = {root: 0}
             queue = [root]
             g = 0
-            while queue:
-                p = queue.pop(0)
-                for q in sorted(adjacency.get(p, ()), key=_state_key):
-                    if q not in level:
-                        level[q] = level[p] + 1
-                        queue.append(q)
-                    else:
-                        g = gcd(g, level[p] + 1 - level[q])
-            overall = gcd(overall, abs(g))
+            for p in queue:
+                for rows in self.masks.values():
+                    inner = rows[p] & component
+                    for q in range(len(self.states)):
+                        if not inner >> q & 1:
+                            continue
+                        if q not in level:
+                            level[q] = level[p] + 1
+                            queue.append(q)
+                        else:
+                            g = gcd(g, level[p] + 1 - level[q])
+            overall = gcd(overall, g)
         return overall
 
     @cached_property
@@ -316,28 +292,16 @@ def trim(p):
     A state survives iff it both reaches a cycle and is reached from a
     cycle; one-sided dead ends present no bi-infinite sequences.
     """
-    cyclic = p._nontrivial_scc_states()
-    forward = set(cyclic)
-    changed = True
-    while changed:
-        changed = False
-        for (src, _, dst) in p.edges:
-            if dst in forward and src not in forward:
-                forward.add(src)
-                changed = True
-    backward = set(cyclic)
-    changed = True
-    while changed:
-        changed = False
-        for (src, _, dst) in p.edges:
-            if src in backward and dst not in backward:
-                backward.add(dst)
-                changed = True
-    alive = forward & backward
+    cyclic = sum(1 << i for i, row in enumerate(p.reach) if row >> i & 1)
+    upstream = sum(1 << i for i, row in enumerate(p.reach) if row & cyclic)
+    return _subgraph(p, upstream & _image(p.reach, cyclic))
+
+
+def _subgraph(p, keep):
+    # The subgraph of ``p`` on the states of the mask ``keep``.
+    names = set(p.names(keep))
     return Presentation.build(
-        [q for q in p.states if q in alive],
-        [e for e in p.edges if e[0] in alive and e[2] in alive],
-    )
+        names, [e for e in p.edges if e[0] in names and e[2] in names])
 
 
 def subset_automaton(p, least):
@@ -423,24 +387,17 @@ def merge_followers(p):
 
 
 def terminal_component(p):
-    """The unique terminal SCC of ``p``.
+    """The unique terminal SCC of ``p``: the one SCC closed under ``reach``.
 
     Raises
     ------
     NotIrreducible
-        If the SCC condensation has more than one sink.
+        If the SCC condensation has no sink or more than one.
     """
-    terminal = []
-    for component in p.sccs:
-        if all(dst in component for (src, _, dst) in p.edges if src in component):
-            terminal.append(component)
+    terminal = [c for c in p.sccs if _image(p.reach, c) | c == c]
     if len(terminal) != 1:
         raise NotIrreducible(f"{len(terminal)} terminal components; shift is not irreducible")
-    keep = terminal[0]
-    return Presentation.build(
-        [q for q in p.states if q in keep],
-        [e for e in p.edges if e[0] in keep and e[2] in keep],
-    )
+    return _subgraph(p, terminal[0])
 
 
 def minimal_cover(p):

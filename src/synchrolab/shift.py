@@ -13,7 +13,6 @@ Words are tuples of symbols; symbols are non-empty strings.
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product as iproduct
 
 from synchrolab.errors import EmptyShift, NotIrreducible, WindowExceeded
 from synchrolab.presentation import Presentation, minimal_cover, trim
@@ -146,26 +145,17 @@ def build_sft(alphabet, forbidden):
         if len(w) == 0:
             raise ValueError("forbidden words must have length >= 1")
     m = max((len(w) for w in forbidden), default=1)
-    if m == 1:
-        allowed = [s for s in alphabet if (s,) not in forbidden]
-        states = [()]
-        edges = [((), s, ()) for s in allowed]
-    else:
-        def admissible(w):
-            for f in forbidden:
-                lf = len(f)
-                for i in range(len(w) - lf + 1):
-                    if w[i:i + lf] == f:
-                        return False
-            return True
 
-        states = [w for w in iproduct(alphabet.symbols, repeat=m - 1) if admissible(w)]
-        edges = []
-        for u in states:
-            for a in alphabet:
-                block = u + (a,)
-                if admissible(block):
-                    edges.append((u, a, block[1:]))
+    def extensions(words):
+        # The one-symbol extensions of admissible words that have no
+        # forbidden suffix; every other factor lies in the word extended.
+        blocks = [w + (a,) for w in words for a in alphabet]
+        return [b for b in blocks if all(b[i:] not in forbidden for i in range(len(b)))]
+
+    states = [()]
+    for _ in range(m - 1):
+        states = extensions(states)
+    edges = [(block[:-1], block[-1], block[1:]) for block in extensions(states)]
     p = trim(Presentation.build(states, edges))
     if not p.states:
         raise EmptyShift("all bi-infinite sequences contain a forbidden word")

@@ -93,7 +93,7 @@ def parse_spec_text(text, path="<string>"):
     states = []
     edges = []
     forbidden = []
-    point_lines = []
+    point_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,7 +106,10 @@ def parse_spec_text(text, path="<string>"):
         if key == "alphabet":
             if alphabet is not None:
                 raise ParseError("duplicate alphabet", line=lineno)
-            alphabet = Alphabet(tuple(value.split()))
+            try:
+                alphabet = Alphabet(tuple(value.split()))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
         elif key == "type":
             if kind is not None:
                 raise ParseError("duplicate type", line=lineno)
@@ -131,7 +134,9 @@ def parse_spec_text(text, path="<string>"):
             if not literal:
                 raise ParseError("point lines read 'point: NAME <literal>'",
                                  line=lineno)
-            point_lines.append((lineno, name, literal))
+            if name in point_lines:
+                raise ParseError(f"duplicate point {name!r}", line=lineno)
+            point_lines[name] = (lineno, literal)
         else:
             raise ParseError(f"unknown key {key!r}", line=lineno)
     if alphabet is None:
@@ -159,7 +164,7 @@ def parse_spec_text(text, path="<string>"):
         if tuple(shift.alphabet) != tuple(alphabet):
             raise SemanticError("oracle alphabet does not match the declaration")
     points = {}
-    for (lineno, name, literal) in point_lines:
+    for name, (lineno, literal) in point_lines.items():
         try:
             points[name] = parse_point(literal, alphabet)
         except ParseError as exc:

@@ -5,14 +5,16 @@ decided by scanning windows for forbidden factors and sofic shifts by a
 fixpoint over frozensets of state names, stepped along out-edge lists.
 Subset automata, language equality and tail fixpoints are computed the
 same way, on frozensets, and preimage counts by counting edge paths on
-finite windows between those tail sets.  The library computes these on
-bitmasks and by walks over tail-cycle runs, so agreement between the two
-is a differential check.
+finite windows between those tail sets.  Graph structure -- trimming,
+components and the period -- comes from walks of bounded length and
+pairwise searches.  The library computes these on bitmasks, by walks
+over tail-cycle runs and from one reachability closure, so agreement
+between the two is a differential check.
 """
 
 import math
 
-from synchrolab.presentation import Presentation, trim
+from synchrolab.presentation import Presentation
 from synchrolab.shift import SFT, Sofic
 
 
@@ -113,6 +115,54 @@ def _canonical_key(state):
     return (repr(type(state)), repr(state))
 
 
+def _subgraph(g, keep):
+    return Presentation.build(keep, [e for e in g.edges if e[0] in keep and e[2] in keep])
+
+
+def reference_trim(g):
+    """The states of ``g`` with a path of length |states| out of them and
+    one into them (such paths repeat a state, so they run through a
+    cycle), and the edges between them."""
+    starts = ends = set(g.states)
+    for _ in g.states:
+        starts = {q for (q, _, r) in g.edges if r in starts}
+        ends = {r for (q, _, r) in g.edges if q in ends}
+    return _subgraph(g, starts & ends)
+
+
+def _reachable(g, q):
+    """The states at the end of a non-empty path from ``q``, by search."""
+    seen = set()
+    frontier = [q]
+    while frontier:
+        for (_, _, r) in g.out_edges[frontier.pop()]:
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return seen
+
+
+def reference_graph_structure(g):
+    """``(irreducible, terminal, period)`` of ``g``: strong connectivity,
+    the subgraph on the unique component with no edge out of it (``None``
+    unless there is exactly one), and gcd{n <= |states| : some closed
+    walk has length n}, from pairwise reachability and bounded walks."""
+    reach = {q: _reachable(g, q) for q in g.states}
+    components = {frozenset({q} | {r for r in reach[q] if q in reach[r]})
+                  for q in g.states}
+    terminal = [c for c in components if all(reach[q] <= c for q in c)]
+    period = 0
+    walks = {q: {q} for q in g.states}
+    for n in range(1, len(g.states) + 1):
+        walks = {q: {r for u in walks[q] for (_, _, r) in g.out_edges[u]}
+                 for q in g.states}
+        if any(q in walks[q] for q in g.states):
+            period = math.gcd(period, n)
+    irreducible = bool(g.states) and all(reach[q] == set(g.states) for q in g.states)
+    return (irreducible, _subgraph(g, terminal[0]) if len(terminal) == 1 else None,
+            period)
+
+
 def reference_subset_automaton(g, least, key=_canonical_key):
     """The trimmed subset automaton of ``g`` on state sets of ``least`` or
     more states reachable from the full set, each named by its members
@@ -134,7 +184,7 @@ def reference_subset_automaton(g, least, key=_canonical_key):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return trim(Presentation.build([name(s) for s in seen], edges))
+    return reference_trim(Presentation.build([name(s) for s in seen], edges))
 
 
 def distinguishing_word(p1, p2):

@@ -16,8 +16,9 @@ from synchrolab.shift import (Alphabet, build_sft, build_sofic, contains_word,
                               shift_flags, word)
 from synchrolab.sync import nonsync_subshift
 
-from membership_reference import (distinguishing_word, reference_subset_automaton,
-                                  reference_tail_states, window_admissible)
+from membership_reference import (distinguishing_word, reference_graph_structure,
+                                  reference_subset_automaton, reference_tail_states,
+                                  reference_trim, window_admissible)
 
 BINARY = Alphabet(("0", "1"))
 
@@ -64,6 +65,16 @@ def test_build_sft_full_shift_single_state(full_two):
 def test_build_sft_all_length_two_words_forbidden_is_empty():
     with pytest.raises(EmptyShift):
         build_sft(BINARY, {word("00"), word("01"), word("10"), word("11")})
+
+
+@pytest.mark.parametrize("forbidden", [{"11", "101"}, {"000", "11"}, {"0"}, set()])
+def test_build_sft_matches_window_scan(forbidden):
+    s = build_sft(BINARY, {word(f) for f in forbidden})
+    m = max(map(len, forbidden), default=1)
+    states = [u for u in iproduct("01", repeat=m - 1) if window_admissible(s, u)]
+    edges = [(u, a, (u + (a,))[1:]) for u in states for a in "01"
+             if window_admissible(s, u + (a,))]
+    assert s.presentation == reference_trim(Presentation.build(states, edges))
 
 
 def test_trim_removes_one_sided_dead_ends():
@@ -320,3 +331,18 @@ def test_tail_fixpoint_matches_cycle_graph_reference(reference_graphs):
                 for backward in (False, True):
                     got = set(p.names(p.tail_fixpoint(w, backward)))
                     assert got == reference_tail_states(p, w, backward), (p, w, backward)
+
+
+def test_graph_structure_matches_reference(reference_graphs):
+    verdicts = set()
+    for p in reference_graphs:
+        irreducible, terminal, period = reference_graph_structure(p)
+        assert (p.irreducible, p.period) == (irreducible, period), p
+        assert trim(p).states == reference_trim(p).states, p
+        if terminal is None:
+            with pytest.raises(NotIrreducible):
+                terminal_component(p)
+        else:
+            assert terminal_component(p) == terminal, p
+        verdicts.add((irreducible, terminal is None, period > 1))
+    assert len(verdicts) >= 4

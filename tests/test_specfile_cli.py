@@ -97,6 +97,14 @@ def test_malformed_edge_line_position():
     assert "line 4" in str(excinfo.value)
 
 
+def test_duplicate_point_name_rejected():
+    text = ("alphabet: 0 1\ntype: sft\n"
+            "point: z L=0 C= O=0 R=0\npoint: z L=1 C= O=0 R=1\n")
+    with pytest.raises(ParseError) as excinfo:
+        parse_spec_text(text)
+    assert "line 4" in str(excinfo.value)
+
+
 def test_semantic_errors():
     with pytest.raises(SemanticError):
         parse_spec_text("alphabet: 0 1\ntype: sofic\nstate: A\nedge: A 2 A\n")
@@ -165,6 +173,25 @@ def test_cli_every_builtin_info(capsys):
 
 def test_cli_usage_error_exit_2(capsys):
     assert main(["classify", "no-such-spec-anywhere"]) == 2
+
+
+@pytest.mark.parametrize("declaration", ["alphabet: 0 0", "alphabet:"])
+def test_cli_bad_alphabet_is_an_error_line(capsys, tmp_path, declaration):
+    path = tmp_path / "bad.shift"
+    path.write_text(f"# a malformed alphabet\n{declaration}\ntype: sft\n")
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["periodic", "goldenmean", "--n", "0"], "period must be >= 1"),
+    (["bracket", "goldenmean", "--x", "zeros", "--y", "zeros", "--window", "1"],
+     "N >= 2"),
+])
+def test_cli_library_argument_error_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_bracket(capsys):
