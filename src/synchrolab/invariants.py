@@ -1,13 +1,15 @@
 """Integer-matrix fingerprints and the structured shift report.
 
-Smith normal form over the integers (exact, with unimodular
-transforms), the Bowen-Franks data of a shift's minimal cover, and the
-report that packages the synchronizing-structure facts of a shift:
+Smith normal form over the integers (exact, by elimination modulo a
+nonzero minor of full rank from one Bareiss pass, after Domich, Kannan
+& Trotter 1987), the Bowen-Franks data of a shift's minimal cover, and
+the report that packages the synchronizing-structure facts of a shift:
 flags, the size of the non-synchronizing set, and the finite quotient
 dimension when that set is finite.
 """
 
 from dataclasses import dataclass
+from math import gcd, prod
 
 from synchrolab.errors import InvariantViolation, NotIrreducible
 from synchrolab.shift import SFT, OracleShift, Sofic, fischer_cover, shift_flags
@@ -71,135 +73,115 @@ class IntMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("not square")
-        n = self.rows
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rank, minor = _bareiss(self)
+        return minor if rank == self.rows else 0
+
+
+def _bareiss(a):
+    """Fraction-free elimination with full pivoting: ``(rank, minor)``.
+
+    ``minor`` is the last nonzero pivot, a signed rank x rank minor of
+    ``a``: the determinant when ``a`` is square and nonsingular, and 1
+    for the zero matrix.
+    """
+    m = [list(r) for r in a.entries]
+    rows, cols = a.rows, a.cols
+    sign = prev = 1
+    for k in range(min(rows, cols)):
+        pivot = next(((i, j) for i in range(k, rows) for j in range(k, cols)
+                      if m[i][j] != 0), None)
+        if pivot is None:
+            return k, sign * prev
+        pi, pj = pivot
+        if pi != k:
+            m[k], m[pi] = m[pi], m[k]
+            sign = -sign
+        if pj != k:
+            for r in m:
+                r[k], r[pj] = r[pj], r[k]
+            sign = -sign
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return min(rows, cols), sign * prev
 
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U * A * V = diag(diagonal) with U, V unimodular."""
+    """The Smith diagonal d1 | d2 | ..., nonzero entries first, and the
+    rank; ``determinant`` is None unless the input is square."""
 
     diagonal: tuple
     rank: int
-    determinant: object  # int for square input, None otherwise
-    U: IntMatrix
-    V: IntMatrix
+    determinant: object
 
 
 def smith_normal_form(a):
-    """Smith normal form over the integers.
+    """Smith normal form over the integers, computed modulo one minor.
 
-    Returns a ``SmithForm`` whose diagonal entries are non-negative and
-    satisfy the divisibility chain d1 | d2 | ...; the transforms are
-    accumulated from elementary row/column operations, so they are
-    unimodular, which is re-asserted via their determinants.
+    One Bareiss pass gives the rank r and a nonzero r x r minor; let g
+    be its absolute value.  Each nonzero d_i divides g, and
+    Z^n / (a Z^m + g Z^n) is the sum of the Z/gcd(d_i, g), so every
+    entry is reduced into [0, g) after each row or column operation.
+    The loop moves a least entry to the pivot, clears its row and
+    column by Euclidean steps and folds in a row the pivot does not
+    divide; then d_i = gcd(pivot_i, g) for i < r.  That these form a
+    chain whose product divides g, and equals g for square nonsingular
+    ``a``, is checked on every call.
     """
-    m = [list(r) for r in a.entries]
+    rank, minor = _bareiss(a)
+    g = abs(minor)
     rows, cols = a.rows, a.cols
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        for j in range(cols):
-            m[dst][j] += q * m[src][j]
-        for j in range(rows):
-            u[dst][j] += q * u[src][j]
-
-    def add_col(src, dst, q):
-        for r in m:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
+    m = [[x % g for x in r] for r in a.entries]
 
     t = 0
-    while t < min(rows, cols):
-        # move a nonzero pivot of least magnitude to (t, t)
-        candidates = [(abs(m[i][j]), i, j) for i in range(t, rows)
+    while t < rank:
+        # move a nonzero pivot of least value to (t, t)
+        candidates = [(m[i][j], i, j) for i in range(t, rows)
                       for j in range(t, cols) if m[i][j] != 0]
         if not candidates:
-            break
+            break  # the rest of the block is 0 mod g, so each d_i is g
         _, pi, pj = min(candidates)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+        m[t], m[pi] = m[pi], m[t]
+        for r in m:
+            r[t], r[pj] = r[pj], r[t]
         reduced = True
         while reduced:
             reduced = False
             for i in range(t + 1, rows):
                 if m[i][t] != 0:
                     q = m[i][t] // m[t][t]
-                    add_row(t, i, -q)
+                    m[i] = [(x - q * y) % g for x, y in zip(m[i], m[t])]
                     if m[i][t] != 0:
-                        swap_rows(t, i)
+                        m[t], m[i] = m[i], m[t]
                         reduced = True
             for j in range(t + 1, cols):
                 if m[t][j] != 0:
                     q = m[t][j] // m[t][t]
-                    add_col(t, j, -q)
+                    for r in m:
+                        r[j] = (r[j] - q * r[t]) % g
                     if m[t][j] != 0:
-                        swap_cols(t, j)
+                        for r in m:
+                            r[t], r[j] = r[j], r[t]
                         reduced = True
         # enforce divisibility: pivot must divide the remaining block
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    offender = i
-                    break
-            if offender:
-                break
+        offender = next((i for i in range(t + 1, rows)
+                         for j in range(t + 1, cols) if m[i][j] % m[t][t] != 0), None)
         if offender is not None:
-            add_row(offender, t, 1)
+            m[t] = [(x + y) % g for x, y in zip(m[t], m[offender])]
             continue
-        if m[t][t] < 0:
-            negate_row(t)
         t += 1
 
-    diagonal = tuple(m[i][i] for i in range(min(rows, cols)))
-    rank = sum(1 for d in diagonal if d != 0)
-    umat = IntMatrix.from_rows(u)
-    vmat = IntMatrix.from_rows(v)
-    if abs(umat.determinant()) != 1 or abs(vmat.determinant()) != 1:
-        raise InvariantViolation("Smith transforms are not unimodular")
-    det = a.determinant() if rows == cols else None
-    form = SmithForm(diagonal, rank, det, umat, vmat)
-    check = umat.mul(a).mul(vmat)
-    for i in range(rows):
-        for j in range(cols):
-            expected = diagonal[i] if i == j and i < len(diagonal) else 0
-            if check[i, j] != expected:
-                raise InvariantViolation(f"U A V differs from the Smith form at {(i, j)}")
-    return form
+    factors = tuple(gcd(m[i][i], g) for i in range(rank))
+    if any(d2 % d1 for d1, d2 in zip(factors, factors[1:])):
+        raise InvariantViolation(f"Smith factors {factors} are not a divisibility chain")
+    nonsingular = rows == cols == rank
+    if g % prod(factors) or (nonsingular and prod(factors) != g):
+        raise InvariantViolation(f"Smith factors {factors} do not match the minor {minor}")
+    det = None if rows != cols else minor if nonsingular else 0
+    return SmithForm(factors + (0,) * (min(rows, cols) - rank), rank, det)
 
 
 def adjacency_matrix(p):

@@ -128,7 +128,9 @@ def parse_spec_text(text, path="<string>"):
                 raise ParseError("edge lines read 'edge: SRC LABEL DST'", line=lineno)
             edges.append(tuple(parts))
         elif key == "forbid":
-            forbidden.append(value)
+            if not parse_word(value):
+                raise ParseError("forbidden words must have length >= 1", line=lineno)
+            forbidden.append((lineno, value))
         elif key == "point":
             name, _, literal = value.partition(" ")
             if not literal:
@@ -146,7 +148,8 @@ def parse_spec_text(text, path="<string>"):
     if kind == "sft":
         if states or edges:
             raise SemanticError("sft specs take forbid lines, not states/edges")
-        shift = build_sft(alphabet, {parse_word(w, alphabet) for w in forbidden})
+        shift = build_sft(alphabet, {_at_line(lineno, parse_word, w, alphabet)
+                                     for lineno, w in forbidden})
     elif kind == "sofic":
         if forbidden:
             raise SemanticError("sofic specs take edge lines, not forbid lines")
@@ -163,13 +166,17 @@ def parse_spec_text(text, path="<string>"):
         shift = BUILTIN_ORACLES[oracle_name]()
         if tuple(shift.alphabet) != tuple(alphabet):
             raise SemanticError("oracle alphabet does not match the declaration")
-    points = {}
-    for name, (lineno, literal) in point_lines.items():
-        try:
-            points[name] = parse_point(literal, alphabet)
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+    points = {name: _at_line(lineno, parse_point, literal, alphabet)
+              for name, (lineno, literal) in point_lines.items()}
     return SpecFile(path, shift, points)
+
+
+def _at_line(lineno, parse, text, alphabet):
+    """``parse(text, alphabet)``, raising its errors at line ``lineno``."""
+    try:
+        return parse(text, alphabet)
+    except (ParseError, SemanticError) as exc:
+        raise ParseError(str(exc), line=lineno) from exc
 
 
 def emit_spec(spec):

@@ -9,10 +9,14 @@ finite windows between those tail sets.  Graph structure -- trimming,
 components and the period -- comes from walks of bounded length and
 pairwise searches.  The library computes these on bitmasks, by walks
 over tail-cycle runs and from one reachability closure, so agreement
-between the two is a differential check.
+between the two is a differential check.  The Smith form is computed
+by Euclidean elimination over the integers with the unimodular
+transforms tracked and checked, determinants over the rationals; the
+library eliminates modulo one minor and tracks no transform.
 """
 
 import math
+from fractions import Fraction
 
 from synchrolab.presentation import Presentation
 from synchrolab.shift import SFT, Sofic
@@ -220,3 +224,101 @@ def reference_tail_states(g, cycle, backward):
         if nxt == alive:
             return alive
         alive = nxt
+
+
+def fraction_determinant(rows):
+    """Exact determinant of a square list of rows, by Gaussian
+    elimination over the rationals."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return int(det)
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def reference_smith_form(a):
+    """``(diagonal, rank, determinant)`` of the ``IntMatrix`` ``a`` by
+    transform-tracking Euclidean elimination.
+
+    Row and column operations on ``a`` are applied to identity matrices
+    U and V as well; the result is accepted only when det U and det V
+    are +-1 and U a V is the diagonal.  Entries grow without bound, so
+    this stalls on some 6 x 6 inputs.
+    """
+    m = [list(r) for r in a.entries]
+    rows, cols = a.rows, a.cols
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in m + v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, q):
+        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for r in m + v:
+            r[dst] += q * r[src]
+
+    t = 0
+    while t < min(rows, cols):
+        candidates = [(abs(m[i][j]), i, j) for i in range(t, rows)
+                      for j in range(t, cols) if m[i][j] != 0]
+        if not candidates:
+            break
+        _, pi, pj = min(candidates)
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        reduced = True
+        while reduced:
+            reduced = False
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    add_row(t, i, -(m[i][t] // m[t][t]))
+                    if m[i][t] != 0:
+                        swap_rows(t, i)
+                        reduced = True
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    add_col(t, j, -(m[t][j] // m[t][t]))
+                    if m[t][j] != 0:
+                        swap_cols(t, j)
+                        reduced = True
+        offender = next((i for i in range(t + 1, rows)
+                         for j in range(t + 1, cols) if m[i][j] % m[t][t] != 0), None)
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    diagonal = tuple(m[i][i] for i in range(min(rows, cols)))
+    if abs(fraction_determinant(u)) != 1 or abs(fraction_determinant(v)) != 1:
+        raise AssertionError("reference Smith transforms are not unimodular")
+    expected = [[diagonal[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    if _mat_mul(_mat_mul(u, [list(r) for r in a.entries]), v) != expected:
+        raise AssertionError("reference U A V is not the Smith diagonal")
+    det = fraction_determinant(a.entries) if rows == cols else None
+    return diagonal, sum(1 for d in diagonal if d != 0), det

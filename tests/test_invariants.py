@@ -1,10 +1,16 @@
-"""Smith form against a brute-force cokernel oracle; report assembly."""
+"""Smith form against a brute-force cokernel oracle and the
+transform-tracking reference; report assembly."""
 
 import random
+from math import gcd, prod
+
+import pytest
 
 from synchrolab.invariants import (IntMatrix, adjacency_matrix, bowen_franks,
                                    exact_sequence_report, smith_normal_form)
-from synchrolab.shift import fischer_cover
+from synchrolab.presentation import Presentation
+from synchrolab.shift import Alphabet, build_sofic, fischer_cover
+from membership_reference import fraction_determinant, reference_smith_form
 
 
 def brute_force_cokernel(a):
@@ -130,6 +136,67 @@ def test_smith_invariant_under_unimodular_multiplication():
         u = elementary[rng.randrange(4)].mul(elementary[rng.randrange(4)])
         v = elementary[rng.randrange(4)].mul(elementary[rng.randrange(4)])
         assert smith_normal_form(a).diagonal == smith_normal_form(u.mul(a).mul(v)).diagonal
+
+
+def test_smith_matches_transform_reference():
+    # The reference's entries grow without bound and it stalls on some
+    # 6 x 6 inputs, so sizes stay at 5 x 5 with entries <= 4; the
+    # regression tests below cover larger inputs.
+    rng = random.Random(6)
+    kinds = {"square": 0, "rectangular": 0, "singular": 0}
+    for k in range(600):
+        kind = ("square", "rectangular", "singular")[k % 3]
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5) if kind == "rectangular" else rows
+        m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if kind == "singular":
+            # the last row is a combination of the others
+            q = [rng.randint(-2, 2) for _ in range(rows - 1)]
+            m[-1] = [sum(c * r[j] for c, r in zip(q, m)) for j in range(cols)]
+        a = IntMatrix.from_rows(m)
+        form = smith_normal_form(a)
+        diagonal, rank, det = reference_smith_form(a)
+        assert (form.diagonal, form.rank, form.determinant) == (diagonal, rank, det), m
+        if kind == "singular":
+            assert det == 0 and rank < rows
+        kinds[kind] += 1
+    assert kinds == {"square": 200, "rectangular": 200, "singular": 200}
+
+
+def test_smith_six_by_six_with_a_large_determinant():
+    rows = [[3, 5, 4, -5, 8, 0], [-1, 8, -8, -5, 7, -9], [-5, -7, 3, -6, 3, 7],
+            [-3, -4, 1, 7, 3, 8], [8, 2, 3, 2, 7, -8], [0, -6, -7, -8, 6, 6]]
+    form = smith_normal_form(IntMatrix.from_rows(rows))
+    assert form.diagonal == (1, 1, 1, 1, 1, 1460849)
+    assert prod(form.diagonal) == abs(fraction_determinant(rows)) == form.determinant
+    # d_1 ... d_5 is the gcd of the 5 x 5 minors
+    minors = [fraction_determinant([[x for j, x in enumerate(r) if j != c]
+                                    for i, r in enumerate(rows) if i != skip])
+              for skip in range(6) for c in range(6)]
+    assert gcd(*minors) == 1
+
+
+CLIFF_COVERS = [
+    ("s0 b s1, s1 a s2, s1 a s5, s1 b s1, s2 a s3, s3 a s5, s3 c s4, s4 a s9, "
+     "s4 b s5, s5 a s6, s5 b s2, s6 a s7, s6 b s6, s7 a s8, s7 a s9, s8 a s4, "
+     "s8 b s9, s8 c s7, s9 b s1, s9 b s7, s9 c s0", 86, (576,), -1),
+    ("s0 b s1, s0 b s2, s0 b s4, s1 a s1, s1 a s2, s2 a s8, s2 b s3, s3 a s4, "
+     "s4 a s5, s4 b s5, s5 b s6, s5 b s7, s6 a s7, s7 a s3, s7 b s8, s8 a s0, "
+     "s8 b s0", 59, (18, 0), 0),
+    ("s0 a s1, s1 b s2, s2 a s3, s2 b s5, s3 a s0, s3 a s4, s3 b s1, s4 b s3, "
+     "s4 b s5, s5 a s6, s5 b s6, s6 a s7, s7 a s3, s7 b s0, s7 b s4", 48, (2, 120), -1),
+]
+
+
+@pytest.mark.parametrize("edge_text, cover_size, factors, sign", CLIFF_COVERS,
+                         ids=[f"{case[1]}-state" for case in CLIFF_COVERS])
+def test_bowen_franks_of_large_covers(edge_text, cover_size, factors, sign):
+    edges = [tuple(e.split()) for e in edge_text.split(", ")]
+    states = sorted({e[0] for e in edges} | {e[2] for e in edges})
+    labels = tuple(sorted({e[1] for e in edges}))
+    s = build_sofic(Alphabet(labels), Presentation.build(states, edges))
+    assert len(fischer_cover(s).states) == cover_size
+    assert bowen_franks(s) == {"invariant_factors": factors, "det_sign": sign}
 
 
 def test_bowen_franks_examples(golden_mean, full_two, period_two):

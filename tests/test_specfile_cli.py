@@ -105,6 +105,19 @@ def test_duplicate_point_name_rejected():
     assert "line 4" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("declaration, message", [
+    ("forbid:", "forbidden words must have length >= 1"),
+    ("forbid: 12", "symbol '2' not in the declared alphabet"),
+    ("point: z L=2 C= O=0 R=0", "symbol '2' not in the declared alphabet"),
+])
+def test_bad_word_line_position(declaration, message):
+    text = f"alphabet: 0 1\ntype: sft\nforbid: 00\n{declaration}\n"
+    with pytest.raises(ParseError) as excinfo:
+        parse_spec_text(text)
+    assert excinfo.value.line == 4
+    assert str(excinfo.value) == f"line 4: {message}"
+
+
 def test_semantic_errors():
     with pytest.raises(SemanticError):
         parse_spec_text("alphabet: 0 1\ntype: sofic\nstate: A\nedge: A 2 A\n")
@@ -192,6 +205,18 @@ def test_cli_library_argument_error_exit_2(capsys, argv, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["factor", "even", "--check", "a1to1", "--maxper", "0"], "--maxper"),
+    (["words", "goldenmean", "--maxlen", "-1"], "--maxlen"),
+    (["words", "goldenmean", "--maxlen", "0"], "--maxlen"),
+    (["sync-words", "even", "--maxlen", "0"], "--maxlen"),
+])
+def test_cli_bound_below_one_exit_2(capsys, argv, bound):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {bound} must be >= 1\n"
 
 
 def test_cli_bracket(capsys):
