@@ -277,7 +277,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        for bound in ("maxlen", "maxper"):
+        for bound in ("maxlen", "maxper", "bound"):
             if getattr(args, bound, 1) < 1:
                 raise UsageError(f"--{bound} must be >= 1")
         spec = load_spec(args.spec)

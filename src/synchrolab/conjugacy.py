@@ -509,36 +509,31 @@ def _require_sync_periodic(s, p):
 def _join_left_tail(s, p, tail, boundary, depth=6):
     """A point of ``X^u(p)`` equal to ``tail`` from ``boundary`` on.
 
-    Searches connector words by length, over all phases of p's cycle.
+    ``p`` is periodic.  Connector words are read back from tail's future
+    set at ``boundary``, by length and then lexicographically, and the
+    first whose run meets the tail set of p's cycle in phase is taken.
     """
-    from itertools import product as iproduct
+    g = s.presentation
     b = max(boundary, tail.right_start)
-    suffix = tail.window(boundary, b)
-    for n in range(depth + 1):
-        for rot in range(len(p.left)):
-            pattern = p.left[rot:] + p.left[:rot]
-            for u in iproduct(s.alphabet.symbols, repeat=n):
-                candidate = BiSeq(pattern, u + suffix,
-                                  tail.right_pattern_at(b), boundary - n)
-                if (point_in_shift(s, candidate) == "yes"
-                        and decide_relation(candidate, p, "unstable")):
-                    return candidate
+    for (u, run) in g.words(g.future_set(tail, boundary), s.alphabet.symbols, depth,
+                            backward=True):
+        cut = boundary - len(u)
+        cycle = p.window(cut - len(p.left), cut)
+        if run & g.tail_fixpoint(cycle, False):
+            return BiSeq(cycle, u + tail.window(boundary, b), tail.right_pattern_at(b), cut)
     raise SearchExhausted("no left join found", depth=depth)
 
 
 def _join_right_tail(s, head, boundary, q, depth=6):
-    """A point of ``X^s(q)`` equal to ``head`` below ``boundary``."""
-    from itertools import product as iproduct
+    """A point of ``X^s(q)`` equal to ``head`` below ``boundary``; the
+    mirror image of ``_join_left_tail``."""
+    g = s.presentation
     a = min(boundary, head.origin)
-    prefix = head.window(a, boundary)
-    for n in range(depth + 1):
-        for rot in range(len(q.right)):
-            pattern = q.right[rot:] + q.right[:rot]
-            for u in iproduct(s.alphabet.symbols, repeat=n):
-                candidate = BiSeq(head.left_pattern_at(a), prefix + u, pattern, a)
-                if (point_in_shift(s, candidate) == "yes"
-                        and decide_relation(candidate, q, "stable")):
-                    return candidate
+    for (u, run) in g.words(g.past_set(head, boundary), s.alphabet.symbols, depth):
+        cut = boundary + len(u)
+        cycle = q.window(cut, cut + len(q.right))
+        if run & g.tail_fixpoint(cycle, True):
+            return BiSeq(head.left_pattern_at(a), head.window(a, boundary) + u, cycle, a)
     raise SearchExhausted("no right join found", depth=depth)
 
 
@@ -591,28 +586,24 @@ def sync_bridge(s, x, y, p, q, depth=6):
         raise NotSynchronizing("y must synchronize")
     n = max(verdict.window_used + 1, 2)
     # bridge candidate: y's pattern through the rectangle window, then a
-    # connector, then x's far future
-    from itertools import product as iproduct
+    # connector, then x's right cycle in phase
+    g = s.presentation
     a = min(1 - n, y.origin)
     head = y.window(a, n)
-    for m in range(depth + 1):
-        for shift_amount in range(x.right_start, x.right_start + len(x.right)):
-            tail_pattern = x.right_pattern_at(shift_amount)
-            for u in iproduct(s.alphabet.symbols, repeat=m):
-                z = BiSeq(y.left_pattern_at(a), head + u, tail_pattern, a)
-                if point_in_shift(s, z) != "yes":
-                    continue
-                if not decide_relation(z, x, "stable"):
-                    continue
-                try:
-                    g_zx = construct_germ(s, x, z, "lcs")
-                except NotConstructive:
-                    continue
-                g_zy = Germ(s, "lcu", z, y, 1 - n, None, FutureRule(y, 0))
-                verify_germ(g_zy, budget=4)
-                if classify_point(s, z).status != "synchronizing":
-                    continue
-                return z
+    x_right = BiSeq.periodic(x.right, x.right_start)
+    for (u, run) in g.words(g.past_set(y, n), s.alphabet.symbols, depth):
+        cut = n + len(u)
+        cycle = x_right.window(cut, cut + len(x.right))
+        if not run & g.tail_fixpoint(cycle, True):
+            continue
+        z = BiSeq(y.left_pattern_at(a), head + u, cycle, a)
+        try:
+            construct_germ(s, x, z, "lcs")
+        except NotConstructive:
+            continue
+        verify_germ(Germ(s, "lcu", z, y, 1 - n, None, FutureRule(y, 0)), budget=4)
+        if classify_point(s, z).status == "synchronizing":
+            return z
     raise SearchExhausted("no bridge point found", depth=depth)
 
 
@@ -637,8 +628,10 @@ def groupoid_sample(s, selector, P=(), bound=6, verify=False):
     """
     if selector not in ("lc", "lcsync", "lcs", "lcu"):
         raise ValueError(f"unknown groupoid selector {selector!r}")
+    if selector in ("lcs", "lcu") and not P:
+        raise ValueError(f"the {selector} groupoid needs a non-empty base set P")
     points = [x for x in enumerate_points(s, cycle_len=2, core_len=2)
-              if x.description_size() <= bound and point_in_shift(s, x) == "yes"]
+              if x.description_size() <= bound]
     arrows = []
     if selector in ("lc", "lcsync"):
         if selector == "lcsync":

@@ -42,6 +42,8 @@ def enumerate_periodic(s, n):
     """
     if n < 1:
         raise ValueError("period must be >= 1")
+    if isinstance(s, OracleShift):
+        raise Unverified("an oracle shift cannot decide its periodic points")
     points = set()
     for w in iproduct(s.alphabet.symbols, repeat=n):
         candidate = BiSeq.periodic(w)
@@ -108,6 +110,8 @@ def find_periodic_by_bracket(s, x, y, n, N, cap=None):
     NoConvergence
         Beyond the iteration cap.
     """
+    if N < 2:
+        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
     verdict = classify_point(s, x)
     if verdict.status != "synchronizing":
         raise NotSynchronizing(f"base point classifies {verdict.status}")
@@ -154,6 +158,8 @@ def find_return(s, x, N):
     returns ``(y, n)`` with ``y`` and ``shift^n(y)`` in the closed
     ``2**-N`` ball around ``x``.
     """
+    if N < 2:
+        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
     cover = fischer_cover(s)
     w = x.window(-N, N + 1)
     point = close_orbit_through(cover, w)

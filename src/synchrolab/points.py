@@ -17,7 +17,6 @@ at most ``1/4`` (window ``N >= 2``).
 
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import product as iproduct
 from math import lcm
 
 from synchrolab.errors import NotAgreeing, NotInShift, Unverified
@@ -397,25 +396,19 @@ def try_bracket(s, x, y, N):
 def enumerate_points(s, cycle_len=2, core_len=2, origin_radius=1):
     """All canonical points of the shift with small descriptions.
 
-    Enumerates candidate left/right cycle words up to ``cycle_len``,
-    cores up to ``core_len`` and origins up to ``origin_radius``, then
-    keeps the distinct canonical points whose membership is ``yes``
-    (or ``unverified`` for oracle shifts).  Output order is canonical.
+    Cycles up to ``cycle_len``, cores up to ``core_len`` and origins up to
+    ``origin_radius``: each core is read from its left cycle's tail set
+    and kept where its run meets the right cycle's.  Output order is
+    canonical.  Raises ``Unverified`` for an oracle shift.
     """
-    symbols = tuple(s.alphabet)
-    cycles = [w for n in range(1, cycle_len + 1) for w in iproduct(symbols, repeat=n)]
-    cores = [w for n in range(core_len + 1) for w in iproduct(symbols, repeat=n)]
-    seen = set()
-    out = []
-    for left in cycles:
-        for right in cycles:
-            for core in cores:
-                for origin in range(-origin_radius, origin_radius + 1):
-                    x = BiSeq(left, core, right, origin)
-                    if x in seen:
-                        continue
-                    seen.add(x)
-                    if point_in_shift(s, x) != "no":
-                        out.append(x)
-    out.sort(key=lambda p: (p.description_size(), str(p)))
-    return out
+    if isinstance(s, OracleShift):
+        raise Unverified("an oracle shift has no presentation to search")
+    g, symbols = s.presentation, s.alphabet.symbols
+    cycles = [c for (c, _) in g.words(g.full_mask, symbols, cycle_len) if c]
+    rights = [(c, g.tail_fixpoint(c, True)) for c in cycles]
+    points = {BiSeq(left, core, right, origin)
+              for left in cycles
+              for (core, run) in g.words(g.tail_fixpoint(left, False), symbols, core_len)
+              for (right, future) in rights if run & future
+              for origin in range(-origin_radius, origin_radius + 1)}
+    return sorted(points, key=lambda p: (p.description_size(), str(p)))

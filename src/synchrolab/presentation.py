@@ -12,9 +12,11 @@ Each presentation compiles once into a bitmask kernel: state sets are
 ``int`` masks (state ``states[i]`` is bit ``i``) stepped by per-label
 successor masks.  On it sit the tail sets of an eventually periodic
 point at a cut -- the past set and the future set -- which decide
-membership and pin cover states.  Graph structure -- components,
-irreducibility, period, trimming and the terminal component -- reads
-one reachability closure of the same masks, ``Presentation.reach``.
+membership and pin cover states, and one word search, ``words``, which
+grows words from a mask and cuts each branch whose mask empties.  Graph
+structure -- components, irreducibility, period, trimming and the
+terminal component -- reads one reachability closure of the same masks,
+``Presentation.reach``.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -177,6 +179,20 @@ class Presentation:
         anchor = max(cut, x.right_start)
         alive = self.tail_fixpoint(x.right_pattern_at(anchor), True)
         return self.back(alive, x.window(cut, anchor))
+
+    def words(self, mask, symbols, depth, backward=False):
+        """Yields ``(word, run mask)`` for every word over ``symbols`` of
+        length <= ``depth`` whose run from ``mask`` (``backward``: back into
+        it) is non-empty, shortest first and then in ``symbols`` order; a
+        branch is cut as soon as its mask is empty."""
+        read = self.back if backward else self.run
+        layer = [((), mask)] if mask else []
+        for _ in range(depth):
+            yield from layer
+            grown = ([((a,) + w, read(m, (a,))) for a in symbols for (w, m) in layer] if backward
+                     else [(w + (a,), read(m, (a,))) for (w, m) in layer for a in symbols])
+            layer = [(w, m) for (w, m) in grown if m]
+        yield from layer
 
     @cached_property
     def reach(self):

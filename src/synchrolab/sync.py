@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
-                               NotSynchronizing, SearchExhausted, WindowTooSmall)
+                               NotSynchronizing, SearchExhausted, Unverified,
+                               WindowTooSmall)
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, point_in_shift,
                                try_bracket)
 from synchrolab.presentation import Presentation, subset_automaton
@@ -110,47 +111,43 @@ def central_word_synchronizes(s, x, N):
 
 
 def cylinder_representatives(s, x, N, L, cycle_len, side):
-    """Exhaustive small-description points of one cylinder of ``x``.
+    """The small-description points of one cylinder of ``x``.
 
     ``side`` "u" freezes coordinates <= N-1 (unstable cylinder) and
     varies the future; "s" freezes coordinates >= 1-N and varies the
-    past.  Free words fit in window L and close into short cycles.
+    past.  Free words fit in window L, are read out of the frozen side's
+    tail set, and close into cycles up to ``cycle_len`` whose tail
+    fixpoint their run meets.  Raises ``Unverified`` for an oracle shift.
     """
-    symbols = tuple(s.alphabet)
+    if isinstance(s, OracleShift):
+        raise Unverified("an oracle shift has no presentation to search")
+    g, symbols = s.presentation, s.alphabet.symbols
     free = max(0, L - N)
-    cycles = [w for n in range(1, cycle_len + 1) for w in iproduct(symbols, repeat=n)]
-    words = [w for n in range(free + 1) for w in iproduct(symbols, repeat=n)]
-    out = []
-    seen = set()
-    if side == "u":
+    unstable = side == "u"
+    cycles = [(c, g.tail_fixpoint(c, unstable))
+              for (c, _) in g.words(g.full_mask, symbols, cycle_len) if c]
+    if unstable:
         a = min(x.origin, N)
         past, head = x.left_pattern_at(a), x.window(a, N)
+        runs = g.words(g.past_set(x, N), symbols, free)
     else:
         b = max(x.right_start, 1 - N)
         tail, future = x.window(1 - N, b), x.right_pattern_at(b)
-    for u in words:
-        for c in cycles:
-            if side == "u":
-                y = BiSeq(past, head + u, c, a)
-            else:
-                y = BiSeq(c, u + tail, future, 1 - N - len(u))
-            if y in seen:
-                continue
-            seen.add(y)
-            if point_in_shift(s, y) == "yes":
-                out.append(y)
-    out.sort(key=lambda p: (p.description_size(), str(p)))
-    return out
+        runs = g.words(g.future_set(x, 1 - N), symbols, free, backward=True)
+    out = {BiSeq(past, head + u, c, a) if unstable
+           else BiSeq(c, u + tail, future, 1 - N - len(u))
+           for (u, run) in runs for (c, fixed) in cycles if run & fixed}
+    return sorted(out, key=lambda p: (p.description_size(), str(p)))
 
 
 def rectangle_check(s, x, N, L):
     """Verifies the local product structure at a synchronizing point.
 
-    Brute-forces representatives of ``X^u(x, 2**-N)`` and
-    ``X^s(x, 2**-N)`` with descriptions in window ``L`` and checks that
-    (i) every pair brackets to a point of the shift, landing in the
-    right cylinders, and (ii) ``h_x(w) = ([w,x], [x,w])`` inverts the
-    bracket on the sample.
+    Takes the representatives of ``X^u(x, 2**-N)`` and ``X^s(x, 2**-N)``
+    with descriptions in window ``L`` (``cylinder_representatives``) and
+    checks that (i) every pair brackets to a point of the shift, landing
+    in the right cylinders, and (ii) ``h_x(w) = ([w,x], [x,w])`` inverts
+    the bracket on the sample.
 
     Returns a report dict; raises on precondition failures.
     """

@@ -12,12 +12,17 @@ over tail-cycle runs and from one reachability closure, so agreement
 between the two is a differential check.  The Smith form is computed
 by Euclidean elimination over the integers with the unimodular
 transforms tracked and checked, determinants over the rationals; the
-library eliminates modulo one minor and tracks no transform.
+library eliminates modulo one minor and tracks no transform.  The word
+searches for small points, cylinder samples and connectors build every
+candidate word with ``itertools.product`` and decide each candidate
+point here; the library prunes one word search by tail masks.
 """
 
 import math
 from fractions import Fraction
+from itertools import product as iproduct
 
+from synchrolab.points import BiSeq, decide_relation
 from synchrolab.presentation import Presentation
 from synchrolab.shift import SFT, Sofic
 
@@ -322,3 +327,105 @@ def reference_smith_form(a):
         raise AssertionError("reference U A V is not the Smith diagonal")
     det = fraction_determinant(a.entries) if rows == cols else None
     return diagonal, sum(1 for d in diagonal if d != 0), det
+
+
+def reference_words(g, states, symbols, depth, backward):
+    """``(word, states)`` for every word over ``symbols`` of length <=
+    ``depth`` read from the state set ``states`` (``backward``: with a
+    path reading it into ``states``), with the non-empty set reached,
+    by trying every word."""
+    out = []
+    for n in range(depth + 1):
+        for w in iproduct(symbols, repeat=n):
+            if backward:
+                reached = frozenset(q for q in g.states if _step(g, {q}, w) & states)
+            else:
+                reached = _step(g, states, w)
+            if reached:
+                out.append((w, reached))
+    return out
+
+
+def _canonical_order(points):
+    return sorted(points, key=lambda p: (p.description_size(), str(p)))
+
+
+def reference_enumerate_points(s, cycle_len=2, core_len=2, origin_radius=1):
+    """Every point with cycles up to ``cycle_len``, cores up to
+    ``core_len`` and origins up to ``origin_radius`` that is in ``s``."""
+    symbols = tuple(s.alphabet)
+    cycles = [w for n in range(1, cycle_len + 1) for w in iproduct(symbols, repeat=n)]
+    cores = [w for n in range(core_len + 1) for w in iproduct(symbols, repeat=n)]
+    candidates = {BiSeq(left, core, right, origin)
+                  for left in cycles for right in cycles for core in cores
+                  for origin in range(-origin_radius, origin_radius + 1)}
+    return _canonical_order(x for x in candidates if reference_point_in_shift(s, x) == "yes")
+
+
+def reference_cylinder_representatives(s, x, N, L, cycle_len, side):
+    """The points of ``s`` agreeing with ``x`` on coordinates <= N-1
+    (``side`` "u") or >= 1-N ("s"), with a free word of length <= L-N
+    and a cycle of length <= ``cycle_len`` on the other side."""
+    symbols = tuple(s.alphabet)
+    cycles = [w for n in range(1, cycle_len + 1) for w in iproduct(symbols, repeat=n)]
+    words = [w for n in range(max(0, L - N) + 1) for w in iproduct(symbols, repeat=n)]
+    if side == "u":
+        a = min(x.origin, N)
+        candidates = {BiSeq(x.left_pattern_at(a), x.window(a, N) + u, c, a)
+                      for u in words for c in cycles}
+    else:
+        b = max(x.right_start, 1 - N)
+        candidates = {BiSeq(c, u + x.window(1 - N, b), x.right_pattern_at(b), 1 - N - len(u))
+                      for u in words for c in cycles}
+    return _canonical_order(y for y in candidates if reference_point_in_shift(s, y) == "yes")
+
+
+def reference_join_left_tail(s, p, tail, boundary, depth):
+    """The first point of ``s`` with a rotation of p's cycle, then a
+    connector, then ``tail`` from ``boundary`` on, that is unstably
+    equivalent to ``p``: by connector length, rotation, then
+    lexicographically; ``None`` when there is none up to ``depth``."""
+    b = max(boundary, tail.right_start)
+    suffix = tail.window(boundary, b)
+    for n in range(depth + 1):
+        for rot in range(len(p.left)):
+            pattern = p.left[rot:] + p.left[:rot]
+            for u in iproduct(s.alphabet.symbols, repeat=n):
+                candidate = BiSeq(pattern, u + suffix, tail.right_pattern_at(b), boundary - n)
+                if (reference_point_in_shift(s, candidate) == "yes"
+                        and decide_relation(candidate, p, "unstable")):
+                    return candidate
+    return None
+
+
+def reference_join_right_tail(s, head, boundary, q, depth):
+    """The mirror image of ``reference_join_left_tail``: ``head`` below
+    ``boundary``, a connector, then a rotation of q's cycle, stably
+    equivalent to ``q``."""
+    a = min(boundary, head.origin)
+    prefix = head.window(a, boundary)
+    for n in range(depth + 1):
+        for rot in range(len(q.right)):
+            pattern = q.right[rot:] + q.right[:rot]
+            for u in iproduct(s.alphabet.symbols, repeat=n):
+                candidate = BiSeq(head.left_pattern_at(a), prefix + u, pattern, a)
+                if (reference_point_in_shift(s, candidate) == "yes"
+                        and decide_relation(candidate, q, "stable")):
+                    return candidate
+    return None
+
+
+def reference_bridge_candidates(s, x, y, n, depth):
+    """The candidate bridge points of ``sync_bridge`` in the order it
+    tries them: y's past through coordinate n-1, a connector, then a
+    rotation of x's right cycle, kept when in ``s`` and stably
+    equivalent to ``x``; by connector length, rotation, then
+    lexicographically."""
+    a = min(1 - n, y.origin)
+    head = y.window(a, n)
+    for m in range(depth + 1):
+        for start in range(x.right_start, x.right_start + len(x.right)):
+            for u in iproduct(s.alphabet.symbols, repeat=m):
+                z = BiSeq(y.left_pattern_at(a), head + u, x.right_pattern_at(start), a)
+                if reference_point_in_shift(s, z) == "yes" and decide_relation(z, x, "stable"):
+                    yield z

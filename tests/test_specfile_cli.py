@@ -200,6 +200,16 @@ def test_cli_bad_alphabet_is_an_error_line(capsys, tmp_path, declaration):
     (["periodic", "goldenmean", "--n", "0"], "period must be >= 1"),
     (["bracket", "goldenmean", "--x", "zeros", "--y", "zeros", "--window", "1"],
      "N >= 2"),
+    (["find-periodic", "goldenmean", "--point", "L=0 C= O=0 R=0", "--window", "1"],
+     "N >= 2"),
+    (["find-periodic", "goldenmean", "--point", "L=0 C= O=0 R=0", "--window", "0"],
+     "N >= 2"),
+    (["find-periodic", "goldenmean", "--point", "L=0 C= O=0 R=0", "--window", "-2"],
+     "N >= 2"),
+    (["find-periodic", "goldenmean", "--point", "L=0 C= O=0 R=0", "--window", "1",
+      "--return-point", "L=0 C= O=0 R=0", "--n", "1"], "N >= 2"),
+    (["groupoid", "goldenmean", "--kind", "lcs"], "non-empty base set P"),
+    (["groupoid", "goldenmean", "--kind", "lcu"], "non-empty base set P"),
 ])
 def test_cli_library_argument_error_exit_2(capsys, argv, message):
     assert main(argv) == 2
@@ -212,11 +222,25 @@ def test_cli_library_argument_error_exit_2(capsys, argv, message):
     (["words", "goldenmean", "--maxlen", "-1"], "--maxlen"),
     (["words", "goldenmean", "--maxlen", "0"], "--maxlen"),
     (["sync-words", "even", "--maxlen", "0"], "--maxlen"),
+    (["groupoid", "goldenmean", "--bound", "0"], "--bound"),
+    (["groupoid", "goldenmean", "--bound", "-1"], "--bound"),
 ])
 def test_cli_bound_below_one_exit_2(capsys, argv, bound):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {bound} must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodic", "nonsofic-ray", "--n", "2"],
+    ["periodic", "context-free", "--n", "3"],
+    ["periodic", "nonsofic-ray", "--n", "2", "--count-only"],
+    ["groupoid", "nonsofic-ray"],
+])
+def test_cli_oracle_search_is_unverified(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("Unverified: ")
 
 
 def test_cli_bracket(capsys):

@@ -1,0 +1,224 @@
+"""The mask-pruned word search against brute force over every word.
+
+``Presentation.words`` and the five searches built on it (small points,
+cylinder samples, the two tail joins and the bridge connectors) are
+compared with the ``itertools.product`` loops of
+``membership_reference``, which decide every candidate point on
+frozensets.  The shifts are the golden mean, even, 3-gap, even x golden
+and dead-end shifts, and seeded random irreducible presentations whose
+alphabets are declared in a seeded order, so that the order in which
+the searches try words is checked too.
+"""
+
+import functools
+import random
+from itertools import product as iproduct
+
+import pytest
+
+from synchrolab.conjugacy import _join_left_tail, _join_right_tail, construct_germ, sync_bridge
+from synchrolab.errors import NotConstructive, SearchExhausted, Unverified
+from synchrolab.periodic import enumerate_periodic
+from synchrolab.points import BiSeq, decide_relation, enumerate_points
+from synchrolab.presentation import Presentation
+from synchrolab.shift import Alphabet, build_sft, build_sofic
+from synchrolab.sync import classify_point, cylinder_representatives
+
+from membership_reference import (reference_bridge_candidates,
+                                  reference_cylinder_representatives,
+                                  reference_enumerate_points, reference_join_left_tail,
+                                  reference_join_right_tail, reference_point_in_shift,
+                                  reference_words)
+
+BINARY = Alphabet(("0", "1"))
+
+
+def _gap3():
+    return build_sofic(BINARY, Presentation.build(
+        ["A", "B", "C"], [("A", "1", "A"), ("A", "0", "B"), ("B", "0", "C"), ("C", "0", "A")]))
+
+
+def _random_shifts(count=20, seed=7):
+    """Seeded irreducible sofic shifts: at most 4 states and 3 symbols, the
+    alphabet declared in a seeded order and sometimes with an unused
+    symbol."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        states = [f"q{i}" for i in range(rng.randint(1, 4))]
+        symbols = list("abc"[:rng.randint(1, 3)])
+        edges = {(rng.choice(states), rng.choice(symbols), rng.choice(states))
+                 for _ in range(rng.randint(len(states), 3 * len(states)))}
+        p = Presentation.build(states, edges)
+        if not p.irreducible:
+            continue
+        declared = list(p.alphabet) + (["d"] if rng.random() < 0.25 else [])
+        rng.shuffle(declared)
+        out.append(build_sofic(Alphabet(tuple(declared)), p))
+    return out
+
+
+@pytest.fixture(scope="module")
+def named(golden_mean, even_shift, even_times_golden):
+    return {"golden": golden_mean, "even": even_shift, "gap3": _gap3(),
+            "even_x_golden": even_times_golden,
+            "dead_end": build_sft(BINARY, {("1", "1"), ("1", "0")})}
+
+
+@pytest.fixture(scope="module")
+def shifts(named):
+    return list(named.values()) + _random_shifts()
+
+
+def _names(g, mask):
+    return frozenset(g.names(mask))
+
+
+def test_words_match_brute_force(shifts):
+    rng = random.Random(1)
+    cut = 0
+    for s in shifts:
+        g = s.presentation
+        masks = {g.full_mask, 1, rng.randrange(1, g.full_mask + 1)}
+        for mask in masks:
+            for backward in (False, True):
+                got = [(w, _names(g, m))
+                       for (w, m) in g.words(mask, s.alphabet.symbols, 3, backward)]
+                want = reference_words(g, _names(g, mask), s.alphabet.symbols, 3, backward)
+                assert got == want, (s, mask, backward)
+                cut += len(got) < sum(len(s.alphabet) ** n for n in range(4))
+        assert list(g.words(0, s.alphabet.symbols, 3)) == []
+        assert list(g.words(g.full_mask, s.alphabet.symbols, 0)) == [((), g.full_mask)]
+    assert cut > 0
+
+
+@functools.cache
+def _sample_points(s):
+    """The least point of ``s`` and its least point with a core."""
+    points = reference_enumerate_points(s, cycle_len=2, core_len=1, origin_radius=1)
+    return points[:1] + [x for x in points if x.core][:1]
+
+
+def test_enumerate_points_match_reference(shifts):
+    for s in shifts:
+        core_len = 1 if len(s.alphabet) > 3 else 2
+        got = enumerate_points(s, cycle_len=2, core_len=core_len)
+        assert got == reference_enumerate_points(s, cycle_len=2, core_len=core_len), s
+
+
+def test_cylinder_representatives_match_reference(named, shifts):
+    checked = 0
+    for s in shifts:
+        sizes = ((2, 4), (3, 5)) if len(s.alphabet) <= 2 else ((2, 3), (3, 4))
+        for x in _sample_points(s):
+            for (N, L) in sizes:
+                for side in ("u", "s"):
+                    got = cylinder_representatives(s, x, N, L, 2, side)
+                    assert got == reference_cylinder_representatives(s, x, N, L, 2, side), \
+                        (s, x, N, L, side)
+                    checked += bool(got)
+    assert checked > 100
+
+
+def _periodic_points(s):
+    """The least periodic point of ``s`` of each period up to 3, in every
+    phase."""
+    out = []
+    for n in (1, 2, 3):
+        cycles = sorted(c for c in iproduct(s.alphabet.symbols, repeat=n)
+                        if len(BiSeq.periodic(c).left) == n
+                        and reference_point_in_shift(s, BiSeq.periodic(c)) == "yes")
+        out += [BiSeq.periodic(cycles[0], k) for k in range(n)] if cycles else []
+    return out
+
+
+def _first_or_none(search, *args):
+    try:
+        return search(*args)
+    except SearchExhausted as exc:
+        assert exc.depth == args[-1]
+        return None
+
+
+def test_joins_match_reference(shifts):
+    found = exhausted = 0
+    for s in shifts:
+        for p in _periodic_points(s):
+            for tail in _sample_points(s):
+                for boundary in (-2, 1):
+                    for depth in (0, 2):
+                        left = _first_or_none(_join_left_tail, s, p, tail, boundary, depth)
+                        assert left == reference_join_left_tail(s, p, tail, boundary, depth), \
+                            (s, p, tail, boundary, depth)
+                        right = _first_or_none(_join_right_tail, s, tail, boundary, p, depth)
+                        assert right == reference_join_right_tail(s, tail, boundary, p, depth), \
+                            (s, tail, boundary, p, depth)
+                        found += (left is not None) + (right is not None)
+                        exhausted += (left is None) + (right is None)
+    assert found > 100 and exhausted > 0
+    assert any(len(p.left) > 1 for s in shifts for p in _periodic_points(s))
+
+
+def _reference_bridge(s, x, y, depth):
+    n = max(classify_point(s, y).window_used + 1, 2)
+    for z in reference_bridge_candidates(s, x, y, n, depth):
+        try:
+            construct_germ(s, x, z, "lcs")
+        except NotConstructive:
+            continue
+        if classify_point(s, z).status == "synchronizing":
+            return z
+    return None
+
+
+def _bridge_cases(s):
+    """``(p, x, y)`` with p synchronizing periodic, x in the unstable and
+    y in the synchronizing stable class of p, x != y."""
+    points = enumerate_points(s, cycle_len=2, core_len=1)
+    cases = []
+    for p in [p for p in points if not p.core and p.left == p.right][:2]:
+        if classify_point(s, p).status != "synchronizing":
+            continue
+        xs = [x for x in points if decide_relation(x, p, "unstable")][1:4]
+        ys = [y for y in points if decide_relation(y, p, "stable")
+              and classify_point(s, y).status == "synchronizing"][1:4]
+        cases += [(p, x, y) for x in xs for y in ys if x != y]
+    return cases
+
+
+@pytest.mark.parametrize("name", ["golden", "even", "gap3", "even_x_golden"])
+def test_sync_bridge_matches_reference(named, name):
+    s = named[name]
+    cases = _bridge_cases(s)
+    found = 0
+    for (p, x, y) in cases:
+        for depth in (0, 1, 6):
+            want = _reference_bridge(s, x, y, depth)
+            if want is None:
+                with pytest.raises(SearchExhausted):
+                    sync_bridge(s, x, y, p, p, depth)
+            else:
+                assert sync_bridge(s, x, y, p, p, depth) == want, (p, x, y, depth)
+                found += 1
+    assert len(cases) >= 4 and found >= len(cases)
+
+
+def test_sync_bridge_depth_zero_exhausts(golden_mean):
+    zeros = BiSeq.constant("0")
+    x = BiSeq(("0",), ("1", "0"), ("0", "1"), -1)
+    y = BiSeq(("1", "0"), ("0", "1"), ("0",), 0)
+    assert _reference_bridge(golden_mean, x, y, 0) is None
+    with pytest.raises(SearchExhausted) as exc:
+        sync_bridge(golden_mean, x, y, zeros, zeros, 0)
+    assert exc.value.depth == 0
+    want = _reference_bridge(golden_mean, x, y, 1)
+    assert want is not None and sync_bridge(golden_mean, x, y, zeros, zeros, 1) == want
+
+
+def test_oracle_searches_are_unverified(ray_oracle):
+    x = BiSeq.constant("a")
+    for search in (lambda: enumerate_points(ray_oracle),
+                   lambda: cylinder_representatives(ray_oracle, x, 2, 4, 2, "u"),
+                   lambda: enumerate_periodic(ray_oracle, 2)):
+        with pytest.raises(Unverified):
+            search()
