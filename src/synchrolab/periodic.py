@@ -112,6 +112,8 @@ def find_periodic_by_bracket(s, x, y, n, N, cap=None):
     """
     if N < 2:
         raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
+    if n < 1:
+        raise ValueError("period n must be >= 1")
     verdict = classify_point(s, x)
     if verdict.status != "synchronizing":
         raise NotSynchronizing(f"base point classifies {verdict.status}")

@@ -14,7 +14,7 @@ Words are tuples of symbols; symbols are non-empty strings.
 from dataclasses import dataclass, field
 from functools import cache
 
-from synchrolab.errors import EmptyShift, NotIrreducible, WindowExceeded
+from synchrolab.errors import EmptyShift, NotIrreducible, Unverified, WindowExceeded
 from synchrolab.presentation import Presentation, minimal_cover, trim
 
 
@@ -228,9 +228,11 @@ def fischer_cover(s):
     ------
     NotIrreducible
         If the shift fails the irreducibility check.
+    Unverified
+        For an oracle shift, which has no presentation.
     """
     if not isinstance(s, (SFT, Sofic)):
-        raise NotIrreducible("fischer_cover requires an SFT or sofic shift")
+        raise Unverified("an oracle shift has no presentation to cover")
     return minimal_cover(s.presentation)
 
 
@@ -258,9 +260,10 @@ def product(s1, s2):
 
     Points are coordinate-wise pairs of points; the paired symbol
     ``a|b`` reads ``a`` in the first factor and ``b`` in the second.
+    Raises ``Unverified`` when a factor is an oracle shift.
     """
     if not isinstance(s1, (SFT, Sofic)) or not isinstance(s2, (SFT, Sofic)):
-        raise TypeError("product requires SFT or sofic factors")
+        raise Unverified("an oracle shift has no presentation to multiply")
     alphabet = Alphabet(tuple(product_symbol(a, b)
                               for a in s1.alphabet for b in s2.alphabet))
     p1, p2 = s1.presentation, s2.presentation

@@ -14,8 +14,7 @@ from itertools import product as iproduct
 from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
                                NotSynchronizing, SearchExhausted, Unverified,
                                WindowTooSmall)
-from synchrolab.points import (BiSeq, CylinderS, CylinderU, point_in_shift,
-                               try_bracket)
+from synchrolab.points import BiSeq, point_in_shift, try_bracket
 from synchrolab.presentation import Presentation, subset_automaton
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 
@@ -145,12 +144,18 @@ def rectangle_check(s, x, N, L):
 
     Takes the representatives of ``X^u(x, 2**-N)`` and ``X^s(x, 2**-N)``
     with descriptions in window ``L`` (``cylinder_representatives``) and
-    checks that (i) every pair brackets to a point of the shift, landing
-    in the right cylinders, and (ii) ``h_x(w) = ([w,x], [x,w])`` inverts
-    the bracket on the sample.
+    checks that (i) every pair brackets to a point of the shift and (ii)
+    ``h_x(w) = ([w,x], [x,w])`` inverts the bracket on the sample.
+    ``[y, z]`` glues y's future to z's past at 0, so it is defined iff
+    the central windows agree and z's past set meets y's future set at 0
+    (it then lies in both cylinders); as ``[[y, z], x] = [y, x]`` and
+    ``[x, [y, z]] = [x, z]``, h_x inverts iff ``[y, x] = y`` and
+    ``[x, z] = z``.  Each sample is thus bracketed with x once.
 
     Returns a report dict; raises on precondition failures.
     """
+    if N < 2:
+        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
     verdict = classify_point(s, x)
     if verdict.status != "synchronizing":
         raise NotSynchronizing(f"point classifies {verdict.status}")
@@ -160,21 +165,17 @@ def rectangle_check(s, x, N, L):
     stable = cylinder_representatives(s, x, N, L, 2, "s")
     if not unstable or not stable:
         raise WindowTooSmall(f"no representatives fit in window {L}")
+    g = s.presentation
+    u_rows = [(y, y.window(1 - N, N), g.future_set(y, 0), try_bracket(s, y, x, N) == y)
+              for y in unstable]
+    s_rows = [(z, z.window(1 - N, N), g.past_set(z, 0), try_bracket(s, x, z, N) == z)
+              for z in stable]
     failures = []
-    pairs = 0
-    for y in unstable:
-        for z in stable:
-            pairs += 1
-            r = try_bracket(s, y, z, N)
-            if r is None:
+    for (y, y_window, future, y_back) in u_rows:
+        for (z, z_window, past, z_back) in s_rows:
+            if y_window != z_window or not future & past:
                 failures.append(("bracket undefined", y, z))
-                continue
-            if not (CylinderS(y, N).contains(r) and CylinderU(z, N).contains(r)):
-                failures.append(("bracket outside cylinders", y, z))
-                continue
-            back_u = try_bracket(s, r, x, N)
-            back_s = try_bracket(s, x, r, N)
-            if back_u != y or back_s != z:
+            elif not (y_back and z_back):
                 failures.append(("h_x does not invert", y, z))
     return {
         "point": str(x),
@@ -182,7 +183,7 @@ def rectangle_check(s, x, N, L):
         "L": L,
         "unstable_samples": len(unstable),
         "stable_samples": len(stable),
-        "pairs": pairs,
+        "pairs": len(unstable) * len(stable),
         "failures": failures,
         "passed": not failures,
     }

@@ -15,14 +15,17 @@ transforms tracked and checked, determinants over the rationals; the
 library eliminates modulo one minor and tracks no transform.  The word
 searches for small points, cylinder samples and connectors build every
 candidate word with ``itertools.product`` and decide each candidate
-point here; the library prunes one word search by tail masks.
+point here; the library prunes one word search by tail masks.  The
+rectangle check brackets every sample pair and brackets the value back
+with the base point, deciding each splice here; the library ANDs one
+tail mask per sample.
 """
 
 import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from synchrolab.points import BiSeq, decide_relation
+from synchrolab.points import BiSeq, CylinderS, CylinderU, agree_on, decide_relation, splice
 from synchrolab.presentation import Presentation
 from synchrolab.shift import SFT, Sofic
 
@@ -429,3 +432,28 @@ def reference_bridge_candidates(s, x, y, n, depth):
                 z = BiSeq(y.left_pattern_at(a), head + u, x.right_pattern_at(start), a)
                 if reference_point_in_shift(s, z) == "yes" and decide_relation(z, x, "stable"):
                     yield z
+
+
+def _reference_bracket(s, y, z, N):
+    """``[y, z]`` at radius ``2**-N``, or None when it is undefined."""
+    if not agree_on(y, z, 1 - N, N):
+        return None
+    r = splice(y, z)
+    return r if reference_point_in_shift(s, r) == "yes" else None
+
+
+def reference_rectangle_failures(s, x, N, unstable, stable):
+    """The failures of ``rectangle_check`` at ``x`` on the given samples:
+    every pair is bracketed, its value checked against both cylinders and
+    bracketed back with ``x``."""
+    failures = []
+    for y in unstable:
+        for z in stable:
+            r = _reference_bracket(s, y, z, N)
+            if r is None:
+                failures.append(("bracket undefined", y, z))
+            elif not (CylinderS(y, N).contains(r) and CylinderU(z, N).contains(r)):
+                failures.append(("bracket outside cylinders", y, z))
+            elif _reference_bracket(s, r, x, N) != y or _reference_bracket(s, x, r, N) != z:
+                failures.append(("h_x does not invert", y, z))
+    return failures

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from synchrolab.cli import main
+from synchrolab.cli import HANDLERS, main
 from synchrolab.errors import ParseError, SemanticError
 from synchrolab.points import BiSeq
 from synchrolab.shift import SFT, OracleShift, Sofic, fischer_cover
@@ -210,6 +210,10 @@ def test_cli_bad_alphabet_is_an_error_line(capsys, tmp_path, declaration):
       "--return-point", "L=0 C= O=0 R=0", "--n", "1"], "N >= 2"),
     (["groupoid", "goldenmean", "--kind", "lcs"], "non-empty base set P"),
     (["groupoid", "goldenmean", "--kind", "lcu"], "non-empty base set P"),
+    (["find-periodic", "goldenmean", "--point", "L=0 C= O=0 R=0",
+      "--return-point", "L=0 C= O=0 R=0", "--n", "0"], "period n must be >= 1"),
+    (["find-periodic", "goldenmean", "--point", "L=0 C= O=0 R=0",
+      "--return-point", "L=0 C= O=0 R=0", "--n", "-1"], "period n must be >= 1"),
 ])
 def test_cli_library_argument_error_exit_2(capsys, argv, message):
     assert main(argv) == 2
@@ -236,11 +240,62 @@ def test_cli_bound_below_one_exit_2(capsys, argv, bound):
     ["periodic", "context-free", "--n", "3"],
     ["periodic", "nonsofic-ray", "--n", "2", "--count-only"],
     ["groupoid", "nonsofic-ray"],
+    ["sync-words", "nonsofic-ray"],
+    ["sync-words", "context-free"],
+    ["nonsync", "nonsofic-ray"],
+    ["nonsync", "context-free"],
+    ["factor", "nonsofic-ray", "--check", "resolving"],
+    ["factor", "context-free", "--check", "degree"],
+    ["factor", "nonsofic-ray", "--check", "a1to1"],
+    ["find-periodic", "nonsofic-ray", "--point", "L=a C= O=0 R=a"],
+    ["find-periodic", "context-free", "--point", "L=a C= O=0 R=a"],
+    ["product", "nonsofic-ray", "even"],
+    ["product", "even", "context-free"],
 ])
 def test_cli_oracle_search_is_unverified(capsys, argv):
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("Unverified: ")
+
+
+def _minimal_argvs(spec, point):
+    return {
+        "info": [[]],
+        "words": [["--maxlen", "2"]],
+        "sync-words": [["--maxlen", "2"]],
+        "periodic": [["--n", "2"], ["--n", "2", "--count-only"]],
+        "find-periodic": [["--point", point],
+                          ["--point", point, "--return-point", point, "--n", "1"]],
+        "classify": [["--point", point]],
+        "nonsync": [[]],
+        "bracket": [["--x", point, "--y", point]],
+        "germ": [["--from", point, "--to", point, "--kind", kind]
+                 for kind in ("lc", "lcs", "lcu")],
+        "groupoid": [["--bound", "2", "--kind", kind] for kind in ("lc", "lcsync")]
+                    + [["--bound", "2", "--kind", kind, "--P", point] for kind in ("lcs", "lcu")],
+        "factor": [["--check", "resolving"], ["--check", "degree", "--point", point],
+                   ["--check", "a1to1", "--maxper", "2"]],
+        "report": [[]],
+        "product": [["even"], [spec]],
+    }
+
+
+def test_cli_never_raises_on_builtin_specs(capsys):
+    # Every builtin spec against every subcommand, with a constant point
+    # on the spec's first symbol: each run ends in an exit status, never
+    # in an exception escaping ``main``.
+    statuses = set()
+    for spec in BUILTIN_SPECS:
+        symbol = load_spec(spec).shift.alphabet.symbols[0]
+        argvs = _minimal_argvs(spec, f"L={symbol} C= O=0 R={symbol}")
+        assert set(argvs) == set(HANDLERS)
+        for command, variants in argvs.items():
+            for rest in variants:
+                status = main([command, spec] + rest)
+                capsys.readouterr()
+                assert status in (0, 1, 2), (command, spec, rest)
+                statuses.add(status)
+    assert statuses == {0, 1}
 
 
 def test_cli_bracket(capsys):

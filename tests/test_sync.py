@@ -106,6 +106,12 @@ def test_rectangle_check_rejects_nonsync(even_shift):
         rectangle_check(even_shift, ZEROS, N=2, L=6)
 
 
+@pytest.mark.parametrize("N", [1, 0, -1])
+def test_rectangle_check_rejects_radius_below_two(golden_mean, N):
+    with pytest.raises(ValueError, match="N >= 2"):
+        rectangle_check(golden_mean, ZEROS, N=N, L=6)
+
+
 def test_nonsync_even_shift(even_shift):
     report = nonsync_subshift(even_shift)
     assert report.finiteness == "finite"

@@ -7,28 +7,34 @@ compared with the ``itertools.product`` loops of
 frozensets.  The shifts are the golden mean, even, 3-gap, even x golden
 and dead-end shifts, and seeded random irreducible presentations whose
 alphabets are declared in a seeded order, so that the order in which
-the searches try words is checked too.
+the searches try words is checked too.  The rectangle check, which
+reads one tail mask per sample, is compared with the loop that
+brackets every pair, on its own samples and on small points that
+disagree with the base point or splice outside the shift.
 """
 
 import functools
 import random
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
 
+from synchrolab import sync
 from synchrolab.conjugacy import _join_left_tail, _join_right_tail, construct_germ, sync_bridge
 from synchrolab.errors import NotConstructive, SearchExhausted, Unverified
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq, decide_relation, enumerate_points
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sft, build_sofic
-from synchrolab.sync import classify_point, cylinder_representatives
+from synchrolab.sync import (central_word_synchronizes, classify_point,
+                             cylinder_representatives, rectangle_check)
 
 from membership_reference import (reference_bridge_candidates,
                                   reference_cylinder_representatives,
                                   reference_enumerate_points, reference_join_left_tail,
                                   reference_join_right_tail, reference_point_in_shift,
-                                  reference_words)
+                                  reference_rectangle_failures, reference_words)
 
 BINARY = Alphabet(("0", "1"))
 
@@ -222,3 +228,56 @@ def test_oracle_searches_are_unverified(ray_oracle):
                    lambda: enumerate_periodic(ray_oracle, 2)):
         with pytest.raises(Unverified):
             search()
+
+
+def _rectangle_bases(s, N):
+    """The least point of ``s`` whose central word at radius N
+    synchronizes, and the least such point with a core."""
+    points = [x for x in enumerate_points(s, cycle_len=2, core_len=1)
+              if classify_point(s, x).status == "synchronizing"
+              and central_word_synchronizes(s, x, N)]
+    return points[:1] + [x for x in points if x.core][:1]
+
+
+def _small_samples(s, x, N, rng):
+    """At most 30 small points of ``s``: up to 10 with x's central
+    window, the rest without."""
+    points = enumerate_points(s, cycle_len=2, core_len=2)
+    near = [p for p in points if p.window(1 - N, N) == x.window(1 - N, N)]
+    far = [p for p in points if p.window(1 - N, N) != x.window(1 - N, N)]
+    return rng.sample(near, min(10, len(near))) + rng.sample(far, min(20, len(far)))
+
+
+def test_rectangle_check_matches_reference(named, monkeypatch):
+    rng = random.Random(3)
+    shifts = [named[k] for k in ("golden", "even", "gap3", "even_x_golden")]
+    seen = Counter()
+    for s in shifts + _random_shifts(6, seed=11):
+        for N in (2, 3):
+            L = N + 2
+            for x in _rectangle_bases(s, N):
+                unstable = cylinder_representatives(s, x, N, L, 2, "u")
+                stable = cylinder_representatives(s, x, N, L, 2, "s")
+                if unstable and stable:
+                    failures = reference_rectangle_failures(s, x, N, unstable, stable)
+                    assert rectangle_check(s, x, N, L) == {
+                        "point": str(x), "N": N, "L": L,
+                        "unstable_samples": len(unstable), "stable_samples": len(stable),
+                        "pairs": len(unstable) * len(stable),
+                        "failures": failures, "passed": not failures}, (s, x, N)
+                    seen["reports"] += 1
+                samples = {"u": _small_samples(s, x, N, rng), "s": _small_samples(s, x, N, rng)}
+                with monkeypatch.context() as m:
+                    m.setattr(sync, "cylinder_representatives",
+                              lambda s, x, N, L, cycle_len, side: samples[side])
+                    got = rectangle_check(s, x, N, L)["failures"]
+                want = reference_rectangle_failures(s, x, N, samples["u"], samples["s"])
+                assert got == want, (s, x, N)
+                seen["pairs"] += len(samples["u"]) * len(samples["s"])
+                seen.update(kind for (kind, _, _) in want)
+                seen["splice outside"] += sum(y.window(1 - N, N) == z.window(1 - N, N)
+                                              for (kind, y, z) in want
+                                              if kind == "bracket undefined")
+    passed = seen["pairs"] - seen["bracket undefined"] - seen["h_x does not invert"]
+    assert seen["reports"] >= 20 and seen["splice outside"] > 0, seen
+    assert seen["h_x does not invert"] > 0 and passed > 0, seen
