@@ -24,7 +24,7 @@ from synchrolab.errors import (BracketUndefined, InvariantViolation, NotAgreeing
 from synchrolab.factor import CoverMap, preimage_count
 from synchrolab.points import (BiSeq, agree_on, alignment_bound, bracket,
                                decide_relation, enumerate_points, future_splice,
-                               past_splice, point_in_shift, replace_window, shift_by,
+                               point_in_shift, replace_window, shift_by,
                                splice)
 from synchrolab.shift import SFT, Sofic, shift_flags
 from synchrolab.sync import (cylinder_representatives, central_word_synchronizes,
@@ -61,7 +61,7 @@ class PastRule:
     cut: int
 
     def apply(self, s, z):
-        return past_splice(z, self.point, self.cut)
+        return future_splice(self.point, z, self.cut)
 
 
 @dataclass(frozen=True)
@@ -457,6 +457,8 @@ def rectangle_germs(s, x, y, N, verify=True):
     on the stable cylinder of y) and ``gs : z -> [z, x]`` maps [x,y]
     to x (kind lcs, on the unstable cylinder of [x,y]).
     """
+    if N < 2:
+        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
     if not central_word_synchronizes(s, x, N):
         raise NotSynchronizing(f"no synchronizing central word at radius {N}")
     if not agree_on(x, y, 1 - N, N):
@@ -524,16 +526,24 @@ def _join_left_tail(s, p, tail, boundary, depth=6):
     raise SearchExhausted("no left join found", depth=depth)
 
 
-def _join_right_tail(s, head, boundary, q, depth=6):
-    """A point of ``X^s(q)`` equal to ``head`` below ``boundary``; the
-    mirror image of ``_join_left_tail``."""
+def _right_joins(s, head, boundary, q, depth):
+    """Yields each point of ``X^s(q)`` equal to ``head`` below
+    ``boundary``: the mirror image of ``_join_left_tail``'s search, with
+    connectors read from head's past set at ``boundary`` and every join
+    kept, by connector length and then lexicographically."""
     g = s.presentation
     a = min(boundary, head.origin)
     for (u, run) in g.words(g.past_set(head, boundary), s.alphabet.symbols, depth):
         cut = boundary + len(u)
         cycle = q.window(cut, cut + len(q.right))
         if run & g.tail_fixpoint(cycle, True):
-            return BiSeq(head.left_pattern_at(a), head.window(a, boundary) + u, cycle, a)
+            yield BiSeq(head.left_pattern_at(a), head.window(a, boundary) + u, cycle, a)
+
+
+def _join_right_tail(s, head, boundary, q, depth=6):
+    """The first point of ``_right_joins``."""
+    for z in _right_joins(s, head, boundary, q, depth):
+        return z
     raise SearchExhausted("no right join found", depth=depth)
 
 
@@ -585,18 +595,9 @@ def sync_bridge(s, x, y, p, q, depth=6):
     if verdict.status != "synchronizing":
         raise NotSynchronizing("y must synchronize")
     n = max(verdict.window_used + 1, 2)
-    # bridge candidate: y's pattern through the rectangle window, then a
+    # bridge candidates: y's pattern through the rectangle window, then a
     # connector, then x's right cycle in phase
-    g = s.presentation
-    a = min(1 - n, y.origin)
-    head = y.window(a, n)
-    x_right = BiSeq.periodic(x.right, x.right_start)
-    for (u, run) in g.words(g.past_set(y, n), s.alphabet.symbols, depth):
-        cut = n + len(u)
-        cycle = x_right.window(cut, cut + len(x.right))
-        if not run & g.tail_fixpoint(cycle, True):
-            continue
-        z = BiSeq(y.left_pattern_at(a), head + u, cycle, a)
+    for z in _right_joins(s, y, n, BiSeq.periodic(x.right, x.right_start), depth):
         try:
             construct_germ(s, x, z, "lcs")
         except NotConstructive:

@@ -309,14 +309,6 @@ def future_splice(z, p, cut):
     return BiSeq(z.left_pattern_at(a), core, p.right_pattern_at(b), a)
 
 
-def past_splice(z, p, cut):
-    """The point equal to ``p`` below ``cut`` and to ``z`` from ``cut`` on."""
-    a = min(cut, p.origin)
-    b = max(cut, z.right_start)
-    core = p.window(a, cut) + z.window(cut, b)
-    return BiSeq(p.left_pattern_at(a), core, z.right_pattern_at(b), a)
-
-
 def splice(x, y):
     """Future of ``x`` glued to the past of ``y`` at coordinate 0."""
     return future_splice(y, x, 0)
@@ -401,8 +393,6 @@ def enumerate_points(s, cycle_len=2, core_len=2, origin_radius=1):
     and kept where its run meets the right cycle's.  Output order is
     canonical.  Raises ``Unverified`` for an oracle shift.
     """
-    if isinstance(s, OracleShift):
-        raise Unverified("an oracle shift has no presentation to search")
     g, symbols = s.presentation, s.alphabet.symbols
     cycles = [c for (c, _) in g.words(g.full_mask, symbols, cycle_len) if c]
     rights = [(c, g.tail_fixpoint(c, True)) for c in cycles]

@@ -354,48 +354,31 @@ def determinize(p):
     return subset_automaton(p, 1)
 
 
-def follower_partition(p):
-    """Partition of states by equality of follower languages.
+def merge_followers(p):
+    """Merges follower-equivalent states of a deterministic presentation.
 
-    Works on a deterministic (partial) presentation by Moore refinement
-    against an implicit dead state.
+    The classes come from Moore refinement against an implicit dead
+    state; a class of two or more states is named by the tuple of its
+    members in canonical order.
     """
     if not p.deterministic:
-        raise ValueError("follower_partition requires a deterministic presentation")
-    alphabet = p.alphabet
+        raise ValueError("merge_followers requires a deterministic presentation")
     block = {q: 0 for q in p.states}
     while True:
-        signatures = {}
-        for q in p.states:
-            sig = (block[q],)
-            for a in alphabet:
-                target = p.transitions.get((q, a))
-                sig += ((a, None if target is None else block[target]),)
-            signatures[q] = sig
         relabel = {}
         new_block = {}
         for q in p.states:
-            sig = signatures[q]
-            if sig not in relabel:
-                relabel[sig] = len(relabel)
-            new_block[q] = relabel[sig]
+            targets = (p.transitions.get((q, a)) for a in p.alphabet)
+            sig = (block[q],) + tuple(None if t is None else block[t] for t in targets)
+            new_block[q] = relabel.setdefault(sig, len(relabel))
         if new_block == block:
             break
         block = new_block
     classes = {}
     for q in p.states:
         classes.setdefault(block[q], []).append(q)
-    return [tuple(sorted(members, key=_state_key)) for members in classes.values()]
-
-
-def merge_followers(p):
-    """Merges follower-equivalent states of a deterministic presentation."""
-    classes = follower_partition(p)
-    representative = {}
-    for members in classes:
-        name = members if len(members) > 1 else members[0]
-        for q in members:
-            representative[q] = name
+    representative = {q: tuple(members) if len(members) > 1 else q
+                      for members in classes.values() for q in members}
     return Presentation.build(
         set(representative.values()),
         {(representative[src], a, representative[dst]) for (src, a, dst) in p.edges},
@@ -419,16 +402,16 @@ def terminal_component(p):
 def minimal_cover(p):
     """Minimal deterministic irreducible presentation of ``p``'s language.
 
-    Determinize, trim, merge equal-follower states, then restrict to the
-    unique terminal strongly-connected component.  For an irreducible
-    sofic shift this is its Fischer cover, unique up to state renaming.
+    Determinize, merge equal-follower states, then restrict to the unique
+    terminal strongly-connected component; the subset automaton is
+    trimmed, and so is its quotient.  For an irreducible sofic shift
+    this is its Fischer cover, unique up to state renaming.
     Raises ``NotIrreducible`` when the shift fails the construction's
     sanity checks (multiple terminal components, or a terminal component
     presenting a strictly smaller language).
     """
     det = determinize(p)
-    merged = merge_followers(det)
-    core = terminal_component(trim(merged))
+    core = terminal_component(merge_followers(det))
     if not same_language(det, core):
         raise NotIrreducible("terminal component presents a proper sublanguage")
     return core.renamed()

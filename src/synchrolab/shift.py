@@ -126,6 +126,12 @@ class OracleShift(Shift):
                                           for a in self.alphabet):
                     raise ValueError(f"oracle word {w} is not left-extendable")
 
+    @property
+    def presentation(self):
+        """An oracle shift has none: every presentation-based computation
+        stops here with ``Unverified``."""
+        raise Unverified("an oracle shift has no presentation")
+
 
 def build_sft(alphabet, forbidden):
     """Builds an SFT together with its higher-block presentation.
@@ -200,19 +206,17 @@ def enumerate_words(s, max_len):
     """All admissible words of length <= ``max_len``, in canonical order.
 
     Canonical order is by length, then lexicographically in alphabet
-    order.
+    order.  SFT and sofic shifts read them off their presentation's word
+    search; an oracle shift is asked word by word.
     """
-    out = [()]
-    frontier = [()]
+    if not isinstance(s, OracleShift):
+        g = s.presentation
+        return [w for (w, _) in g.words(g.full_mask, s.alphabet.symbols, max_len)]
+    out, frontier = [()], [()]
     for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for a in s.alphabet:
-                candidate = w + (a,)
-                if contains_word(s, candidate):
-                    nxt.append(candidate)
-        out.extend(nxt)
-        frontier = nxt
+        frontier = [w + (a,) for w in frontier for a in s.alphabet
+                    if contains_word(s, w + (a,))]
+        out += frontier
     return out
 
 
@@ -231,8 +235,6 @@ def fischer_cover(s):
     Unverified
         For an oracle shift, which has no presentation.
     """
-    if not isinstance(s, (SFT, Sofic)):
-        raise Unverified("an oracle shift has no presentation to cover")
     return minimal_cover(s.presentation)
 
 
@@ -262,8 +264,6 @@ def product(s1, s2):
     ``a|b`` reads ``a`` in the first factor and ``b`` in the second.
     Raises ``Unverified`` when a factor is an oracle shift.
     """
-    if not isinstance(s1, (SFT, Sofic)) or not isinstance(s2, (SFT, Sofic)):
-        raise Unverified("an oracle shift has no presentation to multiply")
     alphabet = Alphabet(tuple(product_symbol(a, b)
                               for a in s1.alphabet for b in s2.alphabet))
     p1, p2 = s1.presentation, s2.presentation

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
-                               NotSynchronizing, SearchExhausted, Unverified,
-                               WindowTooSmall)
+                               NotSynchronizing, SearchExhausted, WindowTooSmall)
 from synchrolab.points import BiSeq, point_in_shift, try_bracket
 from synchrolab.presentation import Presentation, subset_automaton
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
@@ -118,8 +117,6 @@ def cylinder_representatives(s, x, N, L, cycle_len, side):
     tail set, and close into cycles up to ``cycle_len`` whose tail
     fixpoint their run meets.  Raises ``Unverified`` for an oracle shift.
     """
-    if isinstance(s, OracleShift):
-        raise Unverified("an oracle shift has no presentation to search")
     g, symbols = s.presentation, s.alphabet.symbols
     free = max(0, L - N)
     unstable = side == "u"
@@ -199,27 +196,17 @@ def nonsync_subshift(s):
     all its points are periodic and are enumerated.
     """
     p = subset_automaton(fischer_cover(s), 2)
-    if not p.states:
-        return NonSyncReport(p, "finite", ())
-    out_degree = {q: len(p.out_edges[q]) for q in p.states}
-    in_degree = {q: len(p.in_edges[q]) for q in p.states}
-    if any(out_degree[q] != 1 or in_degree[q] != 1 for q in p.states):
+    # Every state of the trimmed automaton has an in-edge and an out-edge,
+    # so it is a disjoint union of cycles iff it has as many edges as states.
+    if len(p.edges) != len(p.states):
         return NonSyncReport(p, "infinite")
     points = set()
-    remaining = set(p.states)
-    while remaining:
-        q0 = sorted(remaining, key=str)[0]
-        labels = []
-        q = q0
-        while True:
-            (_, a, nxt) = p.out_edges[q][0]
+    for q0 in p.states:
+        labels, q = [], q0
+        while not labels or q != q0:
+            (_, a, q) = p.out_edges[q][0]
             labels.append(a)
-            remaining.discard(q)
-            q = nxt
-            if q == q0:
-                break
-        for phase in range(len(labels)):
-            points.add(BiSeq.periodic(tuple(labels), phase))
+        points.add(BiSeq.periodic(labels))
     ordered = tuple(sorted(points, key=lambda pt: (pt.description_size(), str(pt))))
     return NonSyncReport(p, "finite", ordered)
 
@@ -230,50 +217,33 @@ def close_orbit_through(cover, word):
     Finds a run of ``word`` and a return path in the cover, producing a
     point of the shift passing through the cylinder [word].
     """
-    runs = [(q0, cover.run(1 << i, word)) for i, q0 in enumerate(cover.states)]
+    runs = [(i, cover.run(1 << i, word)) for i in range(len(cover.states))]
     if not any(ends for (_, ends) in runs):
         raise NotInLanguage(f"no run of {word!r}")
-    for (q0, ends) in runs:
-        for qe in cover.names(ends):
-            path = _shortest_path(cover, qe, q0, allow_empty=bool(word))
-            if path is not None:
-                return BiSeq.periodic(word + tuple(path), 0)
+    for (i, ends) in runs:
+        path = _shortest_word(cover, ends, lambda m: m >> i & 1, empty=bool(word))
+        if path is not None:
+            return BiSeq.periodic(word + path, 0)
     raise SearchExhausted(f"no cycle closes through {word!r}")
 
 
-def _shortest_path(cover, source, target, allow_empty=True):
-    """Labels of a shortest path source -> target; () if equal."""
-    if source == target and allow_empty:
+def _shortest_word(cover, mask, done, empty=True):
+    """The first word ``u``, by length and then in alphabet order, whose
+    non-empty run from ``mask`` passes ``done`` (``()`` too if ``empty``),
+    or None; a BFS over the masks reached, each expanded once."""
+    if empty and done(mask):
         return ()
-    queue = [(source, ())]
-    seen = {source} if allow_empty else set()
-    while queue:
-        q, labels = queue.pop(0)
-        for (_, a, nxt) in cover.out_edges[q]:
-            if nxt == target:
-                return labels + (a,)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, labels + (a,)))
-    return None
-
-
-def _sync_extension(cover, word):
-    """Shortest ``u`` with ``word + u`` synchronizing; BFS over subsets."""
-    start = cover.run(cover.full_mask, word)
-    if not start:
-        raise NotInLanguage(f"no run of {word!r}")
-    queue = [(start, ())]
-    seen = {start}
+    queue = [(mask, ())]
+    seen = {mask} if empty else set()
     for (current, u) in queue:
-        if current.bit_count() == 1:
-            return u
         for a in cover.alphabet:
             nxt = cover.step(current, a)
+            if nxt and done(nxt):
+                return u + (a,)
             if nxt and nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, u + (a,)))
-    raise SearchExhausted(f"no synchronizing extension of {word!r}")
+    return None
 
 
 def sync_density_check(s, L):
@@ -291,7 +261,10 @@ def sync_density_check(s, L):
     else:
         cover = fischer_cover(s)
         for w in enumerate_words(s, L):
-            u = _sync_extension(cover, w)
+            u = _shortest_word(cover, cover.run(cover.full_mask, w),
+                               lambda m: m.bit_count() == 1)
+            if u is None:
+                raise SearchExhausted(f"no synchronizing extension of {w!r}")
             point = close_orbit_through(cover, w + u)
             verdict = classify_point(s, point)
             ok = (verdict.status == "synchronizing"

@@ -18,16 +18,26 @@ candidate word with ``itertools.product`` and decide each candidate
 point here; the library prunes one word search by tail masks.  The
 rectangle check brackets every sample pair and brackets the value back
 with the base point, deciding each splice here; the library ANDs one
-tail mask per sample.
+tail mask per sample.  The density checks close orbits by a state BFS
+over out-edge lists and extend words to synchronizing ones by a subset
+BFS that tests each set when it leaves the queue, words are listed by
+asking for each one-symbol extension, the non-synchronizing points are
+read by walking each cycle once and adding every phase, and the minimal
+cover merges followers by a separate partition step and trims the
+quotient; the library runs one mask BFS, its word search, one cycle
+read per state, and no second trim.
 """
 
 import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from synchrolab.points import BiSeq, CylinderS, CylinderU, agree_on, decide_relation, splice
+from synchrolab.errors import NotInLanguage, SearchExhausted
+from synchrolab.points import (BiSeq, CylinderS, CylinderU, agree_on, decide_relation,
+                               shift_by, splice)
 from synchrolab.presentation import Presentation
-from synchrolab.shift import SFT, Sofic
+from synchrolab.shift import SFT, OracleShift, Sofic, contains_word
+from synchrolab.sync import classify_point
 
 
 def window_admissible(s, w):
@@ -457,3 +467,175 @@ def reference_rectangle_failures(s, x, N, unstable, stable):
             elif _reference_bracket(s, r, x, N) != y or _reference_bracket(s, x, r, N) != z:
                 failures.append(("h_x does not invert", y, z))
     return failures
+
+
+def reference_enumerate_words(s, max_len):
+    """Every word of ``s`` of length <= ``max_len``, by length and then in
+    alphabet order, extending each admissible word by each symbol: SFT
+    and sofic words are read on frozensets, oracle words are asked."""
+    def admissible(w):
+        if isinstance(s, OracleShift):
+            return contains_word(s, w)
+        return bool(_step(s.presentation, frozenset(s.presentation.states), w))
+
+    out = [()]
+    frontier = [()]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for a in s.alphabet:
+                candidate = w + (a,)
+                if admissible(candidate):
+                    nxt.append(candidate)
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def _shortest_path(cover, source, target, allow_empty=True):
+    """Labels of a shortest path source -> target; () if equal."""
+    if source == target and allow_empty:
+        return ()
+    queue = [(source, ())]
+    seen = {source} if allow_empty else set()
+    while queue:
+        q, labels = queue.pop(0)
+        for (_, a, nxt) in cover.out_edges[q]:
+            if nxt == target:
+                return labels + (a,)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, labels + (a,)))
+    return None
+
+
+def reference_close_orbit_through(cover, word):
+    """A periodic point reading ``word`` from 0: for the first start state
+    with a run of ``word`` and the first end state of that run, a
+    shortest return path by a state BFS."""
+    runs = [(q0, _step(cover, {q0}, word)) for q0 in cover.states]
+    if not any(ends for (_, ends) in runs):
+        raise NotInLanguage(f"no run of {word!r}")
+    for (q0, ends) in runs:
+        for qe in sorted(ends, key=_canonical_key):
+            path = _shortest_path(cover, qe, q0, allow_empty=bool(word))
+            if path is not None:
+                return BiSeq.periodic(word + tuple(path), 0)
+    raise SearchExhausted(f"no cycle closes through {word!r}")
+
+
+def reference_sync_extension(cover, word):
+    """Shortest ``u`` with ``word + u`` synchronizing in ``cover``; a BFS
+    over frozensets, testing each set when it leaves the queue."""
+    start = _step(cover, frozenset(cover.states), word)
+    if not start:
+        raise NotInLanguage(f"no run of {word!r}")
+    queue = [(start, ())]
+    seen = {start}
+    for (current, u) in queue:
+        if len(current) == 1:
+            return u
+        for a in cover.alphabet:
+            nxt = _step(cover, current, (a,))
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, u + (a,)))
+    raise SearchExhausted(f"no synchronizing extension of {word!r}")
+
+
+def reference_sync_density_entries(s, cover, L):
+    """``sync_density_check(s, L)["entries"]`` for an SFT or sofic ``s``
+    with Fischer cover ``cover``."""
+    entries = []
+    for w in reference_enumerate_words(s, L):
+        u = reference_sync_extension(cover, w)
+        point = reference_close_orbit_through(cover, w + u)
+        ok = (classify_point(s, point).status == "synchronizing"
+              and point.window(0, len(w)) == tuple(w))
+        entries.append({"word": w, "point": str(point), "status":
+                        "yes" if ok else "no", "witness": w + u})
+    return entries
+
+
+def reference_periodic_density_entries(s, cover, L):
+    """``periodic_density_check(s, L)["entries"]`` for an SFT or sofic
+    ``s`` with Fischer cover ``cover``."""
+    entries = []
+    for w in reference_enumerate_words(s, L):
+        point = reference_close_orbit_through(cover, w)
+        ok = (reference_point_in_shift(s, point) == "yes"
+              and point.window(0, len(w)) == tuple(w)
+              and shift_by(point, len(point.left)) == point)
+        entries.append({"word": w, "point": str(point), "status": "yes" if ok else "no"})
+    return entries
+
+
+def reference_nonsync_points(p):
+    """``None`` when the trimmed graph ``p`` is not a disjoint union of
+    cycles; else its points, each cycle walked once from its least state
+    and read at every phase, in canonical order."""
+    if any(len(p.out_edges[q]) != 1 or len(p.in_edges[q]) != 1 for q in p.states):
+        return None
+    points = set()
+    remaining = set(p.states)
+    while remaining:
+        q0 = sorted(remaining, key=str)[0]
+        labels = []
+        q = q0
+        while True:
+            (_, a, nxt) = p.out_edges[q][0]
+            labels.append(a)
+            remaining.discard(q)
+            q = nxt
+            if q == q0:
+                break
+        for phase in range(len(labels)):
+            points.add(BiSeq.periodic(tuple(labels), phase))
+    return tuple(_canonical_order(points))
+
+
+def reference_follower_partition(p):
+    """Classes of the states of the deterministic ``p`` with equal
+    follower languages, by Moore refinement against a dead state, each
+    in canonical order."""
+    block = {q: 0 for q in p.states}
+    while True:
+        signatures = {}
+        for q in p.states:
+            sig = (block[q],)
+            for a in p.alphabet:
+                targets = [r for (_, b, r) in p.out_edges[q] if b == a]
+                sig += ((a, block[targets[0]] if targets else None),)
+            signatures[q] = sig
+        relabel = {}
+        new_block = {}
+        for q in p.states:
+            sig = signatures[q]
+            if sig not in relabel:
+                relabel[sig] = len(relabel)
+            new_block[q] = relabel[sig]
+        if new_block == block:
+            break
+        block = new_block
+    classes = {}
+    for q in p.states:
+        classes.setdefault(block[q], []).append(q)
+    return [tuple(sorted(members, key=_canonical_key)) for members in classes.values()]
+
+
+def reference_minimal_cover(g):
+    """The Fischer cover of the shift ``g`` presents, renamed, or ``None``
+    when the construction fails: subset automaton, follower merge, trim,
+    the unique terminal component, and a language check."""
+    det = reference_subset_automaton(g, 1)
+    representative = {}
+    for members in reference_follower_partition(det):
+        for q in members:
+            representative[q] = members if len(members) > 1 else members[0]
+    merged = Presentation.build(
+        set(representative.values()),
+        {(representative[p], a, representative[q]) for (p, a, q) in det.edges})
+    core = reference_graph_structure(reference_trim(merged))[1]
+    if core is None or distinguishing_word(det, core) is not None:
+        return None
+    return core.renamed()

@@ -121,6 +121,12 @@ def test_rectangle_germ_rejects_outside(even_shift):
         rectangle_germs(even_shift, ONES, outside, 2)
 
 
+@pytest.mark.parametrize("N", [1, 0, -1])
+def test_rectangle_germs_rejects_radius_below_two(golden_mean, N):
+    with pytest.raises(ValueError, match="N >= 2"):
+        rectangle_germs(golden_mean, ZEROS, ZEROS, N)
+
+
 def test_rectangle_endpoints_relations(even_shift, golden_mean):
     for s, base in ((even_shift, ONES), (golden_mean, ZEROS)):
         verdict = classify_point(s, base)

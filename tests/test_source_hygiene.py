@@ -1,0 +1,66 @@
+"""Source hygiene of the library, checked by an AST scan.
+
+Every name a module of ``src/synchrolab`` imports is used in that module
+(``__init__`` is exempt: its imports are the public re-exports), and
+every module-level private function or class is referenced somewhere in
+``src/`` outside its own definition, so no dead helper is left behind.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "synchrolab"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _references(node):
+    """The names ``node`` loads, the attributes it reads and the names it
+    imports from other modules."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        imports = [stmt for stmt in ast.walk(tree)
+                   if isinstance(stmt, (ast.Import, ast.ImportFrom))]
+        loaded = {sub.id for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+        for stmt in imports:
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in loaded:
+                    unused.append(f"{name}:{stmt.lineno} {bound}")
+    assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    modules = _modules()
+    unreferenced = []
+    for name, tree in modules.items():
+        for stmt in tree.body:
+            if not (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                continue
+            elsewhere = set()
+            for other_name, other in modules.items():
+                for top in other.body:
+                    if top is not stmt:
+                        elsewhere |= _references(top)
+            if stmt.name not in elsewhere:
+                unreferenced.append(f"{name}:{stmt.lineno} {stmt.name}")
+    assert unreferenced == []
