@@ -49,6 +49,8 @@ class IntMatrix:
     def power(self, n):
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
+        if n < 0:
+            raise ValueError(f"power needs an exponent >= 0, got {n}")
         out = IntMatrix.identity(self.rows)
         base = self
         while n:

@@ -13,10 +13,12 @@ Each presentation compiles once into a bitmask kernel: state sets are
 successor masks.  On it sit the tail sets of an eventually periodic
 point at a cut -- the past set and the future set -- which decide
 membership and pin cover states, and one word search, ``words``, which
-grows words from a mask and cuts each branch whose mask empties.  Graph
-structure -- components, irreducibility, period, trimming and the
-terminal component -- reads one reachability closure of the same masks,
-``Presentation.reach``.
+grows words from a mask and cuts each branch whose mask empties.  Cover
+structure -- components, irreducibility, period and the terminal
+component -- reads one reachability closure of the same masks,
+``Presentation.reach``.  Trimming needs no closure: it peels states with
+no in-edge or no out-edge in time linear in the graph, and the subset
+automata peel their search graph before naming any state set.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -53,11 +55,11 @@ class Presentation:
     def build(states, edges):
         """Normalizes ``states``/``edges`` into canonical order."""
         states = tuple(sorted(set(states), key=_state_key))
-        known = set(states)
+        rank = {q: i for i, q in enumerate(states)}
         for (p, a, q) in edges:
-            if p not in known or q not in known:
+            if p not in rank or q not in rank:
                 raise ValueError(f"edge {(p, a, q)} uses an undeclared state")
-        edges = tuple(sorted(set(edges), key=lambda e: (_state_key(e[0]), str(e[1]), _state_key(e[2]))))
+        edges = tuple(sorted(set(edges), key=lambda e: (rank[e[0]], str(e[1]), rank[e[2]])))
         return Presentation(states, edges)
 
     @cached_property
@@ -199,8 +201,9 @@ class Presentation:
         """``reach[i]`` is the mask of the states at the end of a non-empty
         path from ``states[i]``: Warshall's closure of the ``masks`` rows.
 
-        The graph structure below -- components, flags, ``trim`` and
-        ``terminal_component`` -- all reads this one closure.
+        The graph structure below -- components, flags and
+        ``terminal_component`` -- all reads this one closure; ``trim``
+        does not.
         """
         reach = [0] * len(self.states)
         for rows in self.masks.values():
@@ -302,15 +305,45 @@ def _read(kernel, mask, word):
     return mask
 
 
+def _peel(n, arcs):
+    # Mask of the states of the graph on range(n) with (source, target)
+    # ``arcs`` that survive repeatedly deleting every state with no in-arc
+    # or no out-arc (the essential graph, Lind & Marcus §2.2): those on
+    # a bi-infinite path.  Each state and arc is dropped once, so the time
+    # is linear in n + len(arcs).
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for (i, j) in arcs:
+        succ[i].append(j)
+        pred[j].append(i)
+    out_degree = [len(row) for row in succ]
+    in_degree = [len(row) for row in pred]
+    alive = [True] * n
+    queue = [i for i in range(n) if not out_degree[i] or not in_degree[i]]
+    for i in queue:
+        if not alive[i]:
+            continue
+        alive[i] = False
+        for j in succ[i]:
+            in_degree[j] -= 1
+            if not in_degree[j] and alive[j]:
+                queue.append(j)
+        for j in pred[i]:
+            out_degree[j] -= 1
+            if not out_degree[j] and alive[j]:
+                queue.append(j)
+    return sum(1 << i for i in range(n) if alive[i])
+
+
 def trim(p):
     """Restricts ``p`` to states lying on some bi-infinite path.
 
     A state survives iff it both reaches a cycle and is reached from a
-    cycle; one-sided dead ends present no bi-infinite sequences.
+    cycle; one-sided dead ends present no bi-infinite sequences.  They
+    are peeled off in linear time.
     """
-    cyclic = sum(1 << i for i, row in enumerate(p.reach) if row >> i & 1)
-    upstream = sum(1 << i for i, row in enumerate(p.reach) if row & cyclic)
-    return _subgraph(p, upstream & _image(p.reach, cyclic))
+    index = {q: i for i, q in enumerate(p.states)}
+    return _subgraph(p, _peel(len(p.states), [(index[q], index[r]) for (q, _, r) in p.edges]))
 
 
 def _subgraph(p, keep):
@@ -326,22 +359,26 @@ def subset_automaton(p, least):
 
     Its states are the masks reachable from the full state set through
     images of at least ``least`` states, each named by its members in
-    canonical order; the result is trimmed.
+    canonical order; the result is trimmed.  The search runs on the
+    masks' discovery indices, which are peeled before any mask is named.
     """
     full = p.full_mask
-    name = {full: p.names(full)} if full.bit_count() >= least else {}
-    queue = list(name)
-    edges = []
-    for current in queue:
+    queue = [full] if full.bit_count() >= least else []
+    index = {mask: i for i, mask in enumerate(queue)}
+    arcs = []
+    for i, current in enumerate(queue):
         for a in p.alphabet:
             nxt = p.step(current, a)
             if nxt.bit_count() < least:
                 continue
-            if nxt not in name:
-                name[nxt] = p.names(nxt)
+            if nxt not in index:
+                index[nxt] = len(queue)
                 queue.append(nxt)
-            edges.append((name[current], a, name[nxt]))
-    return trim(Presentation.build(name.values(), edges))
+            arcs.append((i, a, index[nxt]))
+    keep = _peel(len(queue), [(i, j) for (i, _, j) in arcs])
+    name = {i: p.names(mask) for i, mask in enumerate(queue) if keep >> i & 1}
+    return Presentation.build(
+        name.values(), [(name[i], a, name[j]) for (i, a, j) in arcs if i in name and j in name])
 
 
 def determinize(p):

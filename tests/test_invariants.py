@@ -10,7 +10,9 @@ from synchrolab.invariants import (IntMatrix, adjacency_matrix, bowen_franks,
                                    exact_sequence_report, smith_normal_form)
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sofic, fischer_cover
-from membership_reference import fraction_determinant, reference_smith_form
+from synchrolab.sync import nonsync_subshift
+from membership_reference import (fraction_determinant, reference_smith_form,
+                                  reference_subset_automaton)
 
 
 def brute_force_cokernel(a):
@@ -188,15 +190,43 @@ CLIFF_COVERS = [
 ]
 
 
-@pytest.mark.parametrize("edge_text, cover_size, factors, sign", CLIFF_COVERS,
-                         ids=[f"{case[1]}-state" for case in CLIFF_COVERS])
-def test_bowen_franks_of_large_covers(edge_text, cover_size, factors, sign):
+# Size-2-or-more subset automaton of each cliff cover: (states, edges).
+CLIFF_NONSYNC_SIZES = {86: (2889, 6313), 59: (1627, 3155), 48: (342, 620)}
+
+
+def _cliff_shift(edge_text):
     edges = [tuple(e.split()) for e in edge_text.split(", ")]
     states = sorted({e[0] for e in edges} | {e[2] for e in edges})
     labels = tuple(sorted({e[1] for e in edges}))
-    s = build_sofic(Alphabet(labels), Presentation.build(states, edges))
+    return build_sofic(Alphabet(labels), Presentation.build(states, edges))
+
+
+@pytest.mark.parametrize("edge_text, cover_size, factors, sign", CLIFF_COVERS,
+                         ids=[f"{case[1]}-state" for case in CLIFF_COVERS])
+def test_bowen_franks_of_large_covers(edge_text, cover_size, factors, sign):
+    s = _cliff_shift(edge_text)
     assert len(fischer_cover(s).states) == cover_size
     assert bowen_franks(s) == {"invariant_factors": factors, "det_sign": sign}
+
+
+@pytest.mark.parametrize("edge_text, cover_size", [case[:2] for case in CLIFF_COVERS],
+                         ids=[f"{case[1]}-state" for case in CLIFF_COVERS])
+def test_nonsync_subshift_of_large_covers(edge_text, cover_size):
+    s = _cliff_shift(edge_text)
+    report = nonsync_subshift(s)
+    p = report.presentation
+    assert (len(p.states), len(p.edges)) == CLIFF_NONSYNC_SIZES[cover_size]
+    assert report.finiteness == "infinite"
+    if cover_size == 48:
+        assert p == reference_subset_automaton(fischer_cover(s), 2, key=str)
+
+
+def test_power_rejects_a_negative_exponent():
+    a = IntMatrix.from_rows([[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match="exponent"):
+        a.power(-1)
+    assert a.power(0) == IntMatrix.identity(2)
+    assert a.power(5).entries == ((8, 5), (5, 3))
 
 
 def test_bowen_franks_examples(golden_mean, full_two, period_two):
