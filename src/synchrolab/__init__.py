@@ -26,7 +26,7 @@ from synchrolab.presentation import Presentation, determinize, trim
 from synchrolab.shift import (SFT, Alphabet, OracleShift, Sofic, build_sft,
                               build_sofic, contains_word, enumerate_words,
                               fischer_cover, full_shift, product, shift_flags, word)
-from synchrolab.specfile import SpecFile, load_spec, parse_point
+from synchrolab.specfile import SpecFile, emit_spec, load_spec, parse_point
 from synchrolab.sync import (NonSyncReport, SyncVerdict, classify_point,
                              is_sync_word, nonsync_subshift, rectangle_check,
                              sync_density_check)

@@ -267,18 +267,26 @@ def verify_germ(germ, budget=6):
     shift, the rule never edits coordinates outside the window in the
     directions the kind controls, and the rule is injective on the
     sample.  Returns the number of representatives exercised; raises
-    ``InvariantViolation`` when a check fails.
+    ``InvariantViolation`` when a check fails, an image that leaves the
+    shift included.
     """
     if germ.kind not in KINDS:
         raise InvariantViolation(f"unknown germ kind {germ.kind!r}")
-    if germ.apply(germ.source) != germ.target:
+
+    def image(z):
+        try:
+            return germ.apply(z)
+        except NotInShift as exc:
+            raise InvariantViolation(str(exc)) from exc
+
+    if image(germ.source) != germ.target:
         raise InvariantViolation("the germ does not map its source to its target")
     samples = domain_samples(germ, budget)
     images = []
     for z in samples:
         if not germ.contains(z):
             continue
-        out = germ.apply(z)
+        out = image(z)
         images.append(out)
         bound = max(alignment_bound(z, out), abs(germ.window)) + 1
         if germ.kind in ("lc", "lcs"):

@@ -1,8 +1,9 @@
 """Integer-matrix fingerprints and the structured shift report.
 
-Smith normal form over the integers (exact, by elimination modulo a
-nonzero minor of full rank from one Bareiss pass, after Domich, Kannan
-& Trotter 1987), the Bowen-Franks data of a shift's minimal cover, and
+Smith normal form over the integers (exact: +-1 pivots are eliminated
+first on sparse rows, then what is left is reduced modulo a nonzero
+minor of full rank from one Bareiss pass, after Domich, Kannan & Trotter
+1987), the Bowen-Franks data of a shift's minimal cover, and
 the report that packages the synchronizing-structure facts of a shift:
 flags, the size of the non-synchronizing set, and the finite quotient
 dimension when that set is finite.
@@ -75,19 +76,20 @@ class IntMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("not square")
-        rank, minor = _bareiss(self)
+        rank, minor = _bareiss(self.entries, self.cols)
         return minor if rank == self.rows else 0
 
 
-def _bareiss(a):
+def _bareiss(entries, cols):
     """Fraction-free elimination with full pivoting: ``(rank, minor)``.
 
     ``minor`` is the last nonzero pivot, a signed rank x rank minor of
-    ``a``: the determinant when ``a`` is square and nonsingular, and 1
-    for the zero matrix.
+    the rows ``entries`` of length ``cols``: the determinant when the
+    matrix is square and nonsingular, and 1 for the zero matrix or one
+    without rows or columns.
     """
-    m = [list(r) for r in a.entries]
-    rows, cols = a.rows, a.cols
+    m = [list(r) for r in entries]
+    rows = len(m)
     sign = prev = 1
     for k in range(min(rows, cols)):
         pivot = next(((i, j) for i in range(k, rows) for j in range(k, cols)
@@ -120,23 +122,80 @@ class SmithForm:
     determinant: object
 
 
-def smith_normal_form(a):
-    """Smith normal form over the integers, computed modulo one minor.
+def _unit_pivots(a):
+    """Eliminates the +-1 pivots of ``a``: ``(units, sign, rest)``.
 
-    One Bareiss pass gives the rank r and a nonzero r x r minor; let g
-    be its absolute value.  Each nonzero d_i divides g, and
-    Z^n / (a Z^m + g Z^n) is the sum of the Z/gcd(d_i, g), so every
-    entry is reduced into [0, g) after each row or column operation.
-    The loop moves a least entry to the pivot, clears its row and
-    column by Euclidean steps and folds in a row the pivot does not
-    divide; then d_i = gcd(pivot_i, g) for i < r.  That these form a
-    chain whose product divides g, and equals g for square nonsingular
-    ``a``, is checked on every call.
+    A unit u at position (r, c) of what is left clears the rest of its
+    column by row operations; then its row and column are dropped.  Each
+    drop splits off a Smith factor 1 and multiplies the determinant by
+    u (-1)^(r+c), which ``sign`` collects.  One pass takes the rows in
+    order; in a row, the unit whose column has the fewest entries is
+    used, so fill-in stays low on sparse rows.  While every pivot is a
+    unit, the entries are minors of ``a`` up to sign and do not grow.
+    ``rest`` is what is left, dense, with its rows and columns in their
+    original order.
     """
-    rank, minor = _bareiss(a)
+    row = [{j: x for j, x in enumerate(r) if x} for r in a.entries]
+    col = [set() for _ in range(a.cols)]
+    for i, r in enumerate(row):
+        for j in r:
+            col[j].add(i)
+    live_rows, live_cols = (1 << a.rows) - 1, (1 << a.cols) - 1
+    units = 0
+    sign = 1
+    for r, top in enumerate(row):
+        pivots = [j for j, x in top.items() if x in (1, -1)]
+        if not pivots:
+            continue
+        c = min(pivots, key=lambda j: len(col[j]))
+        u = top[c]
+        for i in col[c] - {r}:
+            target = row[i]
+            f = target[c] * u
+            for j, y in top.items():
+                v = target.get(j, 0) - f * y
+                if v:
+                    target[j] = v
+                    col[j].add(i)
+                else:
+                    del target[j]
+                    col[j].discard(i)
+        for j in top:
+            col[j].discard(r)
+        row[r] = {}
+        position = ((live_rows & ((1 << r) - 1)).bit_count()
+                    + (live_cols & ((1 << c) - 1)).bit_count())
+        sign *= -u if position & 1 else u
+        live_rows &= ~(1 << r)
+        live_cols &= ~(1 << c)
+        units += 1
+    keep = [j for j in range(a.cols) if live_cols >> j & 1]
+    rest = [[row[i].get(j, 0) for j in keep] for i in range(a.rows) if live_rows >> i & 1]
+    return units, sign, rest
+
+
+def smith_normal_form(a):
+    """Smith normal form over the integers: unit pivots, then elimination
+    modulo one minor.
+
+    The +-1 pivots are eliminated first (``_unit_pivots``); each gives a
+    factor 1.  On I - A of a cover, which is sparse and mostly +-1, the
+    remainder b has a few rows at most.  On b one Bareiss pass gives the
+    rank r and a nonzero r x r minor; let g be its absolute value.  Each
+    nonzero d_i of b divides g, and Z^n / (b Z^m + g Z^n) is the sum of
+    the Z/gcd(d_i, g), so every entry is reduced into [0, g) after each
+    row or column operation.  The loop moves a least entry to the pivot,
+    clears its row and column by Euclidean steps and folds in a row the
+    pivot does not divide; then d_i = gcd(pivot_i, g) for i < r.  That
+    these form a chain whose product divides g, and equals g for a
+    square nonsingular b, is checked on every call.  The determinant of
+    a square ``a`` is the unit pivots' sign times that of b.
+    """
+    units, sign, m = _unit_pivots(a)
+    rows, cols = a.rows - units, a.cols - units
+    rank, minor = _bareiss(m, cols)
     g = abs(minor)
-    rows, cols = a.rows, a.cols
-    m = [[x % g for x in r] for r in a.entries]
+    m = [[x % g for x in r] for r in m]
 
     t = 0
     while t < rank:
@@ -182,8 +241,9 @@ def smith_normal_form(a):
     nonsingular = rows == cols == rank
     if g % prod(factors) or (nonsingular and prod(factors) != g):
         raise InvariantViolation(f"Smith factors {factors} do not match the minor {minor}")
-    det = None if rows != cols else minor if nonsingular else 0
-    return SmithForm(factors + (0,) * (min(rows, cols) - rank), rank, det)
+    det = None if rows != cols else sign * minor if nonsingular else 0
+    return SmithForm((1,) * units + factors + (0,) * (min(rows, cols) - rank),
+                     units + rank, det)
 
 
 def adjacency_matrix(p):

@@ -5,8 +5,9 @@ labels.  The shift it presents is the set of bi-infinite label sequences
 read along bi-infinite paths.  This module supplies the graph-level
 machinery: trimming to the essential part, structural flags
 (deterministic, irreducible, period, mixing), the subset automaton
-(determinization), follower-set reduction, language equality, and the
-minimal deterministic irreducible cover of an irreducible sofic shift.
+(determinization), language equality, and the minimal deterministic
+irreducible cover of an irreducible sofic shift (its Fischer cover, by
+follower-set reduction).
 
 Each presentation compiles once into a bitmask kernel: state sets are
 ``int`` masks (state ``states[i]`` is bit ``i``) stepped by per-label
@@ -14,11 +15,14 @@ successor masks.  On it sit the tail sets of an eventually periodic
 point at a cut -- the past set and the future set -- which decide
 membership and pin cover states, and one word search, ``words``, which
 grows words from a mask and cuts each branch whose mask empties.  Cover
-structure -- components, irreducibility, period and the terminal
-component -- reads one reachability closure of the same masks,
-``Presentation.reach``.  Trimming needs no closure: it peels states with
-no in-edge or no out-edge in time linear in the graph, and the subset
-automata peel their search graph before naming any state set.
+structure -- components, irreducibility and period -- reads one
+reachability closure of the same masks, ``Presentation.reach``.
+Trimming needs no closure: it peels states with no in-edge or no
+out-edge in time linear in the graph.  The subset automata and the
+minimal cover share one subset search, which peels its graph on the
+discovery indices before any state set is named; the minimal cover
+merges followers and finds the terminal component on those indices too,
+and names only the states of the cover.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -88,14 +92,6 @@ class Presentation:
             if len(labels) != len(set(labels)):
                 return False
         return True
-
-    @cached_property
-    def transitions(self):
-        """For deterministic presentations: ``{(state, label): target}``."""
-        table = {}
-        for (p, a, q) in self.edges:
-            table[(p, a)] = q
-        return table
 
     @cached_property
     def masks(self):
@@ -201,20 +197,14 @@ class Presentation:
         """``reach[i]`` is the mask of the states at the end of a non-empty
         path from ``states[i]``: Warshall's closure of the ``masks`` rows.
 
-        The graph structure below -- components, flags and
-        ``terminal_component`` -- all reads this one closure; ``trim``
-        does not.
+        The graph structure below -- components and flags -- all reads
+        this one closure; ``trim`` does not.
         """
-        reach = [0] * len(self.states)
-        for rows in self.masks.values():
-            for i, row in enumerate(rows):
-                reach[i] |= row
-        for k in range(len(reach)):
-            bit = 1 << k
-            for i, row in enumerate(reach):
-                if row & bit:
-                    reach[i] = row | reach[k]
-        return tuple(reach)
+        rows = [0] * len(self.states)
+        for label_rows in self.masks.values():
+            for i, row in enumerate(label_rows):
+                rows[i] |= row
+        return _closure(rows)
 
     @cached_property
     def sccs(self):
@@ -283,12 +273,26 @@ class Presentation:
 
 
 def _image(rows, mask):
-    # Union of the successor rows of ``mask``'s states.
+    # Union of the successor rows of ``mask``'s states, one set bit at a
+    # time: most masks met are sparse.
     image = 0
-    for i, row in enumerate(rows):
-        if mask >> i & 1:
-            image |= row
+    while mask:
+        low = mask & -mask
+        image |= rows[low.bit_length() - 1]
+        mask ^= low
     return image
+
+
+def _closure(rows):
+    # Warshall's closure of the successor masks ``rows``: entry i is the
+    # mask of the ends of the non-empty paths from i.
+    reach = list(rows)
+    for k in range(len(reach)):
+        bit = 1 << k
+        for i, row in enumerate(reach):
+            if row & bit:
+                reach[i] = row | reach[k]
+    return tuple(reach)
 
 
 def _read(kernel, mask, word):
@@ -343,25 +347,15 @@ def trim(p):
     are peeled off in linear time.
     """
     index = {q: i for i, q in enumerate(p.states)}
-    return _subgraph(p, _peel(len(p.states), [(index[q], index[r]) for (q, _, r) in p.edges]))
+    names = set(p.names(_peel(len(p.states), [(index[q], index[r]) for (q, _, r) in p.edges])))
+    return Presentation.build(names, [e for e in p.edges if e[0] in names and e[2] in names])
 
 
-def _subgraph(p, keep):
-    # The subgraph of ``p`` on the states of the mask ``keep``.
-    names = set(p.names(keep))
-    return Presentation.build(
-        names, [e for e in p.edges if e[0] in names and e[2] in names])
-
-
-def subset_automaton(p, least):
-    """The subset automaton of ``p`` on state sets of ``least`` or more
-    states.
-
-    Its states are the masks reachable from the full state set through
-    images of at least ``least`` states, each named by its members in
-    canonical order; the result is trimmed.  The search runs on the
-    masks' discovery indices, which are peeled before any mask is named.
-    """
+def _subset_search(p, least):
+    # The masks reachable from the full state set through images of at
+    # least ``least`` states, in discovery order, with their labeled arcs
+    # ``(i, a, j)`` between discovery indices and the mask of the indices
+    # ``_peel`` keeps.
     full = p.full_mask
     queue = [full] if full.bit_count() >= least else []
     index = {mask: i for i, mask in enumerate(queue)}
@@ -375,7 +369,19 @@ def subset_automaton(p, least):
                 index[nxt] = len(queue)
                 queue.append(nxt)
             arcs.append((i, a, index[nxt]))
-    keep = _peel(len(queue), [(i, j) for (i, _, j) in arcs])
+    return queue, arcs, _peel(len(queue), [(i, j) for (i, _, j) in arcs])
+
+
+def subset_automaton(p, least):
+    """The subset automaton of ``p`` on state sets of ``least`` or more
+    states.
+
+    Its states are the masks reachable from the full state set through
+    images of at least ``least`` states, each named by its members in
+    canonical order; the result is trimmed.  The search runs on the
+    masks' discovery indices, which are peeled before any mask is named.
+    """
+    queue, arcs, keep = _subset_search(p, least)
     name = {i: p.names(mask) for i, mask in enumerate(queue) if keep >> i & 1}
     return Presentation.build(
         name.values(), [(name[i], a, name[j]) for (i, a, j) in arcs if i in name and j in name])
@@ -391,67 +397,73 @@ def determinize(p):
     return subset_automaton(p, 1)
 
 
-def merge_followers(p):
-    """Merges follower-equivalent states of a deterministic presentation.
-
-    The classes come from Moore refinement against an implicit dead
-    state; a class of two or more states is named by the tuple of its
-    members in canonical order.
-    """
-    if not p.deterministic:
-        raise ValueError("merge_followers requires a deterministic presentation")
-    block = {q: 0 for q in p.states}
-    while True:
-        relabel = {}
-        new_block = {}
-        for q in p.states:
-            targets = (p.transitions.get((q, a)) for a in p.alphabet)
-            sig = (block[q],) + tuple(None if t is None else block[t] for t in targets)
-            new_block[q] = relabel.setdefault(sig, len(relabel))
-        if new_block == block:
-            break
-        block = new_block
-    classes = {}
-    for q in p.states:
-        classes.setdefault(block[q], []).append(q)
-    representative = {q: tuple(members) if len(members) > 1 else q
-                      for members in classes.values() for q in members}
-    return Presentation.build(
-        set(representative.values()),
-        {(representative[src], a, representative[dst]) for (src, a, dst) in p.edges},
-    )
-
-
-def terminal_component(p):
-    """The unique terminal SCC of ``p``: the one SCC closed under ``reach``.
-
-    Raises
-    ------
-    NotIrreducible
-        If the SCC condensation has no sink or more than one.
-    """
-    terminal = [c for c in p.sccs if _image(p.reach, c) | c == c]
-    if len(terminal) != 1:
-        raise NotIrreducible(f"{len(terminal)} terminal components; shift is not irreducible")
-    return _subgraph(p, terminal[0])
-
-
 def minimal_cover(p):
     """Minimal deterministic irreducible presentation of ``p``'s language.
 
-    Determinize, merge equal-follower states, then restrict to the unique
-    terminal strongly-connected component; the subset automaton is
-    trimmed, and so is its quotient.  For an irreducible sofic shift
-    this is its Fischer cover, unique up to state renaming.
+    The trimmed subset automaton, its states merged by follower set, then
+    restricted to the unique terminal strongly-connected component.  For
+    an irreducible sofic shift this is its Fischer cover (Lind & Marcus
+    §3.3), unique up to state renaming.  The work runs on the subset
+    search's discovery indices: Moore refinement on the peeled indices,
+    a reachability closure of the quotient, and one build naming only
+    the core.  A core class of one subset is named by its members, a
+    larger class by the tuple of its subsets' names in canonical order;
+    the classes are then renamed ``s0, s1, ...`` in that order.
+
     Raises ``NotIrreducible`` when the shift fails the construction's
-    sanity checks (multiple terminal components, or a terminal component
-    presenting a strictly smaller language).
+    sanity checks: more than one terminal component, or a core whose
+    language is smaller than that of the essential part of ``p`` (which
+    is the trimmed subset automaton's language).
     """
-    det = determinize(p)
-    core = terminal_component(merge_followers(det))
-    if not same_language(det, core):
+    queue, arcs, keep = _subset_search(p, 1)
+    kept = [i for i in range(len(queue)) if keep >> i & 1]
+    at = {i: k for k, i in enumerate(kept)}
+    n = len(kept)
+    # moves[k][x]: the target of the x-th label out of kept state k, or
+    # n, a dead state.
+    column = {a: x for x, a in enumerate(p.alphabet)}
+    moves = [[n] * len(column) for _ in kept]
+    for (i, a, j) in arcs:
+        if i in at and j in at:
+            moves[at[i]][column[a]] = at[j]
+    # Moore refinement; the dead state is block -1.
+    block = [0] * n + [-1]
+    count = 1
+    while True:
+        relabel = {}
+        block = [relabel.setdefault((block[k], *[block[j] for j in out]), len(relabel))
+                 for k, out in enumerate(moves)] + [-1]
+        if len(relabel) == count:
+            break
+        count = len(relabel)
+    classes = [[] for _ in range(count)]
+    for k in range(n):
+        classes[block[k]].append(k)
+    successors = [0] * count
+    for c, members in enumerate(classes):
+        for j in moves[members[0]]:
+            if j < n:
+                successors[c] |= 1 << block[j]
+    reach = _closure(successors)
+    # each terminal component is a closure row that all its members share
+    terminal = {row for row in set(reach)
+                if all(reach[c] == row for c in range(count) if row >> c & 1)}
+    if len(terminal) != 1:
+        raise NotIrreducible(f"{len(terminal)} terminal components; shift is not irreducible")
+    core = terminal.pop()
+
+    def class_name(members):
+        names = sorted((p.names(queue[kept[k]]) for k in members), key=_state_key)
+        return tuple(names) if len(names) > 1 else names[0]
+
+    names = {c: class_name(classes[c]) for c in range(count) if core >> c & 1}
+    rank = {c: f"s{r}" for r, c in enumerate(sorted(names, key=lambda c: _state_key(names[c])))}
+    cover = Presentation.build(rank.values(), [
+        (rank[c], a, rank[block[j]])
+        for c in rank for a, j in zip(p.alphabet, moves[classes[c][0]]) if j < n])
+    if not same_language(trim(p), cover):
         raise NotIrreducible("terminal component presents a proper sublanguage")
-    return core.renamed()
+    return cover
 
 
 def same_language(p1, p2):

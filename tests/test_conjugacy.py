@@ -2,13 +2,13 @@
 
 import pytest
 
-from synchrolab.conjugacy import (Germ, IdentityRule, compose_lcs_lcu,
+from synchrolab.conjugacy import (BlockRule, Germ, IdentityRule, compose_lcs_lcu,
                                   construct_germ, groupoid_sample,
                                   heteroclinic_bridge, identity_germ,
                                   rectangle_germs, ruelle_germ, sync_bridge,
                                   verify_germ)
 from synchrolab.errors import (InvariantViolation, NotConstructive, NotHomoclinic,
-                               NotInRectangle, NotSFT)
+                               NotInRectangle, NotInShift, NotSFT)
 from synchrolab.points import (BiSeq, decide_relation, enumerate_points,
                                point_in_shift, shift_by)
 from synchrolab.sync import classify_point
@@ -315,4 +315,14 @@ def test_verify_germ_raises_when_source_misses_target(golden_mean):
     target = BiSeq(("0",), ("1",), ("0",), 0)
     germ = Germ(golden_mean, "lc", ZEROS, target, -2, 2, IdentityRule())
     with pytest.raises(InvariantViolation):
+        verify_germ(germ)
+
+
+def test_verify_germ_reports_an_image_outside_the_shift(golden_mean):
+    # the rule writes the forbidden word 11, so ``Germ.apply`` raises
+    # ``NotInShift``; ``verify_germ`` reports a failed check instead
+    germ = Germ(golden_mean, "lc", ZEROS, ZEROS, -2, 2, BlockRule(5, ("1", "1")))
+    with pytest.raises(NotInShift):
+        germ.apply(ZEROS)
+    with pytest.raises(InvariantViolation, match="leaves the shift"):
         verify_germ(germ)

@@ -5,13 +5,13 @@ word lists and the minimal cover against their old state-name versions.
 extend words by one mask BFS, ``nonsync_subshift`` decides finiteness by
 counting edges and reads one cycle per state, ``enumerate_words`` lists
 words with ``Presentation.words`` and ``minimal_cover`` merges followers
-in one step and trims once.  ``membership_reference`` keeps the walks
-they replace -- a state BFS over out-edge lists, a subset BFS that tests
-each set when it leaves the queue, a frontier word loop, a walk of each
-cycle read at every phase, and a separate follower partition followed by
-a trim -- all on frozensets.  The shifts are the builtin specs, even x
-golden, and seeded random presentations with at most 5 states and 3
-symbols, their alphabets declared in a seeded order.
+on the peeled indices of the subset search.  ``membership_reference``
+keeps the walks they replace -- a state BFS over out-edge lists, a
+subset BFS that tests each set when it leaves the queue, a frontier word
+loop, a walk of each cycle read at every phase, and a separate follower
+partition followed by a trim -- all on frozensets.  The shifts are the
+builtin specs, even x golden, and seeded random presentations with at
+most 5 states and 3 symbols, their alphabets declared in a seeded order.
 """
 
 import random

@@ -6,7 +6,7 @@ from math import gcd, prod
 
 import pytest
 
-from synchrolab.invariants import (IntMatrix, adjacency_matrix, bowen_franks,
+from synchrolab.invariants import (IntMatrix, _unit_pivots, adjacency_matrix, bowen_franks,
                                    exact_sequence_report, smith_normal_form)
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sofic, fischer_cover
@@ -289,3 +289,90 @@ def test_exact_sequence_report_oracle(ray_oracle):
     report = exact_sequence_report(ray_oracle)
     assert report.m == "unknown"
     assert report.quotient is None
+
+
+def _assert_matches_reference(a):
+    form = smith_normal_form(a)
+    assert (form.diagonal, form.rank, form.determinant) == reference_smith_form(a), a
+    return form
+
+
+def _mixed(rng, m):
+    """``m`` with its rows and columns permuted and some rows negated, a
+    unimodular change that keeps the Smith form."""
+    order = rng.sample(range(len(m[0])), len(m[0]))
+    signs = [rng.choice((1, -1)) for _ in m]
+    return [[u * r[j] for j in order] for u, r in zip(signs, rng.sample(m, len(m)))]
+
+
+def test_smith_without_unit_entries_matches_reference():
+    # no entry is +-1, so there is no unit pivot and the modular
+    # elimination runs on the whole matrix
+    rng = random.Random(11)
+    for _ in range(200):
+        m = [[rng.choice((0, 0, 2, -2, 3, -3, 4, 6)) for _ in range(rng.randint(1, 5))]]
+        m += [[rng.choice((0, 0, 2, -2, 3, -3, 4, 6)) for _ in m[0]]
+              for _ in range(rng.randint(0, 4))]
+        a = IntMatrix.from_rows(m)
+        assert _unit_pivots(a) == (0, 1, m)
+        _assert_matches_reference(a)
+
+
+def test_smith_with_a_remainder_without_rows_or_columns():
+    # k rows [I | B] with e1 columns in B, then e2 integer combinations of
+    # them: unit elimination consumes the k rows and leaves an e2 x e1
+    # zero block -- no rows when e2 = 0, no columns when e1 = 0, a square
+    # singular block when e1 = e2 > 0, and nothing when both are 0
+    rng = random.Random(12)
+    shapes = set()
+    for _ in range(300):
+        k, e1, e2 = rng.randint(1, 4), rng.randint(0, 3), rng.randint(0, 3)
+        base = [[int(i == j) for j in range(k)] + [rng.randint(-3, 3) for _ in range(e1)]
+                for i in range(k)]
+        combos = [[sum(c * x for c, x in zip(q, col)) for col in zip(*base)]
+                  for q in ([rng.randint(-2, 2) for _ in base] for _ in range(e2))]
+        a = IntMatrix.from_rows(_mixed(rng, base + combos))
+        units, _, rest = _unit_pivots(a)
+        assert units == k and len(rest) == e2 and all(r == [0] * e1 for r in rest)
+        form = _assert_matches_reference(a)
+        assert form.rank == k
+        shapes.add((e1 == 0, e2 == 0, e1 == e2))
+    assert len(shapes) == 5
+
+
+def test_smith_of_fully_reduced_square_matrices():
+    # unimodular matrices from elementary row operations on a signed
+    # permutation; when unit elimination consumes every row, the
+    # determinant is the tracked sign alone
+    rng = random.Random(13)
+    reduced = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = _mixed(rng, [[int(i == j) for j in range(n)] for i in range(n)])
+        for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            f = rng.choice((1, -1, 2, -2))
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+        a = IntMatrix.from_rows(m)
+        units, sign, rest = _unit_pivots(a)
+        form = _assert_matches_reference(a)
+        assert abs(form.determinant) == 1 and form.diagonal == (1,) * n
+        if units == n:
+            assert rest == [] and form.determinant == sign == fraction_determinant(m)
+            reduced += 1
+    assert reduced >= 250
+
+
+def test_smith_of_i_minus_a_on_random_covers():
+    # a cycle through every state keeps each input irreducible
+    rng = random.Random(14)
+    for _ in range(150):
+        k = rng.randint(3, 7)
+        symbols = "abc"[:rng.randint(2, 3)]
+        states = list(range(k))
+        edges = {(q, rng.choice(symbols), (q + 1) % k) for q in states}
+        edges |= {(rng.choice(states), rng.choice(symbols), rng.choice(states))
+                  for _ in range(rng.randint(1, k))}
+        s = build_sofic(Alphabet(tuple(symbols)), Presentation.build(states, edges))
+        i_minus_a = adjacency_matrix(fischer_cover(s)).sub_from_identity()
+        _assert_matches_reference(i_minus_a)

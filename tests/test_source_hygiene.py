@@ -1,12 +1,15 @@
 """Source hygiene of the library, checked by an AST scan.
 
 Every name a module of ``src/synchrolab`` imports is used in that module
-(``__init__`` is exempt: its imports are the public re-exports), and
-every module-level private function or class is referenced somewhere in
-``src/`` outside its own definition, so no dead helper is left behind.
+(``__init__`` is exempt: its imports are the public re-exports), every
+module-level private function or class is referenced somewhere in
+``src/`` outside its own definition, and every public module-level
+function is either called in ``src/`` or re-exported from ``__init__``,
+so no dead helper is left behind.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "synchrolab"
@@ -48,19 +51,23 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def _unreferenced(modules, wanted):
+    """``module:line name`` of each module-level definition ``wanted``
+    selects that no other top-level statement of ``modules`` references."""
+    references = {id(top): _references(top) for tree in modules.values() for top in tree.body}
+    statements = Counter(name for names in references.values() for name in names)
+    return [f"{name}:{stmt.lineno} {stmt.name}"
+            for name, tree in modules.items() for stmt in tree.body
+            if wanted(stmt) and statements[stmt.name] == (stmt.name in references[id(stmt)])]
+
+
 def test_every_private_definition_is_referenced():
-    modules = _modules()
-    unreferenced = []
-    for name, tree in modules.items():
-        for stmt in tree.body:
-            if not (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
-                continue
-            elsewhere = set()
-            for other_name, other in modules.items():
-                for top in other.body:
-                    if top is not stmt:
-                        elsewhere |= _references(top)
-            if stmt.name not in elsewhere:
-                unreferenced.append(f"{name}:{stmt.lineno} {stmt.name}")
-    assert unreferenced == []
+    assert _unreferenced(_modules(), lambda stmt: (
+        isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__"))) == []
+
+
+def test_every_public_function_is_called_or_exported():
+    # ``__init__``'s imports are the re-exports, and count as references
+    assert _unreferenced(_modules(), lambda stmt: (
+        isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"))) == []

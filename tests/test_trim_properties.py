@@ -1,5 +1,6 @@
-"""Property tests of trimming, the subset automata and the canonical edge
-order on generated labeled graphs, against the set-based references."""
+"""Property tests of trimming, the subset automata, the minimal cover and
+the canonical edge order on generated labeled graphs, against the
+set-based references."""
 
 import pytest
 
@@ -8,9 +9,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synchrolab.presentation import Presentation, subset_automaton, trim
+from synchrolab.errors import NotIrreducible
+from synchrolab.presentation import Presentation, minimal_cover, subset_automaton, trim
 
-from membership_reference import _canonical_key, reference_subset_automaton, reference_trim
+from membership_reference import (_canonical_key, reference_minimal_cover,
+                                  reference_subset_automaton, reference_trim)
 
 LABELS = ("a", "b", "c")
 
@@ -53,6 +56,19 @@ def test_subset_automata_match_reference(graph):
     p = Presentation.build(*graph)
     for least in (1, 2):
         assert subset_automaton(p, least) == reference_subset_automaton(p, least)
+
+
+@PROPERTY
+@given(labeled_graphs())
+def test_minimal_cover_matches_reference(graph):
+    # the reference returns None where the library raises NotIrreducible
+    p = Presentation.build(*graph)
+    expected = reference_minimal_cover(p)
+    if expected is None:
+        with pytest.raises(NotIrreducible):
+            minimal_cover(p)
+    else:
+        assert minimal_cover(p) == expected
 
 
 @PROPERTY
