@@ -16,9 +16,9 @@ from synchrolab.factor import (CoverMap, almost_one_to_one_check, degree_bound,
                                preimage_count, resolving_check)
 from synchrolab.invariants import (IntMatrix, SmithForm, bowen_franks,
                                    exact_sequence_report, smith_normal_form)
-from synchrolab.periodic import (PeriodicSet, enumerate_periodic,
+from synchrolab.periodic import (PeriodicSet, count_periodic, enumerate_periodic,
                                  find_periodic_by_bracket, find_return,
-                                 periodic_density_check)
+                                 periodic_density_check, zeta)
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, Dyadic, bracket,
                                decide_relation, distance, point_in_shift, shift_by,
                                splice, try_bracket)

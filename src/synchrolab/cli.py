@@ -89,12 +89,21 @@ def cmd_sync_words(args, spec):
 
 
 def cmd_periodic(args, spec):
-    ps = periodic.enumerate_periodic(spec.shift, args.n)
-    report = {"command": "periodic", "spec": spec.name, "n": args.n,
-              "count": ps.count}
-    if not args.count_only:
+    report = {"command": "periodic", "spec": spec.name, "n": args.n}
+    if args.count_only:
+        report["count"] = periodic.count_periodic(spec.shift, args.n)
+    else:
+        ps = periodic.enumerate_periodic(spec.shift, args.n)
+        report["count"] = ps.count
         report["points"] = [str(p) for p in ps.points]
     return report, 0
+
+
+def cmd_zeta(args, spec):
+    numerator, denominator, counts = periodic.zeta(spec.shift, args.n)
+    return {"command": "zeta", "spec": spec.name, "n": args.n,
+            "numerator": list(numerator), "denominator": list(denominator),
+            "counts": list(counts)}, 0
 
 
 def cmd_find_periodic(args, spec):
@@ -206,6 +215,7 @@ HANDLERS = {
     "words": cmd_words,
     "sync-words": cmd_sync_words,
     "periodic": cmd_periodic,
+    "zeta": cmd_zeta,
     "find-periodic": cmd_find_periodic,
     "classify": cmd_classify,
     "nonsync": cmd_nonsync,
@@ -239,6 +249,8 @@ def build_parser():
     p = add("periodic", help="points of period n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
+    add("zeta", help="zeta function coefficients and periodic point counts").add_argument(
+        "--n", type=int, required=True)
     p = add("find-periodic", help="bracket-iteration periodic point search")
     p.add_argument("--point", required=True)
     p.add_argument("--window", type=int, default=2)

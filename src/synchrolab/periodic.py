@@ -1,12 +1,18 @@
-"""Periodic points: exact enumeration and the bracket-iteration search.
+"""Periodic points: exact counts, enumeration, and the bracket-iteration search.
 
-Besides enumerating all points of period n, this module implements the
-constructive recursion that produces a periodic point near any
-synchronizing point: starting from a non-wandering return ``y`` close
-to the base point, iterate ``z <- [shift^-n(z), shift^n(z)]``.  In the
-symbolic setting the agreement window grows by exactly n per step, so
-the limit is detected exactly as stabilization against a periodization
-of the current iterate.
+The counts p_n of points fixed by the n-th power of the shift are read
+off a right-resolving presentation, with no word enumerated: ``zeta``
+gives the zeta function as a quotient of two integer polynomials and
+every p_n up to a given n, and ``count_periodic`` reads one count from
+it, enumerating only past the kernel's size limits.  ``enumerate_periodic``
+lists the points themselves.
+
+This module also implements the constructive recursion that produces a
+periodic point near any synchronizing point: starting from a
+non-wandering return ``y`` close to the base point, iterate
+``z <- [shift^-n(z), shift^n(z)]``.  In the symbolic setting the
+agreement window grows by exactly n per step, so the limit is detected
+exactly as stabilization against a periodization of the current iterate.
 """
 
 from dataclasses import dataclass
@@ -16,6 +22,7 @@ from synchrolab.errors import (BracketUndefined, InvariantViolation, NoConvergen
                                NotAgreeing, NotInShift, NotSynchronizing,
                                SearchExhausted, Unverified)
 from synchrolab.points import BiSeq, agree_on, bracket, distance, point_in_shift, shift_by
+from synchrolab.presentation import _subset_search, determinize
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 from synchrolab.sync import (close_orbit_through, oracle_density_entry,
                              central_word_synchronizes, classify_point)
@@ -33,17 +40,32 @@ class PeriodicSet:
         return len(self.points)
 
 
+# The count kernel's size limits: the most candidate subsets it takes,
+# and the most in one strongly connected block of the signed graph,
+# whose Berkowitz pass grows with the cube of the block.  Of the covers
+# in ``bench/cliffs.py``, the 48-state one (5,442 candidates, blocks up
+# to 116) counts in about half a second; the 86-state one (58,735)
+# falls back to enumeration.
+_CANDIDATE_LIMIT = 8192
+_BLOCK_LIMIT = 160
+
+
+def _check_period(s, n):
+    if n < 1:
+        raise ValueError("period must be >= 1")
+    if isinstance(s, OracleShift):
+        raise Unverified("an oracle shift cannot decide its periodic points")
+
+
 def enumerate_periodic(s, n):
     """All points of the shift fixed by ``shift^n``.
 
     A candidate is ``w`` repeated bi-infinitely for each word ``w`` of
     length n; membership of the periodization is decided exactly on the
-    presentation.  Distinct canonical points are returned.
+    presentation.  Distinct canonical points are returned.  This tries
+    all |A|^n words; ``count_periodic`` counts the points without them.
     """
-    if n < 1:
-        raise ValueError("period must be >= 1")
-    if isinstance(s, OracleShift):
-        raise Unverified("an oracle shift cannot decide its periodic points")
+    _check_period(s, n)
     points = set()
     for w in iproduct(s.alphabet.symbols, repeat=n):
         candidate = BiSeq.periodic(w)
@@ -54,6 +76,152 @@ def enumerate_periodic(s, n):
                 points.add(BiSeq.periodic(w, phase))
     ordered = tuple(sorted(points, key=lambda p: (p.description_size(), str(p))))
     return PeriodicSet(n, ordered)
+
+
+def zeta(s, n):
+    """The zeta function of the shift and its periodic point counts.
+
+    Returns ``(numerator, denominator, counts)``: ζ(t) = exp(Σ p_m t^m / m)
+    is numerator(t) / denominator(t), unreduced, in rising powers of t,
+    and ``counts`` is (p_1, ..., p_n).  On a right-resolving presentation
+    (the shift's own if deterministic, else its determinization),
+    ζ = Π_k det(I - tA_k)^((-1)^k), where label a adds to A_k, from the
+    k-subset P to Q, the sign of the permutation it induces when it maps
+    P one-to-one onto Q (Lind & Marcus §6.4).  A subset on a cycle of
+    A_k lies in a mask the subset search keeps, so only their submasks
+    are candidates.  Each strongly connected block B of the signed graph
+    gives det(I - tB) by Berkowitz's division-free algorithm, and
+    Newton's identities give the counts, with no matrix power.
+
+    Raises ``SearchExhausted`` past ``_CANDIDATE_LIMIT`` candidates,
+    counted before any is built, or ``_BLOCK_LIMIT`` subsets in a block.
+    """
+    _check_period(s, n)
+    g = s.presentation
+    if not g.deterministic:
+        g = determinize(g)
+    queue, _, keep = _subset_search(g, 1)
+    kept = [mask for i, mask in enumerate(queue) if keep >> i & 1]
+    total = sum((1 << mask.bit_count()) - 1 for mask in kept)
+    if total > _CANDIDATE_LIMIT:
+        raise SearchExhausted(f"{total} candidate subsets exceed the limit of {_CANDIDATE_LIMIT}")
+    candidates = set()
+    for mask in kept:
+        sub = mask
+        while sub:
+            candidates.add(sub)
+            sub = (sub - 1) & mask
+    arcs = {}
+    for subset in sorted(candidates):
+        arcs[subset] = row = {}
+        members = [i for i in range(subset.bit_length()) if subset >> i & 1]
+        for rows in g.masks.values():
+            # each image is at most one state, as g is deterministic
+            images = [rows[i] for i in members]
+            image = sum(images)
+            if image.bit_count() == len(images) and image in candidates:
+                swaps = sum(x > y for i, x in enumerate(images) for y in images[i + 1:])
+                row[image] = row.get(image, 0) + (-1) ** swaps
+    numerator, denominator = [1], [1]
+    for block in _blocks(arcs):
+        if len(block) > _BLOCK_LIMIT:
+            raise SearchExhausted(
+                f"a block of {len(block)} subsets exceeds the limit of {_BLOCK_LIMIT}")
+        at = {subset: k for k, subset in enumerate(block)}
+        poly = _det_one_minus([{at[q]: w for q, w in arcs[p].items() if q in at}
+                               for p in block])
+        if block[0].bit_count() % 2:
+            denominator = _times(denominator, poly)
+        else:
+            numerator = _times(numerator, poly)
+    counts = tuple(a - b for a, b in zip(_power_sums(denominator, n),
+                                         _power_sums(numerator, n)))
+    return tuple(numerator), tuple(denominator), counts
+
+
+def count_periodic(s, n):
+    """|Fix(shift^n)|, read from ``zeta``; past the kernel's limits it
+    is the length of ``enumerate_periodic``, which is exact too."""
+    try:
+        return zeta(s, n)[2][-1]
+    except SearchExhausted:
+        return len(enumerate_periodic(s, n).points)
+
+
+def _blocks(arcs):
+    # The strongly connected blocks of the graph ``arcs`` ({node: {node:
+    # weight}}), by Tarjan's algorithm run on an explicit stack.  A node
+    # of a finished block gets a low link past every index, so later arcs
+    # into it change nothing.
+    index, low, stack, blocks = {}, {}, [], []
+    for root in arcs:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(arcs[root]))]
+        while work:
+            v, out = work[-1]
+            for w in out:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(arcs[w])))
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    block = [stack.pop()]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    low.update(dict.fromkeys(block, len(arcs)))
+                    blocks.append(block)
+    return blocks
+
+
+def _det_one_minus(rows):
+    # det(I - tB) in rising powers of t, for B given by sparse ``rows``
+    # ({column: entry}): the coefficients of det(tI - B) from the top,
+    # which Berkowitz's algorithm builds one leading principal submatrix
+    # at a time by a Toeplitz product, with no division.
+    poly = [1]
+    for q, row in enumerate(rows):
+        inner = [(i, j, w) for i, r in enumerate(rows[:q]) for j, w in r.items() if j < q]
+        last = [(j, w) for j, w in row.items() if j < q]
+        column = [r.get(q, 0) for r in rows[:q]]
+        toeplitz = [1, -row.get(q, 0)]
+        for _ in range(q):
+            toeplitz.append(-sum(w * column[j] for j, w in last))
+            image = [0] * q
+            for i, j, w in inner:
+                image[i] += w * column[j]
+            column = image
+        poly = [sum(toeplitz[j - i] * poly[i] for i in range(max(0, j - q - 1), min(j, q) + 1))
+                for j in range(q + 2)]
+    while poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _power_sums(poly, n):
+    # Σ λ^m for m = 1..n over the reciprocal roots λ of ``poly`` (rising
+    # powers, constant term 1), by Newton's identities.
+    sums = []
+    for m in range(1, n + 1):
+        top = -m * poly[m] if m < len(poly) else 0
+        sums.append(top - sum(poly[i] * sums[m - 1 - i] for i in range(1, min(m, len(poly)))))
+    return sums
 
 
 def periodic_density_check(s, L):

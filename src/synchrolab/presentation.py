@@ -262,15 +262,6 @@ class Presentation:
     def mixing(self):
         return self.irreducible and self.period == 1
 
-    def renamed(self, mapping=None):
-        """Canonically renames states to ``s0, s1, ...`` (sorted order)."""
-        if mapping is None:
-            mapping = {q: f"s{i}" for i, q in enumerate(self.states)}
-        return Presentation.build(
-            [mapping[q] for q in self.states],
-            [(mapping[p], a, mapping[q]) for (p, a, q) in self.edges],
-        )
-
 
 def _image(rows, mask):
     # Union of the successor rows of ``mask``'s states, one set bit at a

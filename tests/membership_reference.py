@@ -638,4 +638,13 @@ def reference_minimal_cover(g):
     core = reference_graph_structure(reference_trim(merged))[1]
     if core is None or distinguishing_word(det, core) is not None:
         return None
-    return core.renamed()
+    return renamed(core)
+
+
+def renamed(p, mapping=None):
+    """``p`` with its states renamed by ``mapping``, by default
+    canonically to ``s0, s1, ...`` in sorted order."""
+    if mapping is None:
+        mapping = {q: f"s{i}" for i, q in enumerate(p.states)}
+    return Presentation.build([mapping[q] for q in p.states],
+                              [(mapping[u], a, mapping[v]) for (u, a, v) in p.edges])

@@ -12,7 +12,7 @@ from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sofic, fischer_cover
 from synchrolab.sync import nonsync_subshift
 from membership_reference import (fraction_determinant, reference_smith_form,
-                                  reference_subset_automaton)
+                                  reference_subset_automaton, renamed)
 
 
 def brute_force_cokernel(a):
@@ -243,9 +243,9 @@ def test_bowen_franks_examples(golden_mean, full_two, period_two):
 
 def test_bowen_franks_invariant_under_state_reordering(even_shift):
     cover = fischer_cover(even_shift)
-    renamed = cover.renamed({q: name for q, name in zip(cover.states, ["zz", "aa"])})
+    other = renamed(cover, {q: name for q, name in zip(cover.states, ["zz", "aa"])})
     a1 = adjacency_matrix(cover)
-    a2 = adjacency_matrix(renamed)
+    a2 = adjacency_matrix(other)
     f1 = smith_normal_form(a1.sub_from_identity()).diagonal
     f2 = smith_normal_form(a2.sub_from_identity()).diagonal
     assert f1 == f2

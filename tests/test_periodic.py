@@ -2,10 +2,12 @@
 
 import pytest
 
-from synchrolab.errors import NotSynchronizing
+from synchrolab import periodic
+from synchrolab.cli import main
+from synchrolab.errors import NotSynchronizing, SearchExhausted
 from synchrolab.invariants import IntMatrix
-from synchrolab.periodic import (enumerate_periodic, find_periodic_by_bracket,
-                                 find_return, minimal_period, periodic_density_check)
+from synchrolab.periodic import (count_periodic, enumerate_periodic, find_periodic_by_bracket,
+                                 find_return, minimal_period, periodic_density_check, zeta)
 from synchrolab.points import BiSeq, distance, point_in_shift, shift_by
 from synchrolab.shift import fischer_cover
 
@@ -86,6 +88,83 @@ def test_trace_agreement_up_to_eight(golden_mean, even_times_golden, full_two):
         a = adjacency(fischer_cover(s))
         for n in range(1, 9):
             assert enumerate_periodic(s, n).count == a.power(n).trace()
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_count_matches_trace_up_to_thirty(golden_mean, full_two):
+    # trace(A^n) of the SFT's edge-shift cover stays the independent oracle
+    for s in (golden_mean, full_two):
+        a = adjacency(fischer_cover(s))
+        for n in range(1, 31):
+            assert count_periodic(s, n) == a.power(n).trace()
+
+
+def test_golden_mean_counts_are_lucas_numbers(golden_mean):
+    numerator, denominator, counts = zeta(golden_mean, 500)
+    assert (numerator, denominator) == ((1,), (1, -1, -1))
+    assert counts == tuple(lucas(n) for n in range(1, 501))
+    assert count_periodic(golden_mean, 500) == lucas(500)
+
+
+def series_quotient(f, g, n):
+    """The first ``n`` coefficients of the power series f/g, g(0) = 1."""
+    out = []
+    for m in range(n):
+        top = f[m] if m < len(f) else 0
+        out.append(top - sum(g[i] * out[m - i] for i in range(1, min(m, len(g) - 1) + 1)))
+    return out
+
+
+def counts_from_zeta(numerator, denominator, n):
+    """p_1 .. p_n as the coefficients of t ζ'/ζ = t (N'/N - D'/D)."""
+    def log_derivative(poly):
+        derivative = [i * c for i, c in enumerate(poly)][1:] or [0]
+        return series_quotient(derivative, poly, n)
+    num, den = log_derivative(numerator), log_derivative(denominator)
+    return tuple(a - b for a, b in zip(num, den))
+
+
+def test_counts_read_back_from_zeta_coefficients(golden_mean, even_shift, full_two,
+                                                 period_two, even_times_golden):
+    for s in (golden_mean, even_shift, full_two, period_two, even_times_golden):
+        numerator, denominator, counts = zeta(s, 7)
+        assert numerator[0] == denominator[0] == 1
+        assert counts_from_zeta(numerator, denominator, 7) == counts
+        assert counts == tuple(enumerate_periodic(s, n).count for n in range(1, 8))
+
+
+def test_count_falls_back_past_the_limits(monkeypatch, even_shift, even_times_golden):
+    expected = {s: [count_periodic(s, n) for n in range(1, 7)]
+                for s in (even_shift, even_times_golden)}
+    for limit in ("_CANDIDATE_LIMIT", "_BLOCK_LIMIT"):
+        with monkeypatch.context() as m:
+            m.setattr(periodic, limit, 0)
+            with pytest.raises(SearchExhausted, match="exceed.* the limit of 0"):
+                zeta(even_shift, 3)
+            calls = []
+            m.setattr(periodic, "enumerate_periodic",
+                      lambda s, n: calls.append(n) or enumerate_periodic(s, n))
+            for s, counts in expected.items():
+                assert [count_periodic(s, n) for n in range(1, 7)] == counts
+            assert calls == list(range(1, 7)) * 2
+
+
+def test_cli_count_only_reads_the_kernel(capsys):
+    # enumerating the 2^200 words would never finish
+    assert main(["periodic", "goldenmean", "--n", "200", "--count-only"]) == 0
+    assert f"count: {lucas(200)}\n" in capsys.readouterr().out
+
+
+def test_period_below_one_is_rejected(golden_mean):
+    for call in (enumerate_periodic, count_periodic, zeta):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            call(golden_mean, 0)
 
 
 def test_periodic_density(even_shift, golden_mean, full_two):

@@ -6,6 +6,7 @@ import pytest
 
 from synchrolab.cli import HANDLERS, main
 from synchrolab.errors import ParseError, SemanticError
+from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq
 from synchrolab.shift import SFT, OracleShift, Sofic, fischer_cover
 from synchrolab.specfile import (BUILTIN_SPECS, emit_spec, load_spec, parse_point,
@@ -239,6 +240,8 @@ def test_cli_bound_below_one_exit_2(capsys, argv, bound):
     ["periodic", "nonsofic-ray", "--n", "2"],
     ["periodic", "context-free", "--n", "3"],
     ["periodic", "nonsofic-ray", "--n", "2", "--count-only"],
+    ["zeta", "nonsofic-ray", "--n", "2"],
+    ["zeta", "context-free", "--n", "2"],
     ["groupoid", "nonsofic-ray"],
     ["sync-words", "nonsofic-ray"],
     ["sync-words", "context-free"],
@@ -264,6 +267,7 @@ def _minimal_argvs(spec, point):
         "words": [["--maxlen", "2"]],
         "sync-words": [["--maxlen", "2"]],
         "periodic": [["--n", "2"], ["--n", "2", "--count-only"]],
+        "zeta": [["--n", "2"]],
         "find-periodic": [["--point", point],
                           ["--point", point, "--return-point", point, "--n", "1"]],
         "classify": [["--point", point]],
@@ -341,6 +345,36 @@ def test_cli_factor_degree_point(capsys):
     assert status == 0
     assert "M: 2" in out
     assert "preimage_count: 2" in out
+
+
+def test_cli_zeta(capsys):
+    status, out = run_cli(capsys, "zeta", "even.shift", "--n", "4", "--format", "json")
+    assert status == 0
+    assert json.loads(out) == {"command": "zeta", "spec": "even", "n": 4,
+                               "numerator": [1, 1], "denominator": [1, -1, -1],
+                               "counts": [2, 2, 5, 6]}
+    status, out = run_cli(capsys, "zeta", "goldenmean.shift", "--n", "3")
+    assert status == 0
+    assert out == ("== zeta ==\ncounts:\n  1\n  3\n  4\ndenominator:\n  1\n  -1\n  -1\n"
+                   "n: 3\nnumerator:\n  1\nspec: goldenmean\n")
+
+
+def test_cli_zeta_past_the_limit_is_search_exhausted(capsys, tmp_path):
+    # the determinized cover keeps masks of up to 31 states: 2^31 candidates
+    edges = ("s0 b s1, s0 b s2, s0 b s4, s1 a s1, s1 a s2, s2 a s8, s2 b s3, s3 a s4, "
+             "s4 a s5, s4 b s5, s5 b s6, s5 b s7, s6 a s7, s7 a s3, s7 b s8, s8 a s0, s8 b s0")
+    path = tmp_path / "wide.shift"
+    path.write_text("alphabet: a b\ntype: sofic\n"
+                    + "".join(f"state: s{i}\n" for i in range(9))
+                    + "".join(f"edge: {e}\n" for e in edges.split(", ")))
+    assert main(["zeta", str(path), "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "SearchExhausted: 2150799008 candidate subsets exceed the limit of 8192\n"
+    # --count-only falls back to the enumerator
+    assert main(["periodic", str(path), "--n", "3", "--count-only"]) == 0
+    count = enumerate_periodic(load_spec(str(path)).shift, 3).count
+    assert f"count: {count}\n" in capsys.readouterr().out
 
 
 def test_cli_product(capsys):

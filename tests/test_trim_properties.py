@@ -1,6 +1,6 @@
-"""Property tests of trimming, the subset automata, the minimal cover and
-the canonical edge order on generated labeled graphs, against the
-set-based references."""
+"""Property tests of trimming, the subset automata, the minimal cover,
+the canonical edge order and the periodic point count on generated
+labeled graphs, against the set-based references and the enumerator."""
 
 import pytest
 
@@ -9,8 +9,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synchrolab.errors import NotIrreducible
+from synchrolab.errors import EmptyShift, NotIrreducible
+from synchrolab.periodic import count_periodic, enumerate_periodic
 from synchrolab.presentation import Presentation, minimal_cover, subset_automaton, trim
+from synchrolab.shift import Alphabet, build_sofic
 
 from membership_reference import (_canonical_key, reference_minimal_cover,
                                   reference_subset_automaton, reference_trim)
@@ -78,3 +80,16 @@ def test_build_orders_edges_by_state_key(graph):
     expected = sorted(set(edges), key=lambda e: (_canonical_key(e[0]), str(e[1]),
                                                  _canonical_key(e[2])))
     assert Presentation.build(states, edges).edges == tuple(expected)
+
+
+@PROPERTY
+@given(labeled_graphs())
+def test_periodic_count_matches_enumeration(graph):
+    # reducible, non-deterministic graphs included; the count reads a
+    # determinization, the enumerator decides every word of length n
+    try:
+        s = build_sofic(Alphabet(LABELS), Presentation.build(*graph))
+    except EmptyShift:
+        return
+    for n in range(1, 7):
+        assert count_periodic(s, n) == enumerate_periodic(s, n).count
