@@ -65,7 +65,8 @@ def cmd_info(args, spec):
         "flags": shift_flags(s),
         "points": {name: str(p) for name, p in spec.points.items()},
     }
-    if isinstance(s, (SFT, Sofic)):
+    # only an irreducible shift has a Fischer cover
+    if isinstance(s, (SFT, Sofic)) and report["flags"]["irreducible"]:
         cover = fischer_cover(s)
         report["cover_states"] = len(cover.states)
         report["cover_edges"] = [f"{u} -{a}-> {v}" for (u, a, v) in cover.edges]

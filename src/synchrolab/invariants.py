@@ -262,12 +262,14 @@ def bowen_franks(s):
     the factors are the Smith diagonal entries different from 1 (0
     denotes a free summand).
     """
-    a = adjacency_matrix(fischer_cover(s))
-    ia = a.sub_from_identity()
-    form = smith_normal_form(ia)
+    cover = fischer_cover(s)
+    index = {q: i for i, q in enumerate(cover.states)}
+    rows = [[int(i == j) for j in index.values()] for i in index.values()]
+    for (u, _, v) in cover.edges:
+        rows[index[u]][index[v]] -= 1
+    form = smith_normal_form(IntMatrix(len(rows), len(rows), tuple(map(tuple, rows))))
     factors = tuple(d for d in form.diagonal if d != 1)
-    det = form.determinant
-    sign = 0 if det == 0 else (1 if det > 0 else -1)
+    sign = (form.determinant > 0) - (form.determinant < 0)
     return {"invariant_factors": factors, "det_sign": sign}
 
 

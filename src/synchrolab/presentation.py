@@ -5,9 +5,9 @@ labels.  The shift it presents is the set of bi-infinite label sequences
 read along bi-infinite paths.  This module supplies the graph-level
 machinery: trimming to the essential part, structural flags
 (deterministic, irreducible, period, mixing), the subset automaton
-(determinization), language equality, and the minimal deterministic
-irreducible cover of an irreducible sofic shift (its Fischer cover, by
-follower-set reduction).
+(determinization), and the minimal deterministic irreducible cover of
+an irreducible sofic shift (its Fischer cover, by follower-set
+reduction).
 
 Each presentation compiles once into a bitmask kernel: state sets are
 ``int`` masks (state ``states[i]`` is bit ``i``) stepped by per-label
@@ -21,8 +21,8 @@ Trimming needs no closure: it peels states with no in-edge or no
 out-edge in time linear in the graph.  The subset automata and the
 minimal cover share one subset search, which peels its graph on the
 discovery indices before any state set is named; the minimal cover
-merges followers and finds the terminal component on those indices too,
-and names only the states of the cover.
+merges followers, finds the terminal component and checks its language
+on those indices too, and names only the states of the cover.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -396,15 +396,16 @@ def minimal_cover(p):
     an irreducible sofic shift this is its Fischer cover (Lind & Marcus
     §3.3), unique up to state renaming.  The work runs on the subset
     search's discovery indices: Moore refinement on the peeled indices,
-    a reachability closure of the quotient, and one build naming only
-    the core.  A core class of one subset is named by its members, a
-    larger class by the tuple of its subsets' names in canonical order;
-    the classes are then renamed ``s0, s1, ...`` in that order.
+    a reachability closure of the quotient, the language check, and one
+    build naming only the core.  A core class of one subset is named by
+    its members, a larger class by the tuple of its subsets' names in
+    canonical order; the classes are then renamed ``s0, s1, ...``.
 
     Raises ``NotIrreducible`` when the shift fails the construction's
     sanity checks: more than one terminal component, or a core whose
-    language is smaller than that of the essential part of ``p`` (which
-    is the trimmed subset automaton's language).
+    language is smaller than that of the essential part of ``p``, which
+    the quotient reads from all its classes.  A search over the pairs
+    of class sets reachable from (all classes, core) decides the check.
     """
     queue, arcs, keep = _subset_search(p, 1)
     kept = [i for i in range(len(queue)) if keep >> i & 1]
@@ -430,18 +431,30 @@ def minimal_cover(p):
     classes = [[] for _ in range(count)]
     for k in range(n):
         classes[block[k]].append(k)
-    successors = [0] * count
-    for c, members in enumerate(classes):
-        for j in moves[members[0]]:
-            if j < n:
-                successors[c] |= 1 << block[j]
-    reach = _closure(successors)
+    # rows[x][c]: the mask of the class the x-th label leads to from class
+    # c; a class's successors are the sum of its distinct row bits
+    bit = [1 << b for b in block[:n]] + [0]
+    rows = [[bit[moves[members[0]][x]] for members in classes] for x in column.values()]
+    reach = _closure([sum({row[c] for row in rows}) for c in range(count)])
     # each terminal component is a closure row that all its members share
     terminal = {row for row in set(reach)
                 if all(reach[c] == row for c in range(count) if row >> c & 1)}
     if len(terminal) != 1:
         raise NotIrreducible(f"{len(terminal)} terminal components; shift is not irreducible")
     core = terminal.pop()
+    # the core reads a sublanguage of what all classes read, L(trim p);
+    # they differ iff a pair reachable from (all, core) empties only core
+    pair = ((1 << count) - 1, core)
+    seen = {pair}
+    pairs = [pair] if core != pair[0] else []
+    for (everything, inside) in pairs:
+        if not inside:
+            raise NotIrreducible("terminal component presents a proper sublanguage")
+        for row in rows:
+            nxt = (_image(row, everything), _image(row, inside))
+            if nxt[0] and nxt not in seen:
+                seen.add(nxt)
+                pairs.append(nxt)
 
     def class_name(members):
         names = sorted((p.names(queue[kept[k]]) for k in members), key=_state_key)
@@ -449,31 +462,6 @@ def minimal_cover(p):
 
     names = {c: class_name(classes[c]) for c in range(count) if core >> c & 1}
     rank = {c: f"s{r}" for r, c in enumerate(sorted(names, key=lambda c: _state_key(names[c])))}
-    cover = Presentation.build(rank.values(), [
+    return Presentation.build(rank.values(), [
         (rank[c], a, rank[block[j]])
         for c in rank for a, j in zip(p.alphabet, moves[classes[c][0]]) if j < n])
-    if not same_language(trim(p), cover):
-        raise NotIrreducible("terminal component presents a proper sublanguage")
-    return cover
-
-
-def same_language(p1, p2):
-    """True iff ``p1`` and ``p2`` accept the same finite words.
-
-    Decided by a search over the pairs of state sets reachable from the
-    full pair: the languages differ iff some reachable pair has exactly
-    one empty side.
-    """
-    pair = (p1.full_mask, p2.full_mask)
-    seen = {pair}
-    queue = [pair]
-    alphabet = sorted(set(p1.alphabet) | set(p2.alphabet))
-    for (s1, s2) in queue:
-        if bool(s1) != bool(s2):
-            return False
-        for a in alphabet:
-            nxt = (p1.step(s1, a), p2.step(s2, a))
-            if nxt != (0, 0) and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True

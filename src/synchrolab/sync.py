@@ -9,12 +9,13 @@ size->=2 part of the subset automaton.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
                                NotSynchronizing, SearchExhausted, WindowTooSmall)
 from synchrolab.points import BiSeq, point_in_shift, try_bracket
-from synchrolab.presentation import Presentation, subset_automaton
+from synchrolab.presentation import Presentation, _subset_search, subset_automaton
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 
 
@@ -35,16 +36,21 @@ class SyncVerdict:
 
 @dataclass(frozen=True)
 class NonSyncReport:
-    """The subshift of non-synchronizing points.
+    """The non-synchronizing subshift of the shift with Fischer cover ``cover``.
 
     ``finiteness`` is ``"finite"`` or ``"infinite"``; when finite,
     ``points`` lists every non-synchronizing point (all periodic) and
-    ``count`` is the paper-facing cardinality m.
+    ``count`` is the paper-facing cardinality m.  The ``presentation``
+    of the subshift is built when first read.
     """
 
-    presentation: Presentation
+    cover: Presentation
     finiteness: str
     points: tuple = ()
+
+    @cached_property
+    def presentation(self):
+        return subset_automaton(self.cover, 2)
 
     @property
     def count(self):
@@ -193,22 +199,25 @@ def nonsync_subshift(s):
     of size >= 2 reachable from the full set presents exactly the
     points none of whose factors synchronize.  The subshift is finite
     iff the trimmed graph is a disjoint union of cycles, in which case
-    all its points are periodic and are enumerated.
+    all its points are periodic and are enumerated.  Both are read on
+    the subset search's peeled discovery indices; no state set is named.
     """
-    p = subset_automaton(fischer_cover(s), 2)
-    # Every state of the trimmed automaton has an in-edge and an out-edge,
-    # so it is a disjoint union of cycles iff it has as many edges as states.
-    if len(p.edges) != len(p.states):
-        return NonSyncReport(p, "infinite")
+    cover = fischer_cover(s)
+    _, arcs, keep = _subset_search(cover, 2)
+    kept = [(i, a, j) for (i, a, j) in arcs if keep >> i & 1 and keep >> j & 1]
+    # each kept index has in- and out-arcs: cycles iff as many arcs as indices
+    if len(kept) != keep.bit_count():
+        return NonSyncReport(cover, "infinite")
+    out = {i: (a, j) for (i, a, j) in kept}
     points = set()
-    for q0 in p.states:
-        labels, q = [], q0
-        while not labels or q != q0:
-            (_, a, q) = p.out_edges[q][0]
+    for start in out:
+        labels, i = [], start
+        while not labels or i != start:
+            a, i = out[i]
             labels.append(a)
         points.add(BiSeq.periodic(labels))
     ordered = tuple(sorted(points, key=lambda pt: (pt.description_size(), str(pt))))
-    return NonSyncReport(p, "finite", ordered)
+    return NonSyncReport(cover, "finite", ordered)
 
 
 def close_orbit_through(cover, word):

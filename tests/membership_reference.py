@@ -25,7 +25,9 @@ asking for each one-symbol extension, the non-synchronizing points are
 read by walking each cycle once and adding every phase, and the minimal
 cover merges followers by a separate partition step and trims the
 quotient; the library runs one mask BFS, its word search, one cycle
-read per state, and no second trim.
+read per state, and no second trim.  ``same_language`` decides language
+equality by a search over mask pairs, beside ``distinguishing_word`` on
+frozensets; the library checks the cover's language on its quotient.
 """
 
 import math
@@ -226,6 +228,29 @@ def distinguishing_word(p1, p2):
                 seen.add(nxt)
                 queue.append((nxt, w + (a,)))
     return None
+
+
+def same_language(p1, p2):
+    """True iff ``p1`` and ``p2`` accept the same finite words.
+
+    Decided on the library's masks by a search over the pairs of state
+    sets reachable from the full pair: the languages differ iff some
+    reachable pair has exactly one empty side.  ``distinguishing_word``
+    decides the same on frozensets.
+    """
+    pair = (p1.full_mask, p2.full_mask)
+    seen = {pair}
+    queue = [pair]
+    alphabet = sorted(set(p1.alphabet) | set(p2.alphabet))
+    for (s1, s2) in queue:
+        if bool(s1) != bool(s2):
+            return False
+        for a in alphabet:
+            nxt = (p1.step(s1, a), p2.step(s2, a))
+            if nxt != (0, 0) and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
 
 
 def reference_tail_states(g, cycle, backward):

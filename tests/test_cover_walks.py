@@ -3,9 +3,10 @@ word lists and the minimal cover against their old state-name versions.
 
 ``sync_density_check`` and ``periodic_density_check`` close orbits and
 extend words by one mask BFS, ``nonsync_subshift`` decides finiteness by
-counting edges and reads one cycle per state, ``enumerate_words`` lists
-words with ``Presentation.words`` and ``minimal_cover`` merges followers
-on the peeled indices of the subset search.  ``membership_reference``
+counting the kept arcs of its subset search and reads one cycle per kept
+index, ``enumerate_words`` lists words with ``Presentation.words`` and
+``minimal_cover`` merges followers on the peeled indices of the subset
+search.  ``membership_reference``
 keeps the walks they replace -- a state BFS over out-edge lists, a
 subset BFS that tests each set when it leaves the queue, a frontier word
 loop, a walk of each cycle read at every phase, and a separate follower

@@ -9,7 +9,7 @@ import pytest
 from synchrolab.errors import EmptyShift, NotIrreducible, WindowExceeded
 from synchrolab.points import BiSeq, point_in_shift
 from synchrolab.presentation import (Presentation, determinize, minimal_cover,
-                                     same_language, subset_automaton, trim)
+                                     subset_automaton, trim)
 from synchrolab.shift import (Alphabet, build_sft, build_sofic, contains_word,
                               enumerate_words, fischer_cover, full_shift, product,
                               shift_flags, word)
@@ -17,7 +17,7 @@ from synchrolab.sync import nonsync_subshift
 
 from membership_reference import (distinguishing_word, reference_graph_structure,
                                   reference_subset_automaton, reference_tail_states,
-                                  reference_trim, window_admissible)
+                                  reference_trim, same_language, window_admissible)
 
 BINARY = Alphabet(("0", "1"))
 
@@ -156,6 +156,13 @@ def test_fischer_cover_requires_irreducible():
     p = Presentation.build(
         ["a", "b"], [("a", "0", "a"), ("b", "1", "b")])
     with pytest.raises(NotIrreducible, match="2 terminal components"):
+        minimal_cover(p)
+
+
+def test_minimal_cover_rejects_a_core_with_a_proper_sublanguage():
+    # one terminal component, {b}, which reads 1* but not the word "0"
+    p = Presentation.build(["a", "b"], [("a", "0", "a"), ("a", "1", "b"), ("b", "1", "b")])
+    with pytest.raises(NotIrreducible, match="proper sublanguage"):
         minimal_cover(p)
 
 

@@ -185,6 +185,20 @@ def test_cli_every_builtin_info(capsys):
         assert name in out
 
 
+def test_cli_info_on_a_reducible_shift_prints_flags_without_a_cover(capsys, tmp_path):
+    # the shift has no Fischer cover: its terminal component reads only 1*
+    path = tmp_path / "reducible.shift"
+    path.write_text("alphabet: 0 1\ntype: sofic\nstate: a\nstate: b\n"
+                    "edge: a 0 a\nedge: a 1 b\nedge: b 1 b\n")
+    status, out = run_cli(capsys, "info", str(path), "--format", "json")
+    assert status == 0
+    data = json.loads(out)
+    assert data["flags"] == {"irreducible": False, "mixing": False, "period": 1}
+    assert "cover_states" not in data and "cover_edges" not in data
+    status, out = run_cli(capsys, "info", str(path))
+    assert status == 0 and "  irreducible: False\n" in out and "cover" not in out
+
+
 def test_cli_usage_error_exit_2(capsys):
     assert main(["classify", "no-such-spec-anywhere"]) == 2
 

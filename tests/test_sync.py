@@ -4,7 +4,8 @@ import pytest
 
 from synchrolab.errors import NotInLanguage, NotSynchronizing
 from synchrolab.points import BiSeq, distance, enumerate_points, point_in_shift, shift_by
-from synchrolab.shift import enumerate_words, word
+from synchrolab.presentation import Presentation
+from synchrolab.shift import Alphabet, build_sofic, enumerate_words, word
 from synchrolab.sync import (classify_point, is_sync_word, nonsync_subshift,
                              rectangle_check, sync_density_check)
 
@@ -130,6 +131,18 @@ def test_nonsync_golden_mean_empty(golden_mean):
 def test_nonsync_full_and_period_two(full_two, period_two):
     assert nonsync_subshift(full_two).count == 0
     assert nonsync_subshift(period_two).count == 0
+
+
+def test_nonsync_points_read_each_cycle_forward():
+    # the non-synchronizing set is the orbit of (abc)^inf, whose reversal
+    # (cba)^inf lies in no rotation of it
+    s = build_sofic(Alphabet(("a", "b", "c")), Presentation.build(
+        ["q0", "q1", "q2"], [("q0", "a", "q2"), ("q0", "c", "q1"), ("q1", "a", "q1"),
+                             ("q1", "b", "q2"), ("q2", "b", "q0"), ("q2", "c", "q0")]))
+    report = nonsync_subshift(s)
+    assert report.points == tuple(BiSeq.periodic(("a", "b", "c"), phase) for phase in range(3))
+    for p in report.points:
+        assert classify_point(s, p).status == "nonSynchronizing"
 
 
 def test_nonsync_product_even_even_is_infinite(even_times_even):

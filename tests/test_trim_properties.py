@@ -1,6 +1,7 @@
 """Property tests of trimming, the subset automata, the minimal cover,
-the canonical edge order and the periodic point count on generated
-labeled graphs, against the set-based references and the enumerator."""
+the non-synchronizing set, the canonical edge order and the periodic
+point count on generated labeled graphs, against the set-based
+references and the enumerator."""
 
 import pytest
 
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 from synchrolab.errors import EmptyShift, NotIrreducible
 from synchrolab.periodic import count_periodic, enumerate_periodic
 from synchrolab.presentation import Presentation, minimal_cover, subset_automaton, trim
-from synchrolab.shift import Alphabet, build_sofic
+from synchrolab.shift import Alphabet, build_sofic, fischer_cover
+from synchrolab.sync import nonsync_subshift
 
 from membership_reference import (_canonical_key, reference_minimal_cover,
-                                  reference_subset_automaton, reference_trim)
+                                  reference_nonsync_points, reference_subset_automaton,
+                                  reference_trim)
 
 LABELS = ("a", "b", "c")
 
@@ -71,6 +74,25 @@ def test_minimal_cover_matches_reference(graph):
             minimal_cover(p)
     else:
         assert minimal_cover(p) == expected
+
+
+@PROPERTY
+@given(labeled_graphs())
+def test_nonsync_subshift_matches_reference(graph):
+    # finiteness and points come from the subset search's indices, and are
+    # checked before the report builds its presentation
+    try:
+        s = build_sofic(Alphabet(LABELS), Presentation.build(*graph))
+        cover = fischer_cover(s)
+    except (EmptyShift, NotIrreducible):
+        return
+    expected = reference_subset_automaton(cover, 2)
+    points = reference_nonsync_points(expected)
+    report = nonsync_subshift(s)
+    assert "presentation" not in vars(report)
+    assert (report.finiteness, report.points) == (
+        ("infinite", ()) if points is None else ("finite", points))
+    assert report.presentation == expected
 
 
 @PROPERTY
