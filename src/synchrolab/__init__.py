@@ -14,7 +14,7 @@ from synchrolab.conjugacy import (Germ, GroupoidArrow, compose_lcs_lcu,
                                   ruelle_germ, sync_bridge, verify_germ)
 from synchrolab.factor import (CoverMap, almost_one_to_one_check, degree_bound,
                                preimage_count, resolving_check)
-from synchrolab.invariants import (IntMatrix, SmithForm, adjacency_matrix, bowen_franks,
+from synchrolab.invariants import (IntMatrix, SmithForm, bowen_franks,
                                    exact_sequence_report, smith_normal_form)
 from synchrolab.periodic import (PeriodicSet, count_periodic, enumerate_periodic,
                                  find_periodic_by_bracket, find_return,

@@ -65,7 +65,6 @@ def cmd_info(args, spec):
         "flags": shift_flags(s),
         "points": {name: str(p) for name, p in spec.points.items()},
     }
-    # only an irreducible shift has a Fischer cover
     if isinstance(s, (SFT, Sofic)) and report["flags"]["irreducible"]:
         cover = fischer_cover(s)
         report["cover_states"] = len(cover.states)
@@ -140,7 +139,7 @@ def cmd_nonsync(args, spec):
         report["m"] = result.count
         report["points"] = [str(p) for p in result.points]
     else:
-        report["presentation_states"] = len(result.presentation.states)
+        report["presentation_states"] = result.state_count
     return report, 0
 
 

@@ -68,9 +68,8 @@ class IntMatrix:
         """I - A for a square matrix A."""
         if self.rows != self.cols:
             raise ValueError("not square")
-        return IntMatrix.from_rows(
-            [[int(i == j) - self.entries[i][j] for j in range(self.cols)]
-             for i in range(self.rows)])
+        return IntMatrix(self.rows, self.cols, tuple(
+            tuple(int(i == j) - x for j, x in enumerate(r)) for i, r in enumerate(self.entries)))
 
     def determinant(self):
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -252,7 +251,7 @@ def adjacency_matrix(p):
     entries = [[0] * len(p.states) for _ in p.states]
     for (u, _, v) in p.edges:
         entries[index[u]][index[v]] += 1
-    return IntMatrix.from_rows(entries)
+    return IntMatrix(len(entries), len(entries), tuple(map(tuple, entries)))
 
 
 def bowen_franks(s):
@@ -262,14 +261,10 @@ def bowen_franks(s):
     the factors are the Smith diagonal entries different from 1 (0
     denotes a free summand).
     """
-    cover = fischer_cover(s)
-    index = {q: i for i, q in enumerate(cover.states)}
-    rows = [[int(i == j) for j in index.values()] for i in index.values()]
-    for (u, _, v) in cover.edges:
-        rows[index[u]][index[v]] -= 1
-    form = smith_normal_form(IntMatrix(len(rows), len(rows), tuple(map(tuple, rows))))
+    form = smith_normal_form(adjacency_matrix(fischer_cover(s)).sub_from_identity())
     factors = tuple(d for d in form.diagonal if d != 1)
-    sign = (form.determinant > 0) - (form.determinant < 0)
+    det = form.determinant
+    sign = 0 if det == 0 else (1 if det > 0 else -1)
     return {"invariant_factors": factors, "det_sign": sign}
 
 

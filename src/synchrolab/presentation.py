@@ -364,15 +364,17 @@ def _subset_search(p, least):
 
 
 def subset_automaton(p, least):
-    """The subset automaton of ``p`` on state sets of ``least`` or more
-    states.
+    """The subset automaton of ``p`` on sets of at least ``least`` states.
 
     Its states are the masks reachable from the full state set through
     images of at least ``least`` states, each named by its members in
     canonical order; the result is trimmed.  The search runs on the
     masks' discovery indices, which are peeled before any mask is named.
     """
-    queue, arcs, keep = _subset_search(p, least)
+    return _subset_presentation(p, *_subset_search(p, least))
+
+
+def _subset_presentation(p, queue, arcs, keep):
     name = {i: p.names(mask) for i, mask in enumerate(queue) if keep >> i & 1}
     return Presentation.build(
         name.values(), [(name[i], a, name[j]) for (i, a, j) in arcs if i in name and j in name])
@@ -431,8 +433,7 @@ def minimal_cover(p):
     classes = [[] for _ in range(count)]
     for k in range(n):
         classes[block[k]].append(k)
-    # rows[x][c]: the mask of the class the x-th label leads to from class
-    # c; a class's successors are the sum of its distinct row bits
+    # rows[x][c]: mask of the class label x leads to from c; distinct bits sum to their OR
     bit = [1 << b for b in block[:n]] + [0]
     rows = [[bit[moves[members[0]][x]] for members in classes] for x in column.values()]
     reach = _closure([sum({row[c] for row in rows}) for c in range(count)])

@@ -8,14 +8,14 @@ and the non-synchronizing points form a subshift presented by the
 size->=2 part of the subset automaton.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iproduct
 
 from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
                                NotSynchronizing, SearchExhausted, WindowTooSmall)
 from synchrolab.points import BiSeq, point_in_shift, try_bracket
-from synchrolab.presentation import Presentation, _subset_search, subset_automaton
+from synchrolab.presentation import Presentation, _subset_presentation, _subset_search
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 
 
@@ -40,17 +40,22 @@ class NonSyncReport:
 
     ``finiteness`` is ``"finite"`` or ``"infinite"``; when finite,
     ``points`` lists every non-synchronizing point (all periodic) and
-    ``count`` is the paper-facing cardinality m.  The ``presentation``
-    of the subshift is built when first read.
+    ``count`` is the paper-facing cardinality m.  ``state_count`` and the
+    ``presentation`` (named when first read) come from the 2-subset ``search``.
     """
 
     cover: Presentation
+    search: tuple = field(repr=False, compare=False)
     finiteness: str
     points: tuple = ()
 
     @cached_property
     def presentation(self):
-        return subset_automaton(self.cover, 2)
+        return _subset_presentation(self.cover, *self.search)
+
+    @property
+    def state_count(self):
+        return self.search[2].bit_count()
 
     @property
     def count(self):
@@ -203,11 +208,11 @@ def nonsync_subshift(s):
     the subset search's peeled discovery indices; no state set is named.
     """
     cover = fischer_cover(s)
-    _, arcs, keep = _subset_search(cover, 2)
+    _, arcs, keep = search = _subset_search(cover, 2)
     kept = [(i, a, j) for (i, a, j) in arcs if keep >> i & 1 and keep >> j & 1]
     # each kept index has in- and out-arcs: cycles iff as many arcs as indices
     if len(kept) != keep.bit_count():
-        return NonSyncReport(cover, "infinite")
+        return NonSyncReport(cover, search, "infinite")
     out = {i: (a, j) for (i, a, j) in kept}
     points = set()
     for start in out:
@@ -217,7 +222,7 @@ def nonsync_subshift(s):
             labels.append(a)
         points.add(BiSeq.periodic(labels))
     ordered = tuple(sorted(points, key=lambda pt: (pt.description_size(), str(pt))))
-    return NonSyncReport(cover, "finite", ordered)
+    return NonSyncReport(cover, search, "finite", ordered)
 
 
 def close_orbit_through(cover, word):

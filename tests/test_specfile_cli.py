@@ -11,6 +11,7 @@ from synchrolab.points import BiSeq
 from synchrolab.shift import SFT, OracleShift, Sofic, fischer_cover
 from synchrolab.specfile import (BUILTIN_SPECS, emit_spec, load_spec, parse_point,
                                  parse_spec_text, parse_word)
+from synchrolab.sync import nonsync_subshift
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,20 @@ def test_cli_nonsync_even(capsys):
     assert status == 0
     assert "m: 1" in out
     assert "L=0 C= O=0 R=0" in out
+
+
+def test_cli_nonsync_infinite_prints_the_presentation_size(capsys, tmp_path):
+    # the size is the report's kept-index count, read without naming the
+    # presentation; it must agree with the presentation once that is built
+    path = tmp_path / "inf.shift"
+    path.write_text("alphabet: 0 1\ntype: sofic\nstate: a\nstate: b\nstate: c\n"
+                    "edge: a 1 b\nedge: b 0 c\nedge: b 1 c\nedge: c 0 b\nedge: c 1 a\n")
+    status, out = run_cli(capsys, "nonsync", str(path), "--format", "json")
+    assert status == 0
+    data = json.loads(out)
+    assert (data["finiteness"], data["presentation_states"]) == ("infinite", 4)
+    report = nonsync_subshift(load_spec(str(path)).shift)
+    assert report.state_count == len(report.presentation.states) == 4
 
 
 def test_cli_periodic_count(capsys):

@@ -92,6 +92,8 @@ def test_nonsync_subshift_matches_reference(graph):
     assert "presentation" not in vars(report)
     assert (report.finiteness, report.points) == (
         ("infinite", ()) if points is None else ("finite", points))
+    assert report.state_count == len(expected.states)
+    assert "presentation" not in vars(report)
     assert report.presentation == expected
 
 
