@@ -12,20 +12,9 @@ import sys
 
 from synchrolab import conjugacy, factor, invariants, periodic, sync
 from synchrolab.errors import ParseError, SemanticError, SynchrolabError, UsageError
-from synchrolab.points import try_bracket
-from synchrolab.shift import (SFT, OracleShift, Sofic, enumerate_words,
-                              fischer_cover, product, shift_flags)
-from synchrolab.specfile import format_word, load_spec, parse_point
-
-
-def _shift_kind(s):
-    if isinstance(s, SFT):
-        return "sft"
-    if isinstance(s, Sofic):
-        return "sofic"
-    if isinstance(s, OracleShift):
-        return f"oracle:{s.oracle_name}"
-    return "unknown"
+from synchrolab.points import format_word, try_bracket
+from synchrolab.shift import SFT, enumerate_words, fischer_cover, product, shift_flags
+from synchrolab.specfile import load_spec, parse_point
 
 
 def _point(spec, literal):
@@ -60,12 +49,12 @@ def cmd_info(args, spec):
     report = {
         "command": "info",
         "spec": spec.name,
-        "kind": _shift_kind(s),
+        "kind": s.kind,
         "alphabet": list(s.alphabet),
         "flags": shift_flags(s),
         "points": {name: str(p) for name, p in spec.points.items()},
     }
-    if isinstance(s, (SFT, Sofic)) and report["flags"]["irreducible"]:
+    if report["flags"]["irreducible"]:
         cover = fischer_cover(s)
         report["cover_states"] = len(cover.states)
         report["cover_edges"] = [f"{u} -{a}-> {v}" for (u, a, v) in cover.edges]

@@ -22,16 +22,19 @@ from synchrolab.errors import (BracketUndefined, InvariantViolation, NotAgreeing
                                NotInRectangle, NotInShift, NotSFT,
                                NotSynchronizing, SearchExhausted, Unverified)
 from synchrolab.factor import CoverMap, preimage_count
+from synchrolab.periodic import minimal_period
 from synchrolab.points import (BiSeq, agree_on, alignment_bound, bracket,
-                               decide_relation, enumerate_points, future_splice,
-                               point_in_shift, replace_window, shift_by,
+                               check_bracket_radius, decide_relation, enumerate_points,
+                               future_splice, point_in_shift, replace_window, shift_by,
                                splice)
-from synchrolab.shift import SFT, Sofic, shift_flags
+from synchrolab.shift import SFT, shift_flags
 from synchrolab.sync import (cylinder_representatives, central_word_synchronizes,
-                             classify_point)
+                             classify_point, is_sync_word)
 
 KINDS = ("lc", "lcs", "lcu")
 _REQUIRED_RELATION = {"lc": "homoclinic", "lcs": "stable", "lcu": "unstable"}
+# The longest connector word the bridge searches try.
+_CONNECTOR_DEPTH = 6
 
 
 # -- rules -------------------------------------------------------------------
@@ -177,7 +180,7 @@ class Germ:
             hi = alignment_bound(z, self.source)
         return agree_on(z, self.source, lo, hi + 1)
 
-    def apply(self, z, verify=True):
+    def apply(self, z):
         """The germ's value at ``z``.
 
         Raises ``NotInDomain`` off the cylinder and ``NotInShift`` when
@@ -187,7 +190,7 @@ class Germ:
         if not self.contains(z):
             raise NotInDomain(f"{z} does not agree with the source on the window")
         out = self.rule.apply(self.shift, z)
-        if verify and point_in_shift(self.shift, out) == "no":
+        if point_in_shift(self.shift, out) == "no":
             raise NotInShift(f"germ image {out} leaves the shift")
         return out
 
@@ -249,13 +252,13 @@ def domain_samples(germ, budget=6):
     s = germ.shift
     x = germ.source
     if germ.kind == "lcs":
-        return cylinder_representatives(s, x, germ.dom_hi + 1, germ.dom_hi + 1 + 2, 2, "u")[:budget]
+        return cylinder_representatives(s, x, germ.dom_hi + 1, germ.dom_hi + 1 + 2, "u")[:budget]
     if germ.kind == "lcu":
-        return cylinder_representatives(s, x, 1 - germ.dom_lo, 1 - germ.dom_lo + 2, 2, "s")[:budget]
-    futures = cylinder_representatives(s, x, germ.dom_hi + 1, germ.dom_hi + 3, 2, "u")[:budget]
+        return cylinder_representatives(s, x, 1 - germ.dom_lo, 1 - germ.dom_lo + 2, "s")[:budget]
+    futures = cylinder_representatives(s, x, germ.dom_hi + 1, germ.dom_hi + 3, "u")[:budget]
     out = []
     for y in futures:
-        pasts = cylinder_representatives(s, y, 1 - germ.dom_lo, 1 - germ.dom_lo + 2, 2, "s")
+        pasts = cylinder_representatives(s, y, 1 - germ.dom_lo, 1 - germ.dom_lo + 2, "s")
         out.extend(pasts[:2])
     return out[:budget] if out else [x]
 
@@ -344,8 +347,6 @@ def ruelle_germ(s, x, y, verify=True):
 
 def _sft_one_sided_germ(s, x, y, kind, verify=True):
     """Tail-swap germs between stable/unstable equivalent SFT points."""
-    if not isinstance(s, SFT):
-        raise NotSFT("one-sided tail swaps need the SFT memory bound")
     m = s.memory
     if kind == "lcs":
         bound = alignment_bound(x, y)
@@ -385,11 +386,11 @@ def lifted_germ(s, x, y, kind, verify=True):
     a synchronizing central word for two-sided germs, a singleton tail
     state set for one-sided ones -- so that the projected rule is a
     genuine map of cylinders, not a partial map.  ``NotConstructive``
-    signals a sound refusal (no related lift pair, or no pinning).
+    signals a sound refusal (no related lift pair, or no pinning); an
+    oracle shift has no cover and raises ``Unverified``.
     """
     cover = canonical_cover(s)
     g = cover.presentation  # the Fischer cover
-    relation = _REQUIRED_RELATION[kind]
     witness = 0
     if kind == "lc":
         vx = classify_point(s, x)
@@ -397,15 +398,12 @@ def lifted_germ(s, x, y, kind, verify=True):
         if vx.status != "synchronizing" or vy.status != "synchronizing":
             raise NotConstructive("two-sided sofic germs need synchronizing endpoints")
         witness = max(vx.window_used, vy.window_used)
-    from synchrolab.sync import is_sync_word
     for xh in _lifts(s, x):
         for yh in _lifts(s, y):
-            if not decide_relation(xh, yh, relation):
+            try:
+                inner = construct_germ(cover.source, xh, yh, kind, verify=False)
+            except NotConstructive:
                 continue
-            if kind == "lc":
-                inner = ruelle_germ(cover.source, xh, yh, verify=False)
-            else:
-                inner = _sft_one_sided_germ(cover.source, xh, yh, kind, verify=False)
             lo, hi = inner.dom_lo, inner.dom_hi
             slack = len(cover.presentation.states) + 1
             lo = None if lo is None else min(lo - slack, -witness)
@@ -438,7 +436,8 @@ def construct_germ(s, x, y, kind, verify=True):
     """Builds a germ of the requested kind, or raises ``NotConstructive``.
 
     Dispatches on the shift type: identity, SFT block/tail rules, or
-    cover-lifted rules for sofic shifts.
+    cover-lifted rules for sofic shifts.  An oracle shift has no cover,
+    so ``lifted_germ`` stops it with ``Unverified``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown germ kind {kind!r}")
@@ -451,9 +450,7 @@ def construct_germ(s, x, y, kind, verify=True):
         if kind == "lc":
             return ruelle_germ(s, x, y, verify)
         return _sft_one_sided_germ(s, x, y, kind, verify)
-    if isinstance(s, Sofic):
-        return lifted_germ(s, x, y, kind, verify)
-    raise NotConstructive("no germ construction for oracle shifts")
+    return lifted_germ(s, x, y, kind, verify)
 
 
 def rectangle_germs(s, x, y, N, verify=True):
@@ -465,8 +462,7 @@ def rectangle_germs(s, x, y, N, verify=True):
     on the stable cylinder of y) and ``gs : z -> [z, x]`` maps [x,y]
     to x (kind lcs, on the unstable cylinder of [x,y]).
     """
-    if N < 2:
-        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
+    check_bracket_radius(N)
     if not central_word_synchronizes(s, x, N):
         raise NotSynchronizing(f"no synchronizing central word at radius {N}")
     if not agree_on(x, y, 1 - N, N):
@@ -505,18 +501,14 @@ def compose_lcs_lcu(s, gu, gs, x, y, verify=True):
 
 # -- bridges -----------------------------------------------------------------
 
-def _is_periodic(p):
-    return not p.core and p.left == p.right
-
-
 def _require_sync_periodic(s, p):
-    if not _is_periodic(p):
+    if minimal_period(p) is None:
         raise NotSynchronizing(f"{p} is not periodic")
     if classify_point(s, p).status != "synchronizing":
         raise NotSynchronizing(f"{p} is not synchronizing")
 
 
-def _join_left_tail(s, p, tail, boundary, depth=6):
+def _join_left_tail(s, p, tail, boundary):
     """A point of ``X^u(p)`` equal to ``tail`` from ``boundary`` on.
 
     ``p`` is periodic.  Connector words are read back from tail's future
@@ -525,37 +517,38 @@ def _join_left_tail(s, p, tail, boundary, depth=6):
     """
     g = s.presentation
     b = max(boundary, tail.right_start)
-    for (u, run) in g.words(g.future_set(tail, boundary), s.alphabet.symbols, depth,
-                            backward=True):
+    for (u, run) in g.words(g.future_set(tail, boundary), s.alphabet.symbols,
+                            _CONNECTOR_DEPTH, backward=True):
         cut = boundary - len(u)
         cycle = p.window(cut - len(p.left), cut)
         if run & g.tail_fixpoint(cycle, False):
             return BiSeq(cycle, u + tail.window(boundary, b), tail.right_pattern_at(b), cut)
-    raise SearchExhausted("no left join found", depth=depth)
+    raise SearchExhausted("no left join found", depth=_CONNECTOR_DEPTH)
 
 
-def _right_joins(s, head, boundary, q, depth):
+def _right_joins(s, head, boundary, q):
     """Yields each point of ``X^s(q)`` equal to ``head`` below
     ``boundary``: the mirror image of ``_join_left_tail``'s search, with
     connectors read from head's past set at ``boundary`` and every join
     kept, by connector length and then lexicographically."""
     g = s.presentation
     a = min(boundary, head.origin)
-    for (u, run) in g.words(g.past_set(head, boundary), s.alphabet.symbols, depth):
+    for (u, run) in g.words(g.past_set(head, boundary), s.alphabet.symbols,
+                            _CONNECTOR_DEPTH):
         cut = boundary + len(u)
         cycle = q.window(cut, cut + len(q.right))
         if run & g.tail_fixpoint(cycle, True):
             yield BiSeq(head.left_pattern_at(a), head.window(a, boundary) + u, cycle, a)
 
 
-def _join_right_tail(s, head, boundary, q, depth=6):
+def _join_right_tail(s, head, boundary, q):
     """The first point of ``_right_joins``."""
-    for z in _right_joins(s, head, boundary, q, depth):
+    for z in _right_joins(s, head, boundary, q):
         return z
-    raise SearchExhausted("no right join found", depth=depth)
+    raise SearchExhausted("no right join found", depth=_CONNECTOR_DEPTH)
 
 
-def heteroclinic_bridge(s, z, p, q, depth=6):
+def heteroclinic_bridge(s, z, p, q):
     """Bridge points x ~lcs z ~lcu y with x unstably tied to p and y
     stably tied to q.
 
@@ -571,8 +564,8 @@ def heteroclinic_bridge(s, z, p, q, depth=6):
     if verdict.status != "synchronizing":
         raise NotSynchronizing("bridge base must synchronize")
     n = max(verdict.window_used + 1, 2)
-    x = _join_left_tail(s, p, z, 1 - n, depth)
-    y = _join_right_tail(s, z, n, q, depth)
+    x = _join_left_tail(s, p, z, 1 - n)
+    y = _join_right_tail(s, z, n, q)
     # x agrees with z from 1-n on, so [x, z] = z: x ~lcs z directly
     gx = Germ(s, "lcs", x, z, None, n - 1, PastRule(z, 0))
     gy = Germ(s, "lcu", y, z, 1 - n, None, FutureRule(z, 0))
@@ -581,7 +574,7 @@ def heteroclinic_bridge(s, z, p, q, depth=6):
     return x, y, gx, gy
 
 
-def sync_bridge(s, x, y, p, q, depth=6):
+def sync_bridge(s, x, y, p, q):
     """A synchronizing point z with x ~lcs z ~lcu y.
 
     ``x`` must lie in the unstable class of ``p`` and ``y`` in the
@@ -605,7 +598,7 @@ def sync_bridge(s, x, y, p, q, depth=6):
     n = max(verdict.window_used + 1, 2)
     # bridge candidates: y's pattern through the rectangle window, then a
     # connector, then x's right cycle in phase
-    for z in _right_joins(s, y, n, BiSeq.periodic(x.right, x.right_start), depth):
+    for z in _right_joins(s, y, n, BiSeq.periodic(x.right, x.right_start)):
         try:
             construct_germ(s, x, z, "lcs")
         except NotConstructive:
@@ -613,7 +606,7 @@ def sync_bridge(s, x, y, p, q, depth=6):
         verify_germ(Germ(s, "lcu", z, y, 1 - n, None, FutureRule(y, 0)), budget=4)
         if classify_point(s, z).status == "synchronizing":
             return z
-    raise SearchExhausted("no bridge point found", depth=depth)
+    raise SearchExhausted("no bridge point found", depth=_CONNECTOR_DEPTH)
 
 
 # -- groupoid sampling -------------------------------------------------------
@@ -641,35 +634,20 @@ def groupoid_sample(s, selector, P=(), bound=6, verify=False):
         raise ValueError(f"the {selector} groupoid needs a non-empty base set P")
     points = [x for x in enumerate_points(s, cycle_len=2, core_len=2)
               if x.description_size() <= bound]
+    kind = "lc" if selector == "lcsync" else selector
+    if selector == "lcsync":
+        points = [x for x in points
+                  if classify_point(s, x).status == "synchronizing"]
+    elif selector in ("lcs", "lcu"):
+        for base in P:
+            _require_sync_periodic(s, base)
+        side = "unstable" if kind == "lcs" else "stable"
+        points = [x for x in points
+                  if any(decide_relation(x, base, side) for base in P)]
     arrows = []
-    if selector in ("lc", "lcsync"):
-        if selector == "lcsync":
-            points = [x for x in points
-                      if classify_point(s, x).status == "synchronizing"]
-        for i, x in enumerate(points):
-            arrows.append(GroupoidArrow(x, x, identity_germ(s, x, "lc"), selector))
-            for y in points[i + 1:]:
-                if not decide_relation(x, y, "homoclinic"):
-                    continue
-                try:
-                    germ = construct_germ(s, x, y, "lc", verify=verify)
-                except NotConstructive:
-                    continue
-                arrows.append(GroupoidArrow(x, y, germ, selector))
-                arrows.append(GroupoidArrow(y, x, germ.inverse(), selector))
-        return arrows
-    kind = selector
-    for base in P:
-        _require_sync_periodic(s, base)
-    side = "unstable" if kind == "lcs" else "stable"
-    units = [x for x in points
-             if any(decide_relation(x, base, side) for base in P)]
-    relation = _REQUIRED_RELATION[kind]
-    for i, x in enumerate(units):
+    for i, x in enumerate(points):
         arrows.append(GroupoidArrow(x, x, identity_germ(s, x, kind), selector))
-        for y in units[i + 1:]:
-            if not decide_relation(x, y, relation):
-                continue
+        for y in points[i + 1:]:
             try:
                 germ = construct_germ(s, x, y, kind, verify=verify)
             except NotConstructive:

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from synchrolab.errors import InvariantViolation, NotInShift, NotResolving
-from synchrolab.points import BiSeq, point_in_shift
+from synchrolab.periodic import enumerate_periodic
+from synchrolab.points import BiSeq, canonical_order, point_in_shift
 from synchrolab.shift import SFT, Alphabet, Sofic, build_sft, fischer_cover
+from synchrolab.sync import classify_point
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def preimage_count(c, x):
                                            tuple(names[i] for i in core),
                                            tuple(names[i] for i in rcycle),
                                            x.origin - len(lconn)))
-    assembled = sorted(set(assembled), key=lambda p: (p.description_size(), str(p)))
+    assembled = canonical_order(set(assembled))
     for pre in assembled:
         if point_in_shift(c.source, pre) != "yes" or c.project(pre) != x:
             raise InvariantViolation(f"assembled preimage {pre} does not cover {x}")
@@ -210,8 +212,6 @@ def almost_one_to_one_check(c, max_period):
     have exactly one preimage; points with several preimages are
     reported and must classify non-synchronizing.
     """
-    from synchrolab.periodic import enumerate_periodic
-    from synchrolab.sync import classify_point
     seen = set()
     exceptional = []
     violations = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from synchrolab.errors import InvariantViolation, NotIrreducible
-from synchrolab.shift import SFT, OracleShift, Sofic, fischer_cover, shift_flags
+from synchrolab.shift import OracleShift, fischer_cover, shift_flags
 from synchrolab.sync import nonsync_subshift
 
 
@@ -302,8 +302,6 @@ def exact_sequence_report(s):
         return ExactSequenceReport(s.name, "unknown", None, (), 0,
                                    {"irreducible": None, "mixing": None,
                                     "finitelyManyNonSync": None})
-    if not isinstance(s, (SFT, Sofic)):
-        raise TypeError(f"unknown shift {s!r}")
     flags = shift_flags(s)
     if not flags["irreducible"]:
         raise NotIrreducible("report requires an irreducible shift")

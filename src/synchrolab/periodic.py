@@ -21,7 +21,8 @@ from itertools import product as iproduct
 from synchrolab.errors import (BracketUndefined, InvariantViolation, NoConvergence,
                                NotAgreeing, NotInShift, NotSynchronizing,
                                SearchExhausted, Unverified)
-from synchrolab.points import BiSeq, agree_on, bracket, distance, point_in_shift, shift_by
+from synchrolab.points import (BiSeq, agree_on, bracket, canonical_order, check_bracket_radius,
+                               distance, point_in_shift, shift_by)
 from synchrolab.presentation import _subset_search, determinize
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 from synchrolab.sync import (close_orbit_through, oracle_density_entry,
@@ -74,8 +75,7 @@ def enumerate_periodic(s, n):
         if point_in_shift(s, candidate) == "yes":
             for phase in range(n):
                 points.add(BiSeq.periodic(w, phase))
-    ordered = tuple(sorted(points, key=lambda p: (p.description_size(), str(p))))
-    return PeriodicSet(n, ordered)
+    return PeriodicSet(n, tuple(canonical_order(points)))
 
 
 def zeta(s, n):
@@ -278,8 +278,7 @@ def find_periodic_by_bracket(s, x, y, n, N, cap=None):
     NoConvergence
         Beyond the iteration cap.
     """
-    if N < 2:
-        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
+    check_bracket_radius(N)
     if n < 1:
         raise ValueError("period n must be >= 1")
     verdict = classify_point(s, x)
@@ -328,8 +327,7 @@ def find_return(s, x, N):
     returns ``(y, n)`` with ``y`` and ``shift^n(y)`` in the closed
     ``2**-N`` ball around ``x``.
     """
-    if N < 2:
-        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
+    check_bracket_radius(N)
     cover = fischer_cover(s)
     w = x.window(-N, N + 1)
     point = close_orbit_through(cover, w)

@@ -20,7 +20,7 @@ from functools import total_ordering
 from math import lcm
 
 from synchrolab.errors import NotAgreeing, NotInShift, Unverified
-from synchrolab.shift import SFT, OracleShift, Sofic
+from synchrolab.shift import OracleShift
 
 
 @total_ordering
@@ -163,12 +163,22 @@ class BiSeq:
 
     def literal(self):
         """The CLI literal form ``L=... C=... O=... R=...``."""
-        def join(w):
-            return ",".join(w) if any(len(s) != 1 for s in w) else "".join(w)
-        return f"L={join(self.left)} C={join(self.core)} O={self.origin} R={join(self.right)}"
+        return (f"L={format_word(self.left)} C={format_word(self.core)} "
+                f"O={self.origin} R={format_word(self.right)}")
 
     def __str__(self):
         return self.literal()
+
+
+def format_word(w):
+    """The literal of a word: its symbols run together, or joined by
+    commas when one of them is longer than a character."""
+    return ",".join(w) if any(len(s) != 1 for s in w) else "".join(w)
+
+
+def canonical_order(points):
+    """The points sorted by description size, then by literal."""
+    return sorted(points, key=lambda p: (p.description_size(), str(p)))
 
 
 def _cycle_slice(cycle, offset, count):
@@ -337,10 +347,6 @@ def point_in_shift(s, x):
     for symbol in x.symbols:
         if symbol not in s.alphabet:
             return "no"
-    if isinstance(s, (SFT, Sofic)):
-        g = s.presentation
-        cut = x.right_start
-        return "yes" if g.past_set(x, cut) & g.future_set(x, cut) else "no"
     if isinstance(s, OracleShift):
         width = s.window_bound
         lo = x.origin - len(x.left) - width
@@ -349,7 +355,16 @@ def point_in_shift(s, x):
             if not s.admits(x.window(p, p + width)):
                 return "no"
         return "unverified"
-    raise TypeError(f"unknown shift {s!r}")
+    g = s.presentation
+    cut = x.right_start
+    return "yes" if g.past_set(x, cut) & g.future_set(x, cut) else "no"
+
+
+def check_bracket_radius(N):
+    """Raises ``ValueError`` unless ``N >= 2``, the bracket's radius
+    bound ``epsilon <= 1/4``."""
+    if N < 2:
+        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
 
 
 def bracket(s, x, y, N):
@@ -364,8 +379,7 @@ def bracket(s, x, y, N):
     ------
     NotAgreeing, NotInShift, Unverified
     """
-    if N < 2:
-        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
+    check_bracket_radius(N)
     if not agree_on(x, y, 1 - N, N):
         raise NotAgreeing(f"central windows differ within radius {N - 1}")
     z = splice(x, y)
@@ -401,4 +415,4 @@ def enumerate_points(s, cycle_len=2, core_len=2, origin_radius=1):
               for (core, run) in g.words(g.tail_fixpoint(left, False), symbols, core_len)
               for (right, future) in rights if run & future
               for origin in range(-origin_radius, origin_radius + 1)}
-    return sorted(points, key=lambda p: (p.description_size(), str(p)))
+    return canonical_order(points)

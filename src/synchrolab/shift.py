@@ -55,7 +55,11 @@ def word(text):
 
 
 class Shift:
-    """Base class of the tagged union; see the variants below."""
+    """Base class of the tagged union; see the variants below.
+
+    ``kind`` names the variant as a spec's ``type:`` line does:
+    ``sft``, ``sofic`` or ``oracle:<name>``.
+    """
 
     alphabet: Alphabet
 
@@ -72,6 +76,7 @@ class Shift:
 class SFT(Shift):
     """Shift of finite type given by finitely many forbidden words."""
 
+    kind = "sft"
     alphabet: Alphabet
     forbidden: frozenset
     presentation: Presentation = field(compare=False)
@@ -86,6 +91,7 @@ class SFT(Shift):
 class Sofic(Shift):
     """Sofic shift presented by a finite labeled graph (trimmed)."""
 
+    kind = "sofic"
     alphabet: Alphabet
     presentation: Presentation
 
@@ -125,6 +131,10 @@ class OracleShift(Shift):
                 if admissible and not any(self.admits((a,) + w)
                                           for a in self.alphabet):
                     raise ValueError(f"oracle word {w} is not left-extendable")
+
+    @property
+    def kind(self):
+        return f"oracle:{self.oracle_name}"
 
     @property
     def presentation(self):
@@ -193,13 +203,11 @@ def contains_word(s, w):
     ``WindowExceeded``.
     """
     w = s.alphabet.check_word(w)
-    if isinstance(s, (SFT, Sofic)):
-        return s.presentation.accepts(w)
     if isinstance(s, OracleShift):
         if len(w) > s.window_bound:
             raise WindowExceeded(f"|w| = {len(w)} exceeds window bound {s.window_bound}")
         return bool(s.admits(w))
-    raise TypeError(f"unknown shift {s!r}")
+    return s.presentation.accepts(w)
 
 
 def enumerate_words(s, max_len):

@@ -13,13 +13,14 @@ type ``oracle:<name>`` selects a builtin membership oracle.  Builtin
 specs are looked up by name when no file exists at the given path.
 """
 
+import os
 from dataclasses import dataclass, field
 
 from synchrolab.errors import ParseError, SemanticError
 from synchrolab.oracles import BUILTIN_ORACLES
-from synchrolab.points import BiSeq
+from synchrolab.points import BiSeq, format_word
 from synchrolab.presentation import Presentation
-from synchrolab.shift import Alphabet, SFT, OracleShift, Sofic, build_sft, build_sofic
+from synchrolab.shift import Alphabet, SFT, Sofic, build_sft, build_sofic
 
 
 @dataclass
@@ -52,12 +53,6 @@ def parse_word(text, alphabet=None):
             if s not in alphabet:
                 raise SemanticError(f"symbol {s!r} not in the declared alphabet")
     return symbols
-
-
-def format_word(w):
-    if not w:
-        return ""
-    return ",".join(w) if any(len(s) != 1 for s in w) else "".join(w)
 
 
 def parse_point(text, alphabet=None):
@@ -182,19 +177,15 @@ def _at_line(lineno, parse, text, alphabet):
 def emit_spec(spec):
     """Renders a ``SpecFile`` back to spec text (round-trip partner)."""
     s = spec.shift
-    lines = [f"alphabet: {' '.join(s.alphabet)}"]
+    lines = [f"alphabet: {' '.join(s.alphabet)}", f"type: {s.kind}"]
     if isinstance(s, SFT):
-        lines.append("type: sft")
         for w in sorted(s.forbidden):
             lines.append(f"forbid: {format_word(w)}")
     elif isinstance(s, Sofic):
-        lines.append("type: sofic")
         for q in s.presentation.states:
             lines.append(f"state: {_state_text(q)}")
         for (src, label, dst) in s.presentation.edges:
             lines.append(f"edge: {_state_text(src)} {label} {_state_text(dst)}")
-    elif isinstance(s, OracleShift):
-        lines.append(f"type: oracle:{s.oracle_name}")
     for name in sorted(spec.points):
         lines.append(f"point: {name} {spec.points[name].literal()}")
     return "\n".join(lines) + "\n"
@@ -250,11 +241,18 @@ type: oracle:context-free
 
 
 def load_spec(ref):
-    """Loads a spec from a path, or from the builtin library by name."""
-    import os
+    """Loads a spec from a path, or from the builtin library by name.
+
+    A path that exists but cannot be read, such as a directory, raises
+    ``ParseError``.
+    """
     if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as handle:
-            spec = parse_spec_text(handle.read(), path=ref)
+        try:
+            with open(ref, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {ref!r}: {exc.strerror}") from exc
+        spec = parse_spec_text(text, path=ref)
         spec.name = os.path.splitext(os.path.basename(ref))[0]
         spec.shift.with_name(spec.name)
         return spec

@@ -14,7 +14,8 @@ from itertools import product as iproduct
 
 from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
                                NotSynchronizing, SearchExhausted, WindowTooSmall)
-from synchrolab.points import BiSeq, point_in_shift, try_bracket
+from synchrolab.points import (BiSeq, canonical_order, check_bracket_radius,
+                               point_in_shift, try_bracket)
 from synchrolab.presentation import Presentation, _subset_presentation, _subset_search
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 
@@ -119,20 +120,20 @@ def central_word_synchronizes(s, x, N):
     return is_sync_word(s, x.window(1 - N, N))
 
 
-def cylinder_representatives(s, x, N, L, cycle_len, side):
+def cylinder_representatives(s, x, N, L, side):
     """The small-description points of one cylinder of ``x``.
 
     ``side`` "u" freezes coordinates <= N-1 (unstable cylinder) and
     varies the future; "s" freezes coordinates >= 1-N and varies the
     past.  Free words fit in window L, are read out of the frozen side's
-    tail set, and close into cycles up to ``cycle_len`` whose tail
+    tail set, and close into cycles of length at most 2 whose tail
     fixpoint their run meets.  Raises ``Unverified`` for an oracle shift.
     """
     g, symbols = s.presentation, s.alphabet.symbols
     free = max(0, L - N)
     unstable = side == "u"
     cycles = [(c, g.tail_fixpoint(c, unstable))
-              for (c, _) in g.words(g.full_mask, symbols, cycle_len) if c]
+              for (c, _) in g.words(g.full_mask, symbols, 2) if c]
     if unstable:
         a = min(x.origin, N)
         past, head = x.left_pattern_at(a), x.window(a, N)
@@ -144,7 +145,7 @@ def cylinder_representatives(s, x, N, L, cycle_len, side):
     out = {BiSeq(past, head + u, c, a) if unstable
            else BiSeq(c, u + tail, future, 1 - N - len(u))
            for (u, run) in runs for (c, fixed) in cycles if run & fixed}
-    return sorted(out, key=lambda p: (p.description_size(), str(p)))
+    return canonical_order(out)
 
 
 def rectangle_check(s, x, N, L):
@@ -162,15 +163,14 @@ def rectangle_check(s, x, N, L):
 
     Returns a report dict; raises on precondition failures.
     """
-    if N < 2:
-        raise ValueError("bracket radius must satisfy N >= 2 (epsilon <= 1/4)")
+    check_bracket_radius(N)
     verdict = classify_point(s, x)
     if verdict.status != "synchronizing":
         raise NotSynchronizing(f"point classifies {verdict.status}")
     if not central_word_synchronizes(s, x, N):
         raise NotSynchronizing(f"central word at radius {N} is not synchronizing")
-    unstable = cylinder_representatives(s, x, N, L, 2, "u")
-    stable = cylinder_representatives(s, x, N, L, 2, "s")
+    unstable = cylinder_representatives(s, x, N, L, "u")
+    stable = cylinder_representatives(s, x, N, L, "s")
     if not unstable or not stable:
         raise WindowTooSmall(f"no representatives fit in window {L}")
     g = s.presentation
@@ -221,8 +221,7 @@ def nonsync_subshift(s):
             a, i = out[i]
             labels.append(a)
         points.add(BiSeq.periodic(labels))
-    ordered = tuple(sorted(points, key=lambda pt: (pt.description_size(), str(pt))))
-    return NonSyncReport(cover, search, "finite", ordered)
+    return NonSyncReport(cover, search, "finite", tuple(canonical_order(points)))
 
 
 def close_orbit_through(cover, word):

@@ -2,13 +2,13 @@
 
 import pytest
 
-from synchrolab.conjugacy import (BlockRule, Germ, IdentityRule, compose_lcs_lcu,
+from synchrolab.conjugacy import (KINDS, BlockRule, Germ, IdentityRule, compose_lcs_lcu,
                                   construct_germ, groupoid_sample,
                                   heteroclinic_bridge, identity_germ,
                                   rectangle_germs, ruelle_germ, sync_bridge,
                                   verify_germ)
 from synchrolab.errors import (InvariantViolation, NotConstructive, NotHomoclinic,
-                               NotInRectangle, NotInShift, NotSFT)
+                               NotInRectangle, NotInShift, NotSFT, Unverified)
 from synchrolab.points import (BiSeq, decide_relation, enumerate_points,
                                point_in_shift, shift_by)
 from synchrolab.sync import classify_point
@@ -326,3 +326,13 @@ def test_verify_germ_reports_an_image_outside_the_shift(golden_mean):
         germ.apply(ZEROS)
     with pytest.raises(InvariantViolation, match="leaves the shift"):
         verify_germ(germ)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_germs_stop_at_the_presentation(ray_oracle, kind):
+    # a^oo b a^oo is homoclinic to a^oo, so every kind reaches the cover,
+    # which an oracle shift does not have
+    x = BiSeq.constant("a")
+    y = BiSeq(("a",), ("b",), ("a",), 0)
+    with pytest.raises(Unverified):
+        construct_germ(ray_oracle, x, y, kind)

@@ -5,7 +5,8 @@ Every name a module of ``src/synchrolab`` imports is used in that module
 module-level private function or class is referenced somewhere in
 ``src/`` outside its own definition, and every public module-level
 function is either called in ``src/`` or re-exported from ``__init__``,
-so no dead helper is left behind.
+so no dead helper is left behind.  Imports sit at module top, never
+inside a function.
 """
 
 import ast
@@ -71,3 +72,11 @@ def test_every_public_function_is_called_or_exported():
     # ``__init__``'s imports are the re-exports, and count as references
     assert _unreferenced(_modules(), lambda stmt: (
         isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"))) == []
+
+
+def test_no_import_inside_a_function():
+    nested = [f"{name}:{sub.lineno}"
+              for name, tree in _modules().items() for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    assert nested == []

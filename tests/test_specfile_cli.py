@@ -283,6 +283,11 @@ def test_cli_bound_below_one_exit_2(capsys, argv, bound):
     ["find-periodic", "context-free", "--point", "L=a C= O=0 R=a"],
     ["product", "nonsofic-ray", "even"],
     ["product", "even", "context-free"],
+    ["germ", "nonsofic-ray", "--from", "L=a C= O=0 R=a", "--to", "L=a C=b O=0 R=a"],
+    ["germ", "nonsofic-ray", "--from", "L=a C= O=0 R=a", "--to", "L=a C=b O=0 R=a",
+     "--kind", "lcs"],
+    ["germ", "context-free", "--from", "L=a C= O=0 R=a", "--to", "L=a C=b O=0 R=a",
+     "--kind", "lcu"],
 ])
 def test_cli_oracle_search_is_unverified(capsys, argv):
     assert main(argv) == 1
@@ -290,7 +295,7 @@ def test_cli_oracle_search_is_unverified(capsys, argv):
     assert out == "" and err.startswith("Unverified: ")
 
 
-def _minimal_argvs(spec, point):
+def _minimal_argvs(spec, point, other):
     return {
         "info": [[]],
         "words": [["--maxlen", "2"]],
@@ -301,9 +306,9 @@ def _minimal_argvs(spec, point):
                           ["--point", point, "--return-point", point, "--n", "1"]],
         "classify": [["--point", point]],
         "nonsync": [[]],
-        "bracket": [["--x", point, "--y", point]],
-        "germ": [["--from", point, "--to", point, "--kind", kind]
-                 for kind in ("lc", "lcs", "lcu")],
+        "bracket": [["--x", point, "--y", y] for y in (point, other)],
+        "germ": [["--from", point, "--to", y, "--kind", kind]
+                 for y in (point, other) for kind in ("lc", "lcs", "lcu")],
         "groupoid": [["--bound", "2", "--kind", kind] for kind in ("lc", "lcsync")]
                     + [["--bound", "2", "--kind", kind, "--P", point] for kind in ("lcs", "lcu")],
         "factor": [["--check", "resolving"], ["--check", "degree", "--point", point],
@@ -315,12 +320,13 @@ def _minimal_argvs(spec, point):
 
 def test_cli_never_raises_on_builtin_specs(capsys):
     # Every builtin spec against every subcommand, with a constant point
-    # on the spec's first symbol: each run ends in an exit status, never
-    # in an exception escaping ``main``.
+    # on the spec's first symbol, and for brackets and germs also a second
+    # point that differs from it at 0: each run ends in an exit status,
+    # never in an exception escaping ``main``.
     statuses = set()
     for spec in BUILTIN_SPECS:
-        symbol = load_spec(spec).shift.alphabet.symbols[0]
-        argvs = _minimal_argvs(spec, f"L={symbol} C= O=0 R={symbol}")
+        a, b = load_spec(spec).shift.alphabet.symbols[:2]
+        argvs = _minimal_argvs(spec, f"L={a} C= O=0 R={a}", f"L={a} C={b} O=0 R={a}")
         assert set(argvs) == set(HANDLERS)
         for command, variants in argvs.items():
             for rest in variants:
@@ -329,6 +335,38 @@ def test_cli_never_raises_on_builtin_specs(capsys):
                 assert status in (0, 1, 2), (command, spec, rest)
                 statuses.add(status)
     assert statuses == {0, 1}
+
+
+def test_cli_unreadable_spec_path_exits_2(capsys, tmp_path):
+    with pytest.raises(ParseError) as excinfo:
+        load_spec(str(tmp_path))
+    assert str(excinfo.value).startswith(f"cannot read {str(tmp_path)!r}")
+    assert main(["info", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {str(tmp_path)!r}")
+
+
+def test_cli_non_utf8_spec_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.shift"
+    path.write_bytes(b"alphabet: \xe9 1\ntype: sft\n")
+    assert main(["info", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_shift_kind_names_each_variant():
+    assert load_spec("goldenmean").shift.kind == "sft"
+    assert load_spec("even").shift.kind == "sofic"
+    assert load_spec("nonsofic-ray").shift.kind == "oracle:nonsofic-ray"
+    assert load_spec("context-free").shift.kind == "oracle:context-free"
+
+
+def test_oracle_type_survives_the_round_trip():
+    text = emit_spec(load_spec("nonsofic-ray"))
+    assert "\ntype: oracle:nonsofic-ray\n" in text
+    again = parse_spec_text(text)
+    assert again.shift.kind == "oracle:nonsofic-ray"
+    assert emit_spec(again) == text
 
 
 def test_cli_bracket(capsys):

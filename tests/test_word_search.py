@@ -20,7 +20,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from synchrolab import sync
+from synchrolab import conjugacy, sync
 from synchrolab.conjugacy import _join_left_tail, _join_right_tail, construct_germ, sync_bridge
 from synchrolab.errors import NotConstructive, SearchExhausted, Unverified
 from synchrolab.periodic import enumerate_periodic
@@ -119,7 +119,7 @@ def test_cylinder_representatives_match_reference(named, shifts):
         for x in _sample_points(s):
             for (N, L) in sizes:
                 for side in ("u", "s"):
-                    got = cylinder_representatives(s, x, N, L, 2, side)
+                    got = cylinder_representatives(s, x, N, L, side)
                     assert got == reference_cylinder_representatives(s, x, N, L, 2, side), \
                         (s, x, N, L, side)
                     checked += bool(got)
@@ -142,21 +142,22 @@ def _first_or_none(search, *args):
     try:
         return search(*args)
     except SearchExhausted as exc:
-        assert exc.depth == args[-1]
+        assert exc.depth == conjugacy._CONNECTOR_DEPTH
         return None
 
 
-def test_joins_match_reference(shifts):
+def test_joins_match_reference(shifts, monkeypatch):
     found = exhausted = 0
     for s in shifts:
         for p in _periodic_points(s):
             for tail in _sample_points(s):
                 for boundary in (-2, 1):
                     for depth in (0, 2):
-                        left = _first_or_none(_join_left_tail, s, p, tail, boundary, depth)
+                        monkeypatch.setattr(conjugacy, "_CONNECTOR_DEPTH", depth)
+                        left = _first_or_none(_join_left_tail, s, p, tail, boundary)
                         assert left == reference_join_left_tail(s, p, tail, boundary, depth), \
                             (s, p, tail, boundary, depth)
-                        right = _first_or_none(_join_right_tail, s, tail, boundary, p, depth)
+                        right = _first_or_none(_join_right_tail, s, tail, boundary, p)
                         assert right == reference_join_right_tail(s, tail, boundary, p, depth), \
                             (s, tail, boundary, p, depth)
                         found += (left is not None) + (right is not None)
@@ -193,38 +194,41 @@ def _bridge_cases(s):
 
 
 @pytest.mark.parametrize("name", ["golden", "even", "gap3", "even_x_golden"])
-def test_sync_bridge_matches_reference(named, name):
+def test_sync_bridge_matches_reference(named, name, monkeypatch):
     s = named[name]
     cases = _bridge_cases(s)
     found = 0
     for (p, x, y) in cases:
         for depth in (0, 1, 6):
+            monkeypatch.setattr(conjugacy, "_CONNECTOR_DEPTH", depth)
             want = _reference_bridge(s, x, y, depth)
             if want is None:
                 with pytest.raises(SearchExhausted):
-                    sync_bridge(s, x, y, p, p, depth)
+                    sync_bridge(s, x, y, p, p)
             else:
-                assert sync_bridge(s, x, y, p, p, depth) == want, (p, x, y, depth)
+                assert sync_bridge(s, x, y, p, p) == want, (p, x, y, depth)
                 found += 1
     assert len(cases) >= 4 and found >= len(cases)
 
 
-def test_sync_bridge_depth_zero_exhausts(golden_mean):
+def test_sync_bridge_depth_zero_exhausts(golden_mean, monkeypatch):
     zeros = BiSeq.constant("0")
     x = BiSeq(("0",), ("1", "0"), ("0", "1"), -1)
     y = BiSeq(("1", "0"), ("0", "1"), ("0",), 0)
     assert _reference_bridge(golden_mean, x, y, 0) is None
+    monkeypatch.setattr(conjugacy, "_CONNECTOR_DEPTH", 0)
     with pytest.raises(SearchExhausted) as exc:
-        sync_bridge(golden_mean, x, y, zeros, zeros, 0)
+        sync_bridge(golden_mean, x, y, zeros, zeros)
     assert exc.value.depth == 0
     want = _reference_bridge(golden_mean, x, y, 1)
-    assert want is not None and sync_bridge(golden_mean, x, y, zeros, zeros, 1) == want
+    monkeypatch.setattr(conjugacy, "_CONNECTOR_DEPTH", 1)
+    assert want is not None and sync_bridge(golden_mean, x, y, zeros, zeros) == want
 
 
 def test_oracle_searches_are_unverified(ray_oracle):
     x = BiSeq.constant("a")
     for search in (lambda: enumerate_points(ray_oracle),
-                   lambda: cylinder_representatives(ray_oracle, x, 2, 4, 2, "u"),
+                   lambda: cylinder_representatives(ray_oracle, x, 2, 4, "u"),
                    lambda: enumerate_periodic(ray_oracle, 2)):
         with pytest.raises(Unverified):
             search()
@@ -256,8 +260,8 @@ def test_rectangle_check_matches_reference(named, monkeypatch):
         for N in (2, 3):
             L = N + 2
             for x in _rectangle_bases(s, N):
-                unstable = cylinder_representatives(s, x, N, L, 2, "u")
-                stable = cylinder_representatives(s, x, N, L, 2, "s")
+                unstable = cylinder_representatives(s, x, N, L, "u")
+                stable = cylinder_representatives(s, x, N, L, "s")
                 if unstable and stable:
                     failures = reference_rectangle_failures(s, x, N, unstable, stable)
                     assert rectangle_check(s, x, N, L) == {
@@ -269,7 +273,7 @@ def test_rectangle_check_matches_reference(named, monkeypatch):
                 samples = {"u": _small_samples(s, x, N, rng), "s": _small_samples(s, x, N, rng)}
                 with monkeypatch.context() as m:
                     m.setattr(sync, "cylinder_representatives",
-                              lambda s, x, N, L, cycle_len, side: samples[side])
+                              lambda s, x, N, L, side: samples[side])
                     got = rectangle_check(s, x, N, L)["failures"]
                 want = reference_rectangle_failures(s, x, N, samples["u"], samples["s"])
                 assert got == want, (s, x, N)
