@@ -23,7 +23,7 @@ from synchrolab.points import (BiSeq, CylinderS, CylinderU, Dyadic, bracket,
                                decide_relation, distance, point_in_shift, shift_by,
                                splice, try_bracket)
 from synchrolab.presentation import Presentation, determinize, trim
-from synchrolab.shift import (SFT, Alphabet, OracleShift, Sofic, build_sft,
+from synchrolab.shift import (Alphabet, OracleShift, PresentedShift, build_sft,
                               build_sofic, contains_word, enumerate_words,
                               fischer_cover, full_shift, product, shift_flags, word)
 from synchrolab.specfile import SpecFile, emit_spec, load_spec, parse_point

@@ -13,7 +13,7 @@ import sys
 from synchrolab import conjugacy, factor, invariants, periodic, sync
 from synchrolab.errors import ParseError, SemanticError, SynchrolabError, UsageError
 from synchrolab.points import format_word, try_bracket
-from synchrolab.shift import SFT, enumerate_words, fischer_cover, product, shift_flags
+from synchrolab.shift import enumerate_words, fischer_cover, product, shift_flags
 from synchrolab.specfile import load_spec, parse_point
 
 
@@ -58,7 +58,7 @@ def cmd_info(args, spec):
         cover = fischer_cover(s)
         report["cover_states"] = len(cover.states)
         report["cover_edges"] = [f"{u} -{a}-> {v}" for (u, a, v) in cover.edges]
-    if isinstance(s, SFT):
+    if s.kind == "sft":
         report["forbidden"] = sorted(format_word(w) for w in s.forbidden)
     return report, 0
 

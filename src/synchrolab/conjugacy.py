@@ -5,13 +5,13 @@ splice in the past/future of a fixed point.  Two-sided germs witness
 local conjugacy, one-sided germs witness the stable (rule on unstable
 cylinders) and unstable (rule on stable cylinders) variants.
 
-Constructions follow the shift type: on an SFT, homoclinic points are
-locally conjugate via a central block rewrite, and one-sided tail swaps
-are sound behind a memory buffer.  On a sofic shift germs are lifted
-through the canonical cover: lift the endpoints to the edge shift,
-build the SFT germ there, and conjugate by the labeling map.  Lifting
-fails exactly where it should (ambiguous or unrelated lifts), so the
-sampler emits only sound arrows.
+Constructions follow the shift's decided memory: on an SFT, homoclinic
+points are locally conjugate via a central block rewrite, and one-sided
+tail swaps are sound behind a memory buffer.  On another sofic shift
+germs are lifted through the canonical cover: lift the endpoints to the
+edge shift, build the SFT germ there, and conjugate by the labeling
+map.  Lifting fails exactly where it should (ambiguous or unrelated
+lifts), so the sampler emits only sound arrows.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ from synchrolab.points import (BiSeq, agree_on, alignment_bound, bracket,
                                check_bracket_radius, decide_relation, enumerate_points,
                                future_splice, point_in_shift, replace_window, shift_by,
                                splice)
-from synchrolab.shift import SFT, shift_flags
+from synchrolab.shift import shift_flags
 from synchrolab.sync import (cylinder_representatives, central_word_synchronizes,
                              classify_point, is_sync_word)
 
@@ -317,11 +317,7 @@ def identity_germ(s, x, kind="lc", window=2):
 def _disagreement_radius(x, y):
     """Least K with x_i == y_i for all |i| >= K (homoclinic pair)."""
     bound = alignment_bound(x, y)
-    radius = 0
-    for i in range(-bound, bound + 1):
-        if x.at(i) != y.at(i):
-            radius = max(radius, abs(i) + 1)
-    return radius
+    return max((abs(i) + 1 for i in range(-bound, bound + 1) if x.at(i) != y.at(i)), default=0)
 
 
 def ruelle_germ(s, x, y, verify=True):
@@ -329,10 +325,10 @@ def ruelle_germ(s, x, y, verify=True):
 
     With K the disagreement radius and m the SFT memory, the rule
     rewrites the block [-W, W], W = K + m, from x's pattern to y's;
-    membory buffering makes every junction window a window of the
+    memory buffering makes every junction window a window of the
     input, so images stay in the shift.
     """
-    if not isinstance(s, SFT):
+    if s.memory is None:
         raise NotSFT("ruelle_germ needs an SFT; use compose_lcs_lcu on sofic shifts")
     if not decide_relation(x, y, "homoclinic"):
         raise NotHomoclinic(f"{x} and {y} are not homoclinic")
@@ -347,16 +343,14 @@ def ruelle_germ(s, x, y, verify=True):
 
 def _sft_one_sided_germ(s, x, y, kind, verify=True):
     """Tail-swap germs between stable/unstable equivalent SFT points."""
-    m = s.memory
+    m, bound = s.memory, alignment_bound(x, y)
     if kind == "lcs":
-        bound = alignment_bound(x, y)
         agree_from = bound
         while agree_from > -bound and x.at(agree_from - 1) == y.at(agree_from - 1):
             agree_from -= 1
         cut = agree_from + m
         germ = Germ(s, "lcs", x, y, None, cut + m, PastRule(y, cut))
     else:
-        bound = alignment_bound(x, y)
         agree_to = -bound
         while agree_to < bound and x.at(agree_to + 1) == y.at(agree_to + 1):
             agree_to += 1
@@ -435,8 +429,8 @@ def lifted_germ(s, x, y, kind, verify=True):
 def construct_germ(s, x, y, kind, verify=True):
     """Builds a germ of the requested kind, or raises ``NotConstructive``.
 
-    Dispatches on the shift type: identity, SFT block/tail rules, or
-    cover-lifted rules for sofic shifts.  An oracle shift has no cover,
+    Dispatches on the decided memory: identity, SFT block/tail rules,
+    or cover-lifted rules on other shifts.  An oracle shift has no cover,
     so ``lifted_germ`` stops it with ``Unverified``.
     """
     if kind not in KINDS:
@@ -446,7 +440,7 @@ def construct_germ(s, x, y, kind, verify=True):
     if not decide_relation(x, y, _REQUIRED_RELATION[kind]):
         raise NotConstructive(
             f"points are not {_REQUIRED_RELATION[kind]}-equivalent")
-    if isinstance(s, SFT):
+    if s.memory is not None:
         if kind == "lc":
             return ruelle_germ(s, x, y, verify)
         return _sft_one_sided_germ(s, x, y, kind, verify)
@@ -501,11 +495,12 @@ def compose_lcs_lcu(s, gu, gs, x, y, verify=True):
 
 # -- bridges -----------------------------------------------------------------
 
-def _require_sync_periodic(s, p):
-    if minimal_period(p) is None:
-        raise NotSynchronizing(f"{p} is not periodic")
-    if classify_point(s, p).status != "synchronizing":
-        raise NotSynchronizing(f"{p} is not synchronizing")
+def _require_sync_periodic(s, *points):
+    for p in points:
+        if minimal_period(p) is None:
+            raise NotSynchronizing(f"{p} is not periodic")
+        if classify_point(s, p).status != "synchronizing":
+            raise NotSynchronizing(f"{p} is not synchronizing")
 
 
 def _join_left_tail(s, p, tail, boundary):
@@ -558,8 +553,7 @@ def heteroclinic_bridge(s, z, p, q):
     """
     if not shift_flags(s)["mixing"]:
         raise NotSynchronizing("bridges need a mixing shift")
-    _require_sync_periodic(s, p)
-    _require_sync_periodic(s, q)
+    _require_sync_periodic(s, p, q)
     verdict = classify_point(s, z)
     if verdict.status != "synchronizing":
         raise NotSynchronizing("bridge base must synchronize")
@@ -584,8 +578,7 @@ def sync_bridge(s, x, y, p, q):
     """
     if not shift_flags(s)["mixing"]:
         raise NotSynchronizing("bridges need a mixing shift")
-    _require_sync_periodic(s, p)
-    _require_sync_periodic(s, q)
+    _require_sync_periodic(s, p, q)
     if not decide_relation(x, p, "unstable"):
         raise NotSynchronizing("x is not in the unstable class of p")
     if not decide_relation(y, q, "stable"):
@@ -639,8 +632,7 @@ def groupoid_sample(s, selector, P=(), bound=6, verify=False):
         points = [x for x in points
                   if classify_point(s, x).status == "synchronizing"]
     elif selector in ("lcs", "lcu"):
-        for base in P:
-            _require_sync_periodic(s, base)
+        _require_sync_periodic(s, *P)
         side = "unstable" if kind == "lcs" else "stable"
         points = [x for x in points
                   if any(decide_relation(x, base, side) for base in P)]

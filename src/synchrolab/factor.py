@@ -16,7 +16,8 @@ from functools import cached_property
 from synchrolab.errors import InvariantViolation, NotInShift, NotResolving
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq, canonical_order, point_in_shift
-from synchrolab.shift import SFT, Alphabet, Sofic, build_sft, fischer_cover
+from synchrolab.presentation import Presentation
+from synchrolab.shift import Alphabet, PresentedShift, build_sofic, fischer_cover
 from synchrolab.sync import classify_point
 
 
@@ -25,23 +26,19 @@ class CoverMap:
     """The labeling map from a graph's edge shift onto its sofic shift."""
 
     presentation: object     # labeled graph G
-    source: SFT              # edge shift of G, over edge-name symbols
-    target: Sofic            # sofic shift presented by G
+    source: PresentedShift   # edge shift of G: G labeled by edge names
+    target: PresentedShift   # sofic shift presented by G
     edge_names: tuple        # name of each edge, aligned with G.edges
 
     @staticmethod
     def build(presentation, alphabet=None):
         g = presentation
         names = tuple(f"e{i}" for i in range(len(g.edges)))
-        bad_pairs = set()
-        for i, (_, _, dst) in enumerate(g.edges):
-            for j, (src, _, _) in enumerate(g.edges):
-                if dst != src:
-                    bad_pairs.add((names[i], names[j]))
-        source = build_sft(Alphabet(names), bad_pairs)
+        source = build_sofic(Alphabet(names), Presentation.build(
+            g.states, [(src, name, dst) for name, (src, _, dst) in zip(names, g.edges)]))
         if alphabet is None:
             alphabet = Alphabet(tuple(sorted({a for (_, a, _) in g.edges})))
-        target = Sofic(alphabet, g)
+        target = PresentedShift(alphabet, g)
         return CoverMap(g, source, target, names)
 
     @staticmethod

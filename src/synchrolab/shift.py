@@ -1,10 +1,10 @@
-"""Shift spaces: SFTs, sofic shifts, and membership oracles.
+"""Shift spaces: presented shifts and membership oracles.
 
-A shift is one of three variants:
+A shift is one of two variants:
 
-* ``SFT`` -- all bi-infinite sequences avoiding a finite set of forbidden
-  words; carries a deterministic higher-block presentation.
-* ``Sofic`` -- the bi-infinite label sequences of a finite labeled graph.
+* ``PresentedShift`` -- the bi-infinite label sequences of a finite
+  labeled graph; its ``memory``, and so whether it is an SFT, is
+  decided from the Fischer cover, not from how the shift was given.
 * ``OracleShift`` -- a word-membership predicate with a hard window
   bound, for shifts with no finite presentation.
 
@@ -12,10 +12,10 @@ Words are tuples of symbols; symbols are non-empty strings.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 from synchrolab.errors import EmptyShift, NotIrreducible, Unverified, WindowExceeded
-from synchrolab.presentation import Presentation, minimal_cover, trim
+from synchrolab.presentation import Presentation, _subset_search, minimal_cover, trim
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,16 @@ class Shift:
     """Base class of the tagged union; see the variants below.
 
     ``kind`` names the variant as a spec's ``type:`` line does:
-    ``sft``, ``sofic`` or ``oracle:<name>``.
+    ``sft``, ``sofic`` or ``oracle:<name>``, and names an unnamed shift.
+    ``memory`` is None unless the shift is decided to be an SFT.
     """
 
     alphabet: Alphabet
+    memory = None
 
     @property
     def name(self):
-        return getattr(self, "_name", type(self).__name__.lower())
+        return getattr(self, "_name", self.kind)
 
     def with_name(self, name):
         object.__setattr__(self, "_name", name)
@@ -73,27 +75,36 @@ class Shift:
 
 
 @dataclass(frozen=True)
-class SFT(Shift):
-    """Shift of finite type given by finitely many forbidden words."""
+class PresentedShift(Shift):
+    """The shift presented by a finite labeled graph (trimmed); ``forbidden``
+    keeps the words an SFT was built from, for its ``kind`` and spec."""
 
-    kind = "sft"
-    alphabet: Alphabet
-    forbidden: frozenset
-    presentation: Presentation = field(compare=False)
-
-    @property
-    def memory(self):
-        """Window length within which every constraint is visible."""
-        return max((len(w) for w in self.forbidden), default=1)
-
-
-@dataclass(frozen=True)
-class Sofic(Shift):
-    """Sofic shift presented by a finite labeled graph (trimmed)."""
-
-    kind = "sofic"
     alphabet: Alphabet
     presentation: Presentation
+    forbidden: frozenset = None
+
+    @property
+    def kind(self):
+        return "sofic" if self.forbidden is None else "sft"
+
+    @cached_property
+    def memory(self):
+        """The least m with uv, vw in L, |v| = m - 1, implying uvw in L (the
+        longest word of a minimal forbidden list), or None for a non-SFT.
+
+        m - 1 is the least length whose words all run the Fischer cover's
+        full mask to at most one state (Lind & Marcus §3.4), the number of
+        masks on the longest chain of the 2-subset search; a kept index
+        means no such length.  A reducible shift reads its trimmed
+        presentation, as ``shift_flags`` does: sound, not exact.
+        """
+        queue, arcs, keep = _subset_search(_cover_or_presentation(self), 2)
+        if keep:
+            return None
+        memory, layer = 1, {0} if queue else set()
+        while layer:
+            memory, layer = memory + 1, {j for (i, _, j) in arcs if i in layer}
+        return memory
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,7 @@ class OracleShift(Shift):
 
 
 def build_sft(alphabet, forbidden):
-    """Builds an SFT together with its higher-block presentation.
+    """Builds a shift of finite type with its higher-block presentation.
 
     States are the admissible words of length ``m - 1`` where ``m`` is
     the maximum forbidden length; the edge ``u -a-> v`` exists when
@@ -175,7 +186,7 @@ def build_sft(alphabet, forbidden):
     p = trim(Presentation.build(states, edges))
     if not p.states:
         raise EmptyShift("all bi-infinite sequences contain a forbidden word")
-    return SFT(alphabet, forbidden, p)
+    return PresentedShift(alphabet, p, forbidden)
 
 
 def full_shift(alphabet):
@@ -191,14 +202,14 @@ def build_sofic(alphabet, presentation):
     for (_, a, _) in p.edges:
         if a not in alphabet:
             raise ValueError(f"edge label {a!r} not in alphabet")
-    return Sofic(alphabet, p)
+    return PresentedShift(alphabet, p)
 
 
 def contains_word(s, w):
     """True iff ``w`` occurs in some point of the shift.
 
-    SFT and sofic shifts run their trimmed presentation, whose paths
-    all extend to bi-infinite ones.  For an oracle shift the predicate
+    A presented shift runs its trimmed presentation, whose paths all
+    extend to bi-infinite ones.  For an oracle shift the predicate
     is consulted; queries longer than the window bound raise
     ``WindowExceeded``.
     """
@@ -214,7 +225,7 @@ def enumerate_words(s, max_len):
     """All admissible words of length <= ``max_len``, in canonical order.
 
     Canonical order is by length, then lexicographically in alphabet
-    order.  SFT and sofic shifts read them off their presentation's word
+    order.  A presented shift reads them off its presentation's word
     search; an oracle shift is asked word by word.
     """
     if not isinstance(s, OracleShift):
@@ -232,7 +243,7 @@ def enumerate_words(s, max_len):
 def fischer_cover(s):
     """The minimal deterministic irreducible presentation of ``s``.
 
-    Available for irreducible SFT and sofic shifts; unique up to state
+    Available for irreducible presented shifts; unique up to state
     renaming, and used as the decision automaton for synchronizing
     words.
 
@@ -254,15 +265,16 @@ def shift_flags(s):
     """
     if isinstance(s, OracleShift):
         return {"irreducible": None, "mixing": None, "period": None}
-    try:
-        p = fischer_cover(s)
-    except NotIrreducible:
-        p = s.presentation
+    p = _cover_or_presentation(s)
     return {"irreducible": p.irreducible, "mixing": p.mixing, "period": p.period}
 
 
-def product_symbol(a, b):
-    return f"{a}|{b}"
+def _cover_or_presentation(s):
+    # The Fischer cover, or the trimmed presentation of a reducible shift.
+    try:
+        return fischer_cover(s)
+    except NotIrreducible:
+        return s.presentation
 
 
 def product(s1, s2):
@@ -272,12 +284,9 @@ def product(s1, s2):
     ``a|b`` reads ``a`` in the first factor and ``b`` in the second.
     Raises ``Unverified`` when a factor is an oracle shift.
     """
-    alphabet = Alphabet(tuple(product_symbol(a, b)
-                              for a in s1.alphabet for b in s2.alphabet))
+    label = {(a, b): f"{a}|{b}" for a in s1.alphabet for b in s2.alphabet}
     p1, p2 = s1.presentation, s2.presentation
     states = [(q1, q2) for q1 in p1.states for q2 in p2.states]
-    edges = []
-    for (u1, a, v1) in p1.edges:
-        for (u2, b, v2) in p2.edges:
-            edges.append(((u1, u2), product_symbol(a, b), (v1, v2)))
-    return build_sofic(alphabet, Presentation.build(states, edges))
+    edges = [((u1, u2), label[a, b], (v1, v2))
+             for (u1, a, v1) in p1.edges for (u2, b, v2) in p2.edges]
+    return build_sofic(Alphabet(tuple(label.values())), Presentation.build(states, edges))

@@ -20,7 +20,7 @@ from synchrolab.errors import ParseError, SemanticError
 from synchrolab.oracles import BUILTIN_ORACLES
 from synchrolab.points import BiSeq, format_word
 from synchrolab.presentation import Presentation
-from synchrolab.shift import Alphabet, SFT, Sofic, build_sft, build_sofic
+from synchrolab.shift import Alphabet, build_sft, build_sofic
 
 
 @dataclass
@@ -178,10 +178,10 @@ def emit_spec(spec):
     """Renders a ``SpecFile`` back to spec text (round-trip partner)."""
     s = spec.shift
     lines = [f"alphabet: {' '.join(s.alphabet)}", f"type: {s.kind}"]
-    if isinstance(s, SFT):
+    if s.kind == "sft":
         for w in sorted(s.forbidden):
             lines.append(f"forbid: {format_word(w)}")
-    elif isinstance(s, Sofic):
+    elif s.kind == "sofic":
         for q in s.presentation.states:
             lines.append(f"state: {_state_text(q)}")
         for (src, label, dst) in s.presentation.edges:
@@ -192,7 +192,8 @@ def emit_spec(spec):
 
 
 def _state_text(q):
-    return q if isinstance(q, str) else repr(q)
+    # spec lines split on whitespace: a product's pair is written without
+    return q if isinstance(q, str) else "".join(repr(q).split())
 
 
 BUILTIN_SPECS = {

@@ -38,7 +38,7 @@ from synchrolab.errors import NotInLanguage, SearchExhausted
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, agree_on, decide_relation,
                                shift_by, splice)
 from synchrolab.presentation import Presentation
-from synchrolab.shift import SFT, OracleShift, Sofic, contains_word
+from synchrolab.shift import OracleShift, contains_word
 from synchrolab.sync import classify_point
 
 
@@ -67,15 +67,15 @@ def reference_point_in_shift(s, x):
     left = tuple(x.at(x.origin - len(x.left) + k) for k in range(len(x.left)))
     core = tuple(x.at(i) for i in range(x.origin, start))
     right = tuple(x.at(start + k) for k in range(len(x.right)))
-    if isinstance(s, SFT):
-        m = s.memory
+    if s.kind == "sft":
+        m = max((len(f) for f in s.forbidden), default=1)
         lo = x.origin - len(x.left) - m
         hi = start + len(x.right) + m
         for p in range(lo, hi):
             if not window_admissible(s, tuple(x.at(i) for i in range(p, p + m))):
                 return "no"
         return "yes"
-    assert isinstance(s, Sofic)
+    assert s.kind == "sofic"
     g = s.presentation
     reached = _step(g, _past(g, left), core)
     return "yes" if reached & _future(g, right) else "no"

@@ -6,7 +6,8 @@ module-level private function or class is referenced somewhere in
 ``src/`` outside its own definition, and every public module-level
 function is either called in ``src/`` or re-exported from ``__init__``,
 so no dead helper is left behind.  Imports sit at module top, never
-inside a function.
+inside a function.  No ``isinstance`` names a presented-shift class, and
+the oracle gate is tested by type on at most 9 lines.
 """
 
 import ast
@@ -80,3 +81,24 @@ def test_no_import_inside_a_function():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
               for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_no_isinstance_dispatch_on_presented_shifts():
+    # a presented shift decides "is an SFT" from its cover, not from its
+    # class; the oracle lines may only fall from their 9
+    modules = _modules()
+    shift_classes = {stmt.name for stmt in modules["shift.py"].body
+                     if isinstance(stmt, ast.ClassDef)
+                     and (stmt.name == "Shift" or any(getattr(base, "id", None) == "Shift"
+                                                      for base in stmt.bases))}
+    assert {"Shift", "PresentedShift", "OracleShift"} <= shift_classes
+    lines = {}
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2):
+                for sub in ast.walk(node.args[1]):
+                    if isinstance(sub, ast.Name) and sub.id in shift_classes:
+                        lines.setdefault(sub.id, set()).add((name, node.lineno))
+    assert set(lines) <= {"OracleShift"}, lines
+    assert len(lines.get("OracleShift", ())) <= 9

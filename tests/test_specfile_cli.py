@@ -8,8 +8,8 @@ from synchrolab.cli import HANDLERS, main
 from synchrolab.errors import ParseError, SemanticError
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq
-from synchrolab.shift import SFT, OracleShift, Sofic, fischer_cover
-from synchrolab.specfile import (BUILTIN_SPECS, emit_spec, load_spec, parse_point,
+from synchrolab.shift import OracleShift, enumerate_words, fischer_cover, product
+from synchrolab.specfile import (BUILTIN_SPECS, SpecFile, emit_spec, load_spec, parse_point,
                                  parse_spec_text, parse_word)
 from synchrolab.sync import nonsync_subshift
 
@@ -59,14 +59,14 @@ def test_builtin_specs_all_load():
 
 def test_builtin_even_matches_fixture(even_shift):
     spec = load_spec("even.shift")
-    assert isinstance(spec.shift, Sofic)
+    assert spec.shift.kind == "sofic" and spec.shift.forbidden is None
     assert fischer_cover(spec.shift).edges == fischer_cover(even_shift).edges
     assert spec.points["zeros"] == BiSeq.constant("0")
 
 
 def test_builtin_goldenmean_is_sft():
     spec = load_spec("goldenmean")
-    assert isinstance(spec.shift, SFT)
+    assert spec.shift.kind == "sft"
     assert spec.shift.forbidden == frozenset({("1", "1")})
 
 
@@ -80,10 +80,10 @@ def test_round_trip(even_shift):
         spec = load_spec(name)
         text = emit_spec(spec)
         again = parse_spec_text(text)
-        assert type(again.shift) is type(spec.shift)
+        assert again.shift.kind == spec.shift.kind
         assert tuple(again.shift.alphabet) == tuple(spec.shift.alphabet)
         assert again.points == spec.points
-        if isinstance(spec.shift, Sofic):
+        if spec.shift.kind == "sofic":
             assert again.shift.presentation.edges == spec.shift.presentation.edges
 
 
@@ -132,7 +132,7 @@ def test_file_loading(tmp_path):
     path.write_text("alphabet: x y\ntype: sft\nforbid: yy\n")
     spec = load_spec(str(path))
     assert spec.name == "custom"
-    assert isinstance(spec.shift, SFT)
+    assert spec.shift.forbidden == frozenset({("y", "y")})
 
 
 def test_cli_nonsync_even(capsys):
@@ -367,6 +367,16 @@ def test_oracle_type_survives_the_round_trip():
     again = parse_spec_text(text)
     assert again.shift.kind == "oracle:nonsofic-ray"
     assert emit_spec(again) == text
+
+
+def test_product_spec_round_trip():
+    # a product's states are pairs; their spec tokens carry no whitespace
+    shift = product(load_spec("goldenmean").shift, load_spec("even").shift)
+    text = emit_spec(SpecFile("<product>", shift))
+    assert "state: (('0',),'A')\n" in text
+    again = parse_spec_text(text).shift
+    assert enumerate_words(again, 6) == enumerate_words(shift, 6)
+    assert len(fischer_cover(again).states) == len(fischer_cover(shift).states)
 
 
 def test_cli_bracket(capsys):
