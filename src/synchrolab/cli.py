@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from synchrolab import conjugacy, factor, invariants, periodic, sync
 from synchrolab.errors import ParseError, SemanticError, SynchrolabError, UsageError
@@ -217,7 +218,9 @@ HANDLERS = {
 }
 
 
+@cache
 def build_parser():
+    # One parser per process: parsing reads it and leaves it unchanged.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     parser = argparse.ArgumentParser(

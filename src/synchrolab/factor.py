@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from synchrolab.errors import InvariantViolation, NotInShift, NotResolving
-from synchrolab.periodic import enumerate_periodic
+from synchrolab.periodic import multiply_covered_cycles, periodic_counts
 from synchrolab.points import BiSeq, canonical_order, point_in_shift
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, PresentedShift, build_sofic, fischer_cover
@@ -207,24 +207,37 @@ def almost_one_to_one_check(c, max_period):
 
     Every synchronizing periodic point of period <= ``max_period`` must
     have exactly one preimage; points with several preimages are
-    reported and must classify non-synchronizing.
+    reported, by least period and then in canonical order, and must
+    classify non-synchronizing.
+
+    On a right-resolving map w^∞ has |T_w| preimages, T_w the tail
+    fixpoint of w (on a left-resolving one, of w read backward), so the
+    points with several are those of ``multiply_covered_cycles``; only
+    they are counted and classified.  ``checked``, the number of points
+    of least period <= ``max_period``, is the Möbius inversion of
+    ``periodic_counts``.  Raises ``NotResolving`` when the map resolves
+    in neither direction, and whatever the image's Fischer cover raises
+    once there is a point to check, as classifying that point would.
     """
-    seen = set()
+    if not (c.right_resolving or c.left_resolving):
+        raise NotResolving("cover map resolves in neither direction")
+    counts = periodic_counts(c.target, max_period) if max_period > 0 else ()
+    least = []  # least[d - 1]: the number of points of least period d
+    for n, count in enumerate(counts, 1):
+        least.append(count - sum(least[d - 1] for d in range(1, n) if n % d == 0))
+    if sum(least):
+        fischer_cover(c.target)
+    found = {BiSeq.periodic(w) for (w, _) in multiply_covered_cycles(
+        c.presentation, max_period, backward=not c.right_resolving)}
     exceptional = []
     violations = []
-    for n in range(1, max_period + 1):
-        for p in enumerate_periodic(c.target, n).points:
-            if p in seen:
-                continue
-            seen.add(p)
-            count = preimage_count(c, p)["count"]
-            status = classify_point(c.target, p).status
-            if count != 1:
-                exceptional.append({"point": str(p), "count": count,
-                                    "status": status})
-                if status == "synchronizing":
-                    violations.append(str(p))
+    for p in sorted(canonical_order(found), key=lambda p: len(p.right)):
+        count = preimage_count(c, p)["count"]
+        status = classify_point(c.target, p).status
+        exceptional.append({"point": str(p), "count": count, "status": status})
+        if status == "synchronizing":
+            violations.append(str(p))
     return {"max_period": max_period,
-            "checked": len(seen),
+            "checked": sum(least),
             "exceptional": exceptional,
             "passed": not violations}

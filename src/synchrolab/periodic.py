@@ -1,11 +1,14 @@
 """Periodic points: exact counts, enumeration, and the bracket-iteration search.
 
 The counts p_n of points fixed by the n-th power of the shift are read
-off a right-resolving presentation, with no word enumerated: ``zeta``
+off a right-resolving presentation, with no |A|^n enumeration: ``zeta``
 gives the zeta function as a quotient of two integer polynomials and
-every p_n up to a given n, and ``count_periodic`` reads one count from
-it, enumerating only past the kernel's size limits.  ``enumerate_periodic``
-lists the points themselves.
+every p_n up to a given n, and ``periodic_counts`` reads the counts
+from it.  Past the kernel's size limits they come from tr(A^n) and a
+correction over ``multiply_covered_cycles``, the words whose periodic
+points have several preimages on the presentation, which one word
+search pruned at two states lists.  ``enumerate_periodic`` lists the
+points themselves.
 
 This module also implements the constructive recursion that produces a
 periodic point near any synchronizing point: starting from a
@@ -46,7 +49,7 @@ class PeriodicSet:
 # whose Berkowitz pass grows with the cube of the block.  Of the covers
 # in ``bench/cliffs.py``, the 48-state one (5,442 candidates, blocks up
 # to 116) counts in about half a second; the 86-state one (58,735)
-# falls back to enumeration.
+# falls back to the trace and the search of ``multiply_covered_cycles``.
 _CANDIDATE_LIMIT = 8192
 _BLOCK_LIMIT = 160
 
@@ -64,7 +67,10 @@ def enumerate_periodic(s, n):
     A candidate is ``w`` repeated bi-infinitely for each word ``w`` of
     length n; membership of the periodization is decided exactly on the
     presentation.  Distinct canonical points are returned.  This tries
-    all |A|^n words; ``count_periodic`` counts the points without them.
+    all |A|^n words, so only the points path of ``synchrolab periodic``
+    calls it: ``count_periodic`` counts the points without them, and
+    ``factor.almost_one_to_one_check`` finds the multiply covered ones
+    by ``multiply_covered_cycles``.
     """
     _check_period(s, n)
     points = set()
@@ -97,9 +103,7 @@ def zeta(s, n):
     counted before any is built, or ``_BLOCK_LIMIT`` subsets in a block.
     """
     _check_period(s, n)
-    g = s.presentation
-    if not g.deterministic:
-        g = determinize(g)
+    g = _right_resolving(s)
     queue, _, keep = _subset_search(g, 1)
     kept = [mask for i, mask in enumerate(queue) if keep >> i & 1]
     total = sum((1 << mask.bit_count()) - 1 for mask in kept)
@@ -111,6 +115,23 @@ def zeta(s, n):
         while sub:
             candidates.add(sub)
             sub = (sub - 1) & mask
+    numerator, denominator = _signed_dets(g, candidates, _BLOCK_LIMIT)
+    counts = tuple(a - b for a, b in zip(_power_sums(denominator, n),
+                                         _power_sums(numerator, n)))
+    return tuple(numerator), tuple(denominator), counts
+
+
+def _right_resolving(s):
+    # The shift's presentation if it is deterministic, else its determinization.
+    g = s.presentation
+    return g if g.deterministic else determinize(g)
+
+
+def _signed_dets(g, candidates, limit):
+    # (numerator, denominator): the products of det(I - tB) over the
+    # strongly connected blocks B of the signed subset graph on
+    # ``candidates``, those of even and of odd subsets.  Raises
+    # ``SearchExhausted`` for a block of more than ``limit`` subsets.
     arcs = {}
     for subset in sorted(candidates):
         arcs[subset] = row = {}
@@ -124,9 +145,9 @@ def zeta(s, n):
                 row[image] = row.get(image, 0) + (-1) ** swaps
     numerator, denominator = [1], [1]
     for block in _blocks(arcs):
-        if len(block) > _BLOCK_LIMIT:
+        if len(block) > limit:
             raise SearchExhausted(
-                f"a block of {len(block)} subsets exceeds the limit of {_BLOCK_LIMIT}")
+                f"a block of {len(block)} subsets exceeds the limit of {limit}")
         at = {subset: k for k, subset in enumerate(block)}
         poly = _det_one_minus([{at[q]: w for q, w in arcs[p].items() if q in at}
                                for p in block])
@@ -134,18 +155,55 @@ def zeta(s, n):
             denominator = _times(denominator, poly)
         else:
             numerator = _times(numerator, poly)
-    counts = tuple(a - b for a, b in zip(_power_sums(denominator, n),
-                                         _power_sums(numerator, n)))
-    return tuple(numerator), tuple(denominator), counts
+    return numerator, denominator
+
+
+def multiply_covered_cycles(g, depth, backward=False):
+    """Yields ``(w, T_w)`` for every non-empty word w of length <=
+    ``depth`` whose tail fixpoint T_w on ``g`` (``backward``: the
+    states starting an infinite run of w reads) has at least two
+    states, shortest first.
+
+    On a right-resolving ``g`` (``backward``: left-resolving), reading
+    w permutes T_w, so w^∞ has |T_w| preimages under the labeling, one
+    through each state of T_w (Lind & Marcus §9.1).  Every prefix
+    (``backward``: suffix) of w reads the full mask to at least |T_w|
+    states, so one word search cut at two states finds every such w.
+    """
+    for (w, _) in g.words(g.full_mask, g.alphabet, depth, backward, least=2):
+        if w:
+            tail = g.tail_fixpoint(w, backward)
+            if tail.bit_count() >= 2:
+                yield w, tail
+
+
+def periodic_counts(s, n):
+    """(p_1, ..., p_n), p_m = |Fix(shift^m)|, read from ``zeta``.
+
+    Past the kernel's limits, on the same right-resolving presentation
+    with adjacency matrix A: each word w of length m with w^∞ in the
+    shift adds one to p_m, and c_w = #{q in T_w : q·w = q} to tr(A^m),
+    where c_w = 1 when |T_w| = 1.  So p_m = tr(A^m) + Σ (1 - c_w), summed
+    over the words of ``multiply_covered_cycles`` of length m, and
+    tr(A^m) comes from det(I - tA) with no matrix power.
+    """
+    try:
+        return zeta(s, n)[2]
+    except SearchExhausted:
+        pass
+    g = _right_resolving(s)
+    _, det = _signed_dets(g, {1 << i for i in range(len(g.states))}, len(g.states))
+    counts = _power_sums(det, n)
+    for (w, tail) in multiply_covered_cycles(g, n):
+        bits = [1 << i for i in range(tail.bit_length()) if tail >> i & 1]
+        counts[len(w) - 1] += 1 - sum(g.run(bit, w) == bit for bit in bits)
+    return tuple(counts)
 
 
 def count_periodic(s, n):
-    """|Fix(shift^n)|, read from ``zeta``; past the kernel's limits it
-    is the length of ``enumerate_periodic``, which is exact too."""
-    try:
-        return zeta(s, n)[2][-1]
-    except SearchExhausted:
-        return len(enumerate_periodic(s, n).points)
+    """|Fix(shift^n)|, the last of ``periodic_counts``; exact past the
+    kernel's limits too, with no |A|^n enumeration."""
+    return periodic_counts(s, n)[-1]
 
 
 def _blocks(arcs):

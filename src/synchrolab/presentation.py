@@ -178,18 +178,18 @@ class Presentation:
         alive = self.tail_fixpoint(x.right_pattern_at(anchor), True)
         return self.back(alive, x.window(cut, anchor))
 
-    def words(self, mask, symbols, depth, backward=False):
+    def words(self, mask, symbols, depth, backward=False, least=1):
         """Yields ``(word, run mask)`` for every word over ``symbols`` of
         length <= ``depth`` whose run from ``mask`` (``backward``: back into
-        it) is non-empty, shortest first and then in ``symbols`` order; a
-        branch is cut as soon as its mask is empty."""
+        it) has at least ``least`` states, shortest first and then in
+        ``symbols`` order; a branch is cut as soon as its mask has fewer."""
         read = self.back if backward else self.run
-        layer = [((), mask)] if mask else []
+        layer = [((), mask)] if mask.bit_count() >= least else []
         for _ in range(depth):
             yield from layer
             grown = ([((a,) + w, read(m, (a,))) for a in symbols for (w, m) in layer] if backward
                      else [(w + (a,), read(m, (a,))) for (w, m) in layer for a in symbols])
-            layer = [(w, m) for (w, m) in grown if m]
+            layer = [(w, m) for (w, m) in grown if m.bit_count() >= least]
         yield from layer
 
     @cached_property

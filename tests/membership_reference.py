@@ -28,6 +28,9 @@ quotient; the library runs one mask BFS, its word search, one cycle
 read per state, and no second trim.  ``same_language`` decides language
 equality by a search over mask pairs, beside ``distinguishing_word`` on
 frozensets; the library checks the cover's language on its quotient.
+The almost one-to-one check enumerates every periodic point and counts
+and classifies each one; the library lists only the multiply covered
+points by a pruned word search and counts the rest.
 """
 
 import math
@@ -35,6 +38,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from synchrolab.errors import NotInLanguage, SearchExhausted
+from synchrolab.factor import preimage_count
+from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, agree_on, decide_relation,
                                shift_by, splice)
 from synchrolab.presentation import Presentation
@@ -673,3 +678,28 @@ def renamed(p, mapping=None):
         mapping = {q: f"s{i}" for i, q in enumerate(p.states)}
     return Presentation.build([mapping[q] for q in p.states],
                               [(mapping[u], a, mapping[v]) for (u, a, v) in p.edges])
+
+
+def reference_almost_one_to_one_check(c, max_period):
+    """``factor.almost_one_to_one_check`` by enumerating the periodic
+    points of every period up to ``max_period`` and counting the
+    preimages of, and classifying, each new one."""
+    seen = set()
+    exceptional = []
+    violations = []
+    for n in range(1, max_period + 1):
+        for p in enumerate_periodic(c.target, n).points:
+            if p in seen:
+                continue
+            seen.add(p)
+            count = preimage_count(c, p)["count"]
+            status = classify_point(c.target, p).status
+            if count != 1:
+                exceptional.append({"point": str(p), "count": count,
+                                    "status": status})
+                if status == "synchronizing":
+                    violations.append(str(p))
+    return {"max_period": max_period,
+            "checked": len(seen),
+            "exceptional": exceptional,
+            "passed": not violations}

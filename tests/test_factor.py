@@ -2,10 +2,11 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from synchrolab.errors import EmptyShift, NotResolving
+from synchrolab.errors import EmptyShift, NotResolving, SynchrolabError
 from synchrolab.factor import (CoverMap, almost_one_to_one_check, degree_bound,
                                preimage_count, resolving_check)
 from synchrolab.periodic import enumerate_periodic
@@ -14,7 +15,7 @@ from synchrolab.points import (BiSeq, decide_relation, enumerate_points,
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet
 
-from membership_reference import reference_preimage_count
+from membership_reference import reference_almost_one_to_one_check, reference_preimage_count
 
 ZEROS = BiSeq.constant("0")
 ONES = BiSeq.constant("1")
@@ -255,3 +256,56 @@ def test_preimage_counts_match_windowed_path_counts():
             assert count == reference_preimage_count(c.presentation, x), (c.presentation, x)
             finite.add(count != math.inf)
     assert finite == {True, False}
+
+
+def _random_resolving_maps(count, seed):
+    """Labeling maps of seeded graphs with at most 4 states and 2-3
+    symbols, reducible ones included: each state has at most one out-edge
+    per label (right-resolving), or at most one in-edge per label."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        states = [f"q{j}" for j in range(rng.randint(1, 4))]
+        symbols = "abc"[:rng.randint(2, 3)]
+        ends = {(q, a): rng.choice(states) for q in states for a in symbols
+                if rng.random() < 0.6}
+        if not ends:
+            continue
+        if len(out) % 2:
+            edges = [(q, a, r) for (q, a), r in ends.items()]
+        else:
+            edges = [(r, a, q) for (q, a), r in ends.items()]
+        try:
+            out.append(CoverMap.build(Presentation.build(states, edges),
+                                      Alphabet(tuple(symbols))))
+        except EmptyShift:
+            continue
+    return out
+
+
+def _outcome(check, c, max_period):
+    try:
+        return check(c, max_period)
+    except SynchrolabError as exc:
+        return type(exc)
+
+
+def test_almost_one_to_one_matches_enumeration():
+    seen = Counter()
+    for i, c in enumerate(_random_resolving_maps(300, seed=3)):
+        max_period = 1 + i % 5
+        got = _outcome(almost_one_to_one_check, c, max_period)
+        want = _outcome(reference_almost_one_to_one_check, c, max_period)
+        assert got == want, (c.presentation, max_period)
+        seen["right" if c.right_resolving else "left"] += 1
+        seen[want.__name__ if isinstance(want, type) else
+             "exceptional" if want["exceptional"] else "plain"] += 1
+    assert min(seen.values()) >= 5, seen
+    assert set(seen) == {"right", "left", "NotIrreducible", "exceptional", "plain"}
+
+
+def test_almost_one_to_one_requires_resolving():
+    p = Presentation.build(
+        ["A", "B"], [("A", "0", "A"), ("A", "0", "B"), ("B", "0", "B"), ("B", "0", "A")])
+    with pytest.raises(NotResolving):
+        almost_one_to_one_check(CoverMap.build(p, Alphabet(("0",))), 3)

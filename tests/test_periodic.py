@@ -1,15 +1,19 @@
 """Periodic enumeration and the bracket-iteration recursion."""
 
+import random
+
 import pytest
 
 from synchrolab import periodic
 from synchrolab.cli import main
-from synchrolab.errors import NotSynchronizing, SearchExhausted
+from synchrolab.errors import EmptyShift, NotSynchronizing, SearchExhausted
 from synchrolab.invariants import IntMatrix
 from synchrolab.periodic import (count_periodic, enumerate_periodic, find_periodic_by_bracket,
-                                 find_return, minimal_period, periodic_density_check, zeta)
+                                 find_return, minimal_period, multiply_covered_cycles,
+                                 periodic_counts, periodic_density_check, zeta)
 from synchrolab.points import BiSeq, distance, point_in_shift, shift_by
-from synchrolab.shift import fischer_cover
+from synchrolab.presentation import Presentation, determinize
+from synchrolab.shift import Alphabet, build_sofic, fischer_cover
 
 from membership_reference import reference_point_in_shift
 
@@ -152,7 +156,61 @@ def test_count_falls_back_past_the_limits(monkeypatch, even_shift, even_times_go
                       lambda s, n: calls.append(n) or enumerate_periodic(s, n))
             for s, counts in expected.items():
                 assert [count_periodic(s, n) for n in range(1, 7)] == counts
-            assert calls == list(range(1, 7)) * 2
+            # the fallback reads the trace and the multiply covered cycles
+            assert calls == []
+
+
+CLIFFS = {
+    # the covers of ``bench/cliffs.py``: 86 states on 3 symbols, 59 and 48 on 2
+    86: ("s0 b s1, s1 a s2, s1 a s5, s1 b s1, s2 a s3, s3 a s5, s3 c s4, s4 a s9, "
+         "s4 b s5, s5 a s6, s5 b s2, s6 a s7, s6 b s6, s7 a s8, s7 a s9, s8 a s4, "
+         "s8 b s9, s8 c s7, s9 b s1, s9 b s7, s9 c s0"),
+    59: ("s0 b s1, s0 b s2, s0 b s4, s1 a s1, s1 a s2, s2 a s8, s2 b s3, s3 a s4, "
+         "s4 a s5, s4 b s5, s5 b s6, s5 b s7, s6 a s7, s7 a s3, s7 b s8, s8 a s0, "
+         "s8 b s0"),
+    48: ("s0 a s1, s1 b s2, s2 a s3, s2 b s5, s3 a s0, s3 a s4, s3 b s1, s4 b s3, "
+         "s4 b s5, s5 a s6, s5 b s6, s6 a s7, s7 a s3, s7 b s0, s7 b s4"),
+}
+
+
+def _sofic(edges):
+    states = sorted({e[0] for e in edges} | {e[2] for e in edges})
+    return build_sofic(Alphabet(tuple(sorted({e[1] for e in edges}))),
+                       Presentation.build(states, edges))
+
+
+def _random_sofics(count, seed):
+    """Seeded labeled graphs, deterministic or not, with at most 4 states."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        states = range(rng.randint(1, 4))
+        symbols = "abc"[:rng.randint(2, 3)]
+        edges = {(rng.choice(states), rng.choice(symbols), rng.choice(states))
+                 for _ in range(rng.randint(1, 3 * len(states)))}
+        try:
+            out.append(_sofic(edges))
+        except EmptyShift:
+            continue
+    return out
+
+
+def test_counts_past_the_limits_match_enumeration(monkeypatch):
+    # p_n = tr(A^n) + sum(1 - c_w) over the multiply covered cycles of length n
+    assert count_periodic(_sofic([tuple(e.split()) for e in CLIFFS[86].split(", ")]), 1) > 0
+    with pytest.raises(SearchExhausted):
+        zeta(_sofic([tuple(e.split()) for e in CLIFFS[86].split(", ")]), 1)
+    monkeypatch.setattr(periodic, "_CANDIDATE_LIMIT", 0)
+    cases = [(s, 8 if len(s.alphabet) == 2 else 5) for s in _random_sofics(40, seed=11)]
+    cases += [(_sofic([tuple(e.split()) for e in text.split(", ")]), 5 if size == 86 else 7)
+              for size, text in CLIFFS.items()]
+    corrected = 0
+    for s, top in cases:
+        want = tuple(enumerate_periodic(s, n).count for n in range(1, top + 1))
+        assert periodic_counts(s, top) == want, s.presentation
+        assert count_periodic(s, top) == want[-1]
+        corrected += any(multiply_covered_cycles(determinize(s.presentation), top))
+    assert corrected >= 10
 
 
 def test_cli_count_only_reads_the_kernel(capsys):

@@ -1,6 +1,10 @@
 """Spec-file parsing, round trips, builtins, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,30 @@ def test_cli_info_on_a_reducible_shift_prints_flags_without_a_cover(capsys, tmp_
 
 def test_cli_usage_error_exit_2(capsys):
     assert main(["classify", "no-such-spec-anywhere"]) == 2
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process, so no call may leave state
+    # behind for the next one
+    calls = [["periodic", "even", "--n", "5", "--count-only"],
+             ["periodic", "even", "--n", "5"],
+             ["factor", "even", "--check", "a1to1", "--maxper", "5", "--format", "json"],
+             ["factor", "even", "--check", "a1to1", "--maxper", "5"],
+             ["periodic", "goldenmean", "--count-only"],
+             ["periodic", "goldenmean", "--n", "3", "--count-only"],
+             ["factor", "even", "--check", "degree", "--format", "jsn"],
+             ["factor", "even", "--check", "degree"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    statuses = []
+    for argv in calls:
+        status = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "synchrolab.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (status, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        statuses.append(status)
+    assert statuses == [0, 0, 0, 0, 2, 0, 2, 0]
 
 
 @pytest.mark.parametrize("declaration", ["alphabet: 0 0", "alphabet:"])

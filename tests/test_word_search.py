@@ -98,6 +98,24 @@ def test_words_match_brute_force(shifts):
     assert cut > 0
 
 
+def test_words_cut_below_least(shifts):
+    # a word is kept iff every prefix (backward: suffix) reaches two states
+    kept = 0
+    for s in shifts:
+        g = s.presentation
+        for backward in (False, True):
+            reached = dict(reference_words(g, _names(g, g.full_mask), s.alphabet.symbols, 4,
+                                           backward))
+            want = [(w, m) for (w, m) in reached.items()
+                    if all(len(reached.get(w[k:] if backward else w[:len(w) - k], ())) >= 2
+                           for k in range(len(w) + 1))]
+            got = [(w, _names(g, m)) for (w, m) in g.words(g.full_mask, s.alphabet.symbols, 4,
+                                                           backward, least=2)]
+            assert got == want, (s, backward)
+            kept += len(got)
+    assert kept > 0
+
+
 @functools.cache
 def _sample_points(s):
     """The least point of ``s`` and its least point with a core."""
