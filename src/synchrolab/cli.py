@@ -7,7 +7,6 @@ JSON via ``--format``.
 
 import argparse
 import json
-import math
 import sys
 from functools import cache
 
@@ -171,8 +170,7 @@ def cmd_factor(args, spec):
         if args.point:
             result = factor.preimage_count(cover, _point(spec, args.point))
             report["point"] = args.point
-            report["preimage_count"] = (
-                "infinite" if math.isinf(result["count"]) else result["count"])
+            report["preimage_count"] = result["count"]
             report["preimages"] = [str(p) for p in result["preimages"]]
         return report, 0
     result = factor.almost_one_to_one_check(cover, args.maxper)
@@ -267,7 +265,7 @@ def build_parser():
     p.add_argument("--check", choices=("resolving", "degree", "a1to1"),
                    default="resolving")
     p.add_argument("--point", help="with --check degree: count and list the "
-                   "point's preimages (count 'infinite' when there are infinitely many)")
+                   "point's preimages on the Fischer cover")
     p.add_argument("--maxper", type=int, default=4)
     add("report", help="invariant fingerprint report")
     add("product", help="product with a second shift").add_argument("other")

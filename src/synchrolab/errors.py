@@ -82,18 +82,17 @@ class WindowTooSmall(SynchrolabError):
 
 
 class NotResolving(SynchrolabError):
-    """Cover map is neither right- nor left-resolving."""
+    """Cover map does not resolve in a direction the computation needs."""
 
 
 class ParseError(SynchrolabError):
     """Malformed spec file."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-        self.column = column
 
 
 class SemanticError(SynchrolabError):

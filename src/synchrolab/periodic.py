@@ -306,14 +306,13 @@ def periodic_density_check(s, L):
             "passed": all(e["status"] != "no" for e in entries)}
 
 
-def periodize(x, period, anchor=0):
-    """The periodic point repeating x's window [anchor-period/2 ...).
+def periodize(x, period):
+    """The periodic point repeating x's central window [-period/2 ...).
 
     Used with ``period = 2n`` and the central window [-n, n).
     """
     half = period // 2
-    return BiSeq.periodic(x.window(anchor - half, anchor - half + period),
-                          anchor - half)
+    return BiSeq.periodic(x.window(-half, period - half), -half)
 
 
 def find_periodic_by_bracket(s, x, y, n, N, cap=None):

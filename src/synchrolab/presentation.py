@@ -409,6 +409,48 @@ def minimal_cover(p):
     the quotient reads from all its classes.  A search over the pairs
     of class sets reachable from (all classes, core) decides the check.
     """
+    classes, edges = _moore_quotient(p)
+    count = len(classes)
+    # rows[a][c]: the bit of the class label a leads to from c, or 0
+    rows = {a: [0] * count for a in p.alphabet}
+    for (c, a, d) in edges:
+        rows[a][c] = 1 << d
+    reach = _closure([sum({row[c] for row in rows.values()}) for c in range(count)])
+    # each terminal component is a closure row that all its members share
+    terminal = {row for row in set(reach)
+                if all(reach[c] == row for c in range(count) if row >> c & 1)}
+    if len(terminal) != 1:
+        raise NotIrreducible(f"{len(terminal)} terminal components; shift is not irreducible")
+    core = terminal.pop()
+    # the core reads a sublanguage of what all classes read, L(trim p);
+    # they differ iff a pair reachable from (all, core) empties only core
+    pair = ((1 << count) - 1, core)
+    seen = {pair}
+    pairs = [pair] if core != pair[0] else []
+    for (everything, inside) in pairs:
+        if not inside:
+            raise NotIrreducible("terminal component presents a proper sublanguage")
+        for row in rows.values():
+            nxt = (_image(row, everything), _image(row, inside))
+            if nxt[0] and nxt not in seen:
+                seen.add(nxt)
+                pairs.append(nxt)
+
+    def class_name(masks):
+        names = sorted((p.names(mask) for mask in masks), key=_state_key)
+        return tuple(names) if len(names) > 1 else names[0]
+
+    names = {c: class_name(classes[c]) for c in range(count) if core >> c & 1}
+    rank = {c: f"s{r}" for r, c in enumerate(sorted(names, key=lambda c: _state_key(names[c])))}
+    return Presentation.build(rank.values(), [
+        (rank[c], a, rank[d]) for (c, a, d) in edges if c in rank])
+
+
+def _moore_quotient(p):
+    # The trimmed subset automaton of ``p`` with its states merged by
+    # follower set: Moore refinement on the peeled indices of the 1-subset
+    # search.  Returns the classes, each the list of its subset masks, and
+    # the labeled arcs ``(c, a, d)`` between class indices.
     queue, arcs, keep = _subset_search(p, 1)
     kept = [i for i in range(len(queue)) if keep >> i & 1]
     at = {i: k for k, i in enumerate(kept)}
@@ -433,36 +475,6 @@ def minimal_cover(p):
     classes = [[] for _ in range(count)]
     for k in range(n):
         classes[block[k]].append(k)
-    # rows[x][c]: mask of the class label x leads to from c; distinct bits sum to their OR
-    bit = [1 << b for b in block[:n]] + [0]
-    rows = [[bit[moves[members[0]][x]] for members in classes] for x in column.values()]
-    reach = _closure([sum({row[c] for row in rows}) for c in range(count)])
-    # each terminal component is a closure row that all its members share
-    terminal = {row for row in set(reach)
-                if all(reach[c] == row for c in range(count) if row >> c & 1)}
-    if len(terminal) != 1:
-        raise NotIrreducible(f"{len(terminal)} terminal components; shift is not irreducible")
-    core = terminal.pop()
-    # the core reads a sublanguage of what all classes read, L(trim p);
-    # they differ iff a pair reachable from (all, core) empties only core
-    pair = ((1 << count) - 1, core)
-    seen = {pair}
-    pairs = [pair] if core != pair[0] else []
-    for (everything, inside) in pairs:
-        if not inside:
-            raise NotIrreducible("terminal component presents a proper sublanguage")
-        for row in rows:
-            nxt = (_image(row, everything), _image(row, inside))
-            if nxt[0] and nxt not in seen:
-                seen.add(nxt)
-                pairs.append(nxt)
-
-    def class_name(members):
-        names = sorted((p.names(queue[kept[k]]) for k in members), key=_state_key)
-        return tuple(names) if len(names) > 1 else names[0]
-
-    names = {c: class_name(classes[c]) for c in range(count) if core >> c & 1}
-    rank = {c: f"s{r}" for r, c in enumerate(sorted(names, key=lambda c: _state_key(names[c])))}
-    return Presentation.build(rank.values(), [
-        (rank[c], a, rank[block[j]])
-        for c in rank for a, j in zip(p.alphabet, moves[classes[c][0]]) if j < n])
+    return ([[queue[kept[k]] for k in members] for members in classes],
+            [(c, a, block[j]) for c, members in enumerate(classes)
+             for a, j in zip(p.alphabet, moves[members[0]]) if j < n])

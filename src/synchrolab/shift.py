@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from synchrolab.errors import EmptyShift, NotIrreducible, Unverified, WindowExceeded
-from synchrolab.presentation import Presentation, _subset_search, minimal_cover, trim
+from synchrolab.presentation import (Presentation, _moore_quotient, _subset_search,
+                                     minimal_cover, trim)
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,19 @@ class PresentedShift(Shift):
         m - 1 is the least length whose words all run the Fischer cover's
         full mask to at most one state (Lind & Marcus §3.4), the number of
         masks on the longest chain of the 2-subset search; a kept index
-        means no such length.  A reducible shift reads its trimmed
-        presentation, as ``shift_flags`` does: sound, not exact.
+        means no such length.  A reducible shift has no Fischer cover and
+        reads the follower-merged trimmed subset automaton instead, which
+        ``minimal_cover`` cuts to its terminal component: each non-empty
+        step from a kept subset stays kept, and every long enough word
+        reaches a kept subset, so a word runs all its classes to one class
+        iff it is intrinsically synchronizing.
         """
-        queue, arcs, keep = _subset_search(_cover_or_presentation(self), 2)
+        try:
+            cover = fischer_cover(self)
+        except NotIrreducible:
+            classes, edges = _moore_quotient(self.presentation)
+            cover = Presentation.build(range(len(classes)), edges)
+        queue, arcs, keep = _subset_search(cover, 2)
         if keep:
             return None
         memory, layer = 1, {0} if queue else set()
@@ -265,16 +275,11 @@ def shift_flags(s):
     """
     if isinstance(s, OracleShift):
         return {"irreducible": None, "mixing": None, "period": None}
-    p = _cover_or_presentation(s)
-    return {"irreducible": p.irreducible, "mixing": p.mixing, "period": p.period}
-
-
-def _cover_or_presentation(s):
-    # The Fischer cover, or the trimmed presentation of a reducible shift.
     try:
-        return fischer_cover(s)
+        p = fischer_cover(s)
     except NotIrreducible:
-        return s.presentation
+        p = s.presentation
+    return {"irreducible": p.irreducible, "mixing": p.mixing, "period": p.period}
 
 
 def product(s1, s2):

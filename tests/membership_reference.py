@@ -38,7 +38,6 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from synchrolab.errors import NotInLanguage, SearchExhausted
-from synchrolab.factor import preimage_count
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, agree_on, decide_relation,
                                shift_by, splice)
@@ -692,7 +691,7 @@ def reference_almost_one_to_one_check(c, max_period):
             if p in seen:
                 continue
             seen.add(p)
-            count = preimage_count(c, p)["count"]
+            count = reference_preimage_count(c.presentation, p)
             status = classify_point(c.target, p).status
             if count != 1:
                 exceptional.append({"point": str(p), "count": count,

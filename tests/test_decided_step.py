@@ -5,13 +5,16 @@ Fischer cover, whatever the spec's ``type:`` line says.  It is checked
 here on seeded random presentations with at most 4 states and 2 symbols:
 against the language itself, read on frozensets by
 ``membership_reference``; against the least word length at which every
-run of the reference Fischer cover ends in at most one state; and, on
-irreducible shifts, against the paper's Smale-space criterion (a sofic
-shift is an SFT iff it has no non-synchronizing point).  Named cases
+run of the reference Fischer cover ends in at most one state; on
+reducible shifts, which have no Fischer cover, against the least length
+from which short words glue; and, on irreducible shifts, against the
+paper's Smale-space criterion (a sofic shift is an SFT iff it has no
+non-synchronizing point).  Named cases
 pin the memories and germ rules that the decision changes.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -96,6 +99,41 @@ def test_decided_memory_glues_short_words():
                     assert u + v + w in language, (s.presentation, u, v, w)
 
 
+def _glued_memory(s, depth=6, reach=3):
+    """The least m <= ``depth`` such that, for every m' from m to
+    ``depth``, uv, vw in L with |v| = m' - 1 and |u|, |w| <= ``reach``
+    imply uvw in L; or None."""
+    language = set(reference_enumerate_words(s, depth - 1 + 2 * reach))
+    short = [w for w in language if len(w) <= reach]
+    glued = []
+    for m in range(1, depth + 1):
+        glued.append(all(u + v + w in language
+                         for v in language if len(v) == m - 1
+                         for u in short if u + v in language
+                         for w in short if v + w in language))
+    return next((m for m in range(1, depth + 1) if all(glued[m - 1:])), None)
+
+
+def test_reducible_memory_is_the_least_glued_length():
+    # a reducible shift has no Fischer cover: its memory reads the
+    # follower-merged subset automaton
+    rng = random.Random(11)
+    seen = Counter()
+    while sum(seen.values()) < 80:
+        states = [f"q{i}" for i in range(rng.randint(2, 4))]
+        edges = {(rng.choice(states), rng.choice("ab"), rng.choice(states))
+                 for _ in range(rng.randint(2, 3 * len(states)))}
+        try:
+            s = build_sofic(Alphabet(("a", "b")), Presentation.build(states, edges))
+        except EmptyShift:
+            continue
+        if _irreducible(s) or (s.memory or 0) > 6:
+            continue
+        assert s.memory == _glued_memory(s), s.presentation
+        seen[s.memory] += 1
+    assert {None, 2, 3, 4} <= set(seen), seen
+
+
 def test_decided_memory_is_the_least_synchronizing_length():
     checked = 0
     for s in filter(_irreducible, SHIFTS):
@@ -150,3 +188,26 @@ def test_reducible_sft_keeps_its_block_rewrite():
     assert not shift_flags(s)["irreducible"] and s.memory == 2
     x, y = BiSeq(("0",), (), ("1",), 0), BiSeq(("0",), (), ("1",), 1)
     assert isinstance(construct_germ(s, x, y, "lc").rule, BlockRule)
+
+
+def test_reducible_sft_from_a_nondeterministic_graph_takes_block_rewrites():
+    # the SFT with forbidden words 11, 02 and 12, given by a graph that
+    # reads 0 two ways out of A and enters it from a separate loop at D
+    s = parse_spec_text("""\
+alphabet: 0 1 2
+type: sofic
+state: A
+state: B
+state: C
+state: D
+edge: A 0 A
+edge: A 1 B
+edge: B 0 A
+edge: A 0 C
+edge: C 0 A
+edge: C 1 B
+edge: D 2 D
+edge: D 2 A
+""").shift
+    assert not shift_flags(s)["irreducible"] and s.memory == 2
+    assert isinstance(construct_germ(s, ZEROS, ONE, "lc").rule, BlockRule)

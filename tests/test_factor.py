@@ -1,6 +1,5 @@
 """Labelings as factor maps: resolving flags, degrees, preimages."""
 
-import math
 import random
 from collections import Counter
 
@@ -12,8 +11,8 @@ from synchrolab.factor import (CoverMap, almost_one_to_one_check, degree_bound,
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import (BiSeq, decide_relation, enumerate_points,
                                point_in_shift, shift_by)
-from synchrolab.presentation import Presentation
-from synchrolab.shift import Alphabet
+from synchrolab.presentation import Presentation, trim
+from synchrolab.shift import Alphabet, contains_word, enumerate_words
 
 from membership_reference import reference_almost_one_to_one_check, reference_preimage_count
 
@@ -32,6 +31,16 @@ def identity_cover():
     p = Presentation.build(
         ["A", "B"], [("A", "x", "A"), ("A", "y", "B"), ("B", "z", "A")])
     return CoverMap.build(p, Alphabet(("x", "y", "z")))
+
+
+def test_cover_target_is_trimmed():
+    # no point of A 0 A, A 1 B contains a 1
+    p = Presentation.build(["A", "B"], [("A", "0", "A"), ("A", "1", "B")])
+    c = CoverMap.build(p)
+    assert not contains_word(c.target, ("1",))
+    assert enumerate_words(c.target, 2) == [(), ("0",), ("0", "0")]
+    with pytest.raises(ValueError):
+        CoverMap.build(p, Alphabet(("1",)))
 
 
 def test_even_cover_is_right_resolving():
@@ -201,13 +210,15 @@ def test_product_cover_counts_multiply(even_shift):
         assert entry["status"] == "nonSynchronizing"
 
 
-def test_infinite_count_detected_on_nonresolving_cover():
-    # both directions branch while reading zeros: infinitely many runs
+def test_preimage_count_refuses_a_cover_branching_both_ways():
+    # both directions branch while reading zeros: 0^inf has infinitely
+    # many preimages, and the map is not right-resolving
     p = Presentation.build(
         ["A", "B"],
         [("A", "0", "A"), ("A", "0", "B"), ("B", "0", "A"), ("B", "0", "B")])
     c = CoverMap.build(p, Alphabet(("0",)))
-    assert preimage_count(c, ZEROS)["count"] is math.inf
+    with pytest.raises(NotResolving):
+        preimage_count(c, ZEROS)
 
 
 def test_almost_one_to_one_reports_violation():
@@ -221,15 +232,16 @@ def test_almost_one_to_one_reports_violation():
     assert report["exceptional"][0]["status"] == "synchronizing"
 
 
-def test_infinite_count_behind_a_branching_two_cycle():
-    # the right tail turns around Q -> R -> Q any number of times before
-    # it leaves R for the loop at S
+def test_preimage_count_refuses_a_branching_two_cycle():
+    # the right tail may turn around Q -> R -> Q any number of times
+    # before it leaves R for the loop at S: R branches on 0
     p = Presentation.build(
         ["P", "Q", "R", "S"],
         [("P", "x", "P"), ("P", "y", "Q"), ("Q", "0", "R"), ("R", "0", "Q"),
          ("R", "0", "S"), ("S", "0", "S")])
     point = BiSeq(("x",), ("y",), ("0",), 0)
-    assert preimage_count(CoverMap.build(p), point)["count"] is math.inf
+    with pytest.raises(NotResolving):
+        preimage_count(CoverMap.build(p), point)
 
 
 def _random_cover_maps(count=120, seed=0):
@@ -249,13 +261,25 @@ def _random_cover_maps(count=120, seed=0):
 
 
 def test_preimage_counts_match_windowed_path_counts():
-    finite = set()
-    for c in _random_cover_maps():
-        for x in enumerate_points(c.target, cycle_len=2, core_len=2):
+    # right-resolving maps, reducible and untrimmed ones included; the
+    # others are refused
+    seen = Counter()
+    for c in _random_cover_maps() + _random_resolving_maps(16, seed=5):
+        points = enumerate_points(c.target, cycle_len=2, core_len=2)
+        if not c.right_resolving:
+            with pytest.raises(NotResolving):
+                preimage_count(c, points[0])
+            seen["refused"] += 1
+            continue
+        g = c.presentation
+        seen["reducible"] += not g.irreducible
+        seen["untrimmed"] += trim(g) != g
+        for x in points:
             count = preimage_count(c, x)["count"]
-            assert count == reference_preimage_count(c.presentation, x), (c.presentation, x)
-            finite.add(count != math.inf)
-    assert finite == {True, False}
+            assert count == reference_preimage_count(g, x), (g, x)
+            seen[min(count, 2)] += 1
+    assert min(seen.values()) >= 10, seen
+    assert set(seen) == {"refused", "reducible", "untrimmed", 1, 2}
 
 
 def _random_resolving_maps(count, seed):
