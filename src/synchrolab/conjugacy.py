@@ -29,7 +29,7 @@ from synchrolab.points import (BiSeq, agree_on, alignment_bound, bracket,
                                splice)
 from synchrolab.shift import shift_flags
 from synchrolab.sync import (cylinder_representatives, central_word_synchronizes,
-                             classify_point, is_sync_word)
+                             classify_point)
 
 KINDS = ("lc", "lcs", "lcu")
 _REQUIRED_RELATION = {"lc": "homoclinic", "lcs": "stable", "lcu": "unstable"}
@@ -379,9 +379,13 @@ def lifted_germ(s, x, y, kind, verify=True):
     labeling map.  The frozen part of the domain must pin the lift --
     a synchronizing central word for two-sided germs, a singleton tail
     state set for one-sided ones -- so that the projected rule is a
-    genuine map of cylinders, not a partial map.  ``NotConstructive``
-    signals a sound refusal (no related lift pair, or no pinning); an
-    oracle shift has no cover and raises ``Unverified``.
+    genuine map of cylinders, not a partial map.  A two-sided domain
+    [lo, hi] has lo <= -witness and hi >= witness, so it holds both
+    endpoints' synchronizing central witnesses; a word containing a
+    synchronizing word synchronizes, so it pins the lift with no check.
+    ``NotConstructive`` signals a sound refusal (no related lift pair,
+    or no pinning); an oracle shift has no cover and raises
+    ``Unverified``.
     """
     cover = canonical_cover(s)
     g = cover.presentation  # the Fischer cover
@@ -402,15 +406,11 @@ def lifted_germ(s, x, y, kind, verify=True):
             slack = len(cover.presentation.states) + 1
             lo = None if lo is None else min(lo - slack, -witness)
             hi = None if hi is None else max(hi + slack, witness)
-            if kind == "lc":
-                if not (is_sync_word(s, x.window(lo, hi + 1))
-                        and is_sync_word(s, y.window(lo, hi + 1))):
-                    continue
-            elif kind == "lcs":
+            if kind == "lcs":
                 if (g.past_set(x, hi + 1).bit_count() != 1
                         or g.past_set(y, hi + 1).bit_count() != 1):
                     continue
-            else:
+            elif kind == "lcu":
                 if (g.future_set(x, lo).bit_count() != 1
                         or g.future_set(y, lo).bit_count() != 1):
                     continue

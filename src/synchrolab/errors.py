@@ -65,10 +65,6 @@ class BracketUndefined(SynchrolabError):
         self.step = step
 
 
-class NoConvergence(SynchrolabError):
-    """Iteration failed to converge within its cap."""
-
-
 class SearchExhausted(SynchrolabError):
     """A bounded search failed to produce a witness."""
 

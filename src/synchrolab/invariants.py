@@ -32,37 +32,12 @@ class IntMatrix:
             raise ValueError("rows must be non-empty and rectangular")
         return IntMatrix(len(rows), len(rows[0]), rows)
 
-    @staticmethod
-    def identity(n):
-        return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         rows = [[sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
                  for j in range(other.cols)] for i in range(self.rows)]
         return IntMatrix.from_rows(rows)
-
-    def power(self, n):
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if n < 0:
-            raise ValueError(f"power needs an exponent >= 0, got {n}")
-        out = IntMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                out = out.mul(base)
-            base = base.mul(base)
-            n >>= 1
-        return out
-
-    def trace(self):
-        return sum(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def sub_from_identity(self):
         """I - A for a square matrix A."""

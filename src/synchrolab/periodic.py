@@ -14,16 +14,17 @@ This module also implements the constructive recursion that produces a
 periodic point near any synchronizing point: starting from a
 non-wandering return ``y`` close to the base point, iterate
 ``z <- [shift^-n(z), shift^n(z)]``.  In the symbolic setting the
-agreement window grows by exactly n per step, so the limit is detected
-exactly as stabilization against a periodization of the current iterate.
+recursion is at its limit after one step: [a, b] takes a's coordinates
+>= 0 and b's < 0, so z_1 reads y_(i mod n) on [-n, n], the window of
+the periodic point repeating y's word on [0, n).
 """
 
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from synchrolab.errors import (BracketUndefined, InvariantViolation, NoConvergence,
-                               NotAgreeing, NotInShift, NotSynchronizing,
-                               SearchExhausted, Unverified)
+from synchrolab.errors import (BracketUndefined, InvariantViolation, NotAgreeing,
+                               NotInShift, NotSynchronizing, SearchExhausted,
+                               Unverified)
 from synchrolab.points import (BiSeq, agree_on, bracket, canonical_order, check_bracket_radius,
                                distance, point_in_shift, shift_by)
 from synchrolab.presentation import _subset_search, determinize
@@ -306,34 +307,27 @@ def periodic_density_check(s, L):
             "passed": all(e["status"] != "no" for e in entries)}
 
 
-def periodize(x, period):
-    """The periodic point repeating x's central window [-period/2 ...).
-
-    Used with ``period = 2n`` and the central window [-n, n).
-    """
-    half = period // 2
-    return BiSeq.periodic(x.window(-half, period - half), -half)
-
-
-def find_periodic_by_bracket(s, x, y, n, N, cap=None):
+def find_periodic_by_bracket(s, x, y, n, N):
     """Runs the bracket recursion from a return point near ``x``.
 
     Preconditions: ``x`` synchronizes with a central witness inside
     radius ``N``, and both ``y`` and ``shift^n(y)`` lie in the closed
-    ball of radius ``2**-N`` around ``x``.  Iterates
+    ball of radius ``2**-N`` around ``x``.  The recursion is
 
         z_0 = [y, shift^n(y)],   z_{m+1} = [shift^-n(z_m), shift^n(z_m)]
 
-    and stops when ``z_{m+1}`` agrees on [-K, K], K = n(m+1), with the
-    2n-periodization of ``z_m``; that periodization is returned after
-    checking it is shift^(2n)-fixed and lies in the shift.
+    and it stops at z_1.  [a, b] takes a's coordinates >= 0 and b's
+    < 0, so z_0 reads y_i on [0, n) and y_(i+n) on [-n, 0), and z_1
+    reads z_0(i - n) on [0, n] and z_0(i + n) on [-n, 0): both are
+    y_(i mod n).  So z_1 agrees on [-n, n] with p, the periodic point
+    repeating y's word on [0, n), which is the 2n-periodization of z_0.
+    p is returned after checking that z_1 agrees with it, that it is
+    shift^(2n)-fixed and that it lies in the shift.
 
     Raises
     ------
     BracketUndefined
-        With the failing step index.
-    NoConvergence
-        Beyond the iteration cap.
+        With the failing step index, 0 or 1.
     """
     check_bracket_radius(N)
     if n < 1:
@@ -347,27 +341,22 @@ def find_periodic_by_bracket(s, x, y, n, N, cap=None):
         d = distance(x, candidate)
         if not (d.is_zero or d.k >= N):
             raise ValueError(f"{name} is not within 2^-{N} of the base point")
-    if cap is None:
-        cap = len(fischer_cover(s).states) * N + 16
     try:
         z = bracket(s, y, shift_by(y, n), N)
     except (NotAgreeing, NotInShift, Unverified) as exc:
         raise BracketUndefined(f"z_0 undefined: {exc}", step=0) from exc
-    for m in range(cap):
-        p = periodize(z, 2 * n)
-        try:
-            z_next = bracket(s, shift_by(z, -n), shift_by(z, n), N)
-        except (NotAgreeing, NotInShift, Unverified) as exc:
-            raise BracketUndefined(f"z_{m + 1} undefined: {exc}", step=m + 1) from exc
-        K = n * (m + 1)
-        if agree_on(z_next, p, -K, K + 1):
-            if shift_by(p, 2 * n) != p:
-                raise InvariantViolation("periodization is not shift^(2n)-fixed")
-            if point_in_shift(s, p) != "yes":
-                raise NotInShift("periodization leaves the shift")
-            return p
-        z = z_next
-    raise NoConvergence(f"no stabilization within {cap} steps")
+    try:
+        z = bracket(s, shift_by(z, -n), shift_by(z, n), N)
+    except (NotAgreeing, NotInShift, Unverified) as exc:
+        raise BracketUndefined(f"z_1 undefined: {exc}", step=1) from exc
+    p = BiSeq.periodic(y.window(0, n))
+    if not agree_on(z, p, -n, n + 1):
+        raise InvariantViolation("z_1 does not agree with the periodization on [-n, n]")
+    if shift_by(p, 2 * n) != p:
+        raise InvariantViolation("periodization is not shift^(2n)-fixed")
+    if point_in_shift(s, p) != "yes":
+        raise NotInShift("periodization leaves the shift")
+    return p
 
 
 def minimal_period(p):

@@ -4,7 +4,8 @@ A shift is one of two variants:
 
 * ``PresentedShift`` -- the bi-infinite label sequences of a finite
   labeled graph; its ``memory``, and so whether it is an SFT, is
-  decided from the Fischer cover, not from how the shift was given.
+  decided from its follower-merged subset automaton, not from how the
+  shift was given.
 * ``OracleShift`` -- a word-membership predicate with a hard window
   bound, for shifts with no finite presentation.
 
@@ -93,21 +94,20 @@ class PresentedShift(Shift):
         """The least m with uv, vw in L, |v| = m - 1, implying uvw in L (the
         longest word of a minimal forbidden list), or None for a non-SFT.
 
-        m - 1 is the least length whose words all run the Fischer cover's
-        full mask to at most one state (Lind & Marcus §3.4), the number of
-        masks on the longest chain of the 2-subset search; a kept index
-        means no such length.  A reducible shift has no Fischer cover and
-        reads the follower-merged trimmed subset automaton instead, which
-        ``minimal_cover`` cuts to its terminal component: each non-empty
-        step from a kept subset stays kept, and every long enough word
-        reaches a kept subset, so a word runs all its classes to one class
-        iff it is intrinsically synchronizing.
+        m - 1 is the least length whose words all run a cover's full mask
+        to at most one state (Lind & Marcus §3.4), the number of masks on
+        the longest chain of the cover's 2-subset search; a kept index
+        means no such length.  The cover read is the follower-merged
+        trimmed subset automaton, which ``minimal_cover`` cuts to its
+        terminal component, the Fischer cover: each non-empty step from a
+        kept subset stays kept, and every long enough word reaches a kept
+        subset, so a word runs all its classes to one class iff it is
+        intrinsically synchronizing.  That argument never uses
+        irreducibility, so the quotient and the Fischer cover have the
+        same non-synchronizing words, and one reading serves every shift.
         """
-        try:
-            cover = fischer_cover(self)
-        except NotIrreducible:
-            classes, edges = _moore_quotient(self.presentation)
-            cover = Presentation.build(range(len(classes)), edges)
+        classes, edges = _moore_quotient(self.presentation)
+        cover = Presentation.build(range(len(classes)), edges)
         queue, arcs, keep = _subset_search(cover, 2)
         if keep:
             return None

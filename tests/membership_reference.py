@@ -297,6 +297,16 @@ def _mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def reference_trace_power(a, n):
+    """tr(A^n) of the square ``IntMatrix`` ``a``, for n >= 1, by n - 1
+    plain matrix products."""
+    rows = [list(r) for r in a.entries]
+    power = rows
+    for _ in range(n - 1):
+        power = _mat_mul(power, rows)
+    return sum(power[i][i] for i in range(len(rows)))
+
+
 def reference_smith_form(a):
     """``(diagonal, rank, determinant)`` of the ``IntMatrix`` ``a`` by
     transform-tracking Euclidean elimination.

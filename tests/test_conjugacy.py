@@ -2,7 +2,8 @@
 
 import pytest
 
-from synchrolab.conjugacy import (KINDS, BlockRule, Germ, IdentityRule, compose_lcs_lcu,
+from synchrolab.conjugacy import (KINDS, BlockRule, FutureRule, Germ, IdentityRule,
+                                  LiftedRule, PastRule, compose_lcs_lcu,
                                   construct_germ, groupoid_sample,
                                   heteroclinic_bridge, identity_germ,
                                   rectangle_germs, ruelle_germ, sync_bridge,
@@ -169,6 +170,39 @@ def test_compose_lcs_lcu_contract_violation(even_shift):
     gs = construct_germ(even_shift, ONES, other, "lcu")
     with pytest.raises(ValueError):
         compose_lcs_lcu(even_shift, gu, gs, ONES, ONES)
+
+
+# (x, y, z): pairwise homoclinic synchronizing points, and the rule each
+# kind builds between them: block and tail rules on the golden mean
+# shift, cover-lifted rules on the even shift.
+DERIVED_GERM_CASES = {
+    "golden_mean": ((ZEROS, BiSeq(("0",), ("1",), ("0",), 0),
+                     BiSeq(("0",), ("1", "0", "1"), ("0",), -1)),
+                    {"lc": BlockRule, "lcs": PastRule, "lcu": FutureRule}),
+    "even_shift": ((ONES, BiSeq(("1",), ("0", "0"), ("1",), -1),
+                    BiSeq(("1",), ("0", "0"), ("1",), 1)),
+                   dict.fromkeys(KINDS, LiftedRule)),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shift_name", sorted(DERIVED_GERM_CASES))
+def test_inverses_of_derived_germs_map_back_and_verify(request, shift_name, kind):
+    # conjugated, chained (one-sided bounds included), identity and
+    # rectangle-composed germs invert through their own rule branches
+    s = request.getfixturevalue(shift_name)
+    (x, y, z), rules = DERIVED_GERM_CASES[shift_name]
+    g = construct_germ(s, x, y, kind)
+    assert type(g.rule) is rules[kind]
+    derived = [g.conjugate(3), g.compose(construct_germ(s, y, z, kind)),
+               identity_germ(s, x, kind)]
+    if kind == "lc":
+        derived.append(compose_lcs_lcu(s, construct_germ(s, x, y, "lcs"),
+                                       construct_germ(s, x, y, "lcu"), x, y))
+    for germ in derived:
+        inverse = germ.inverse()
+        assert inverse.apply(germ.target) == germ.source
+        assert verify_germ(inverse) >= 1
 
 
 def test_lifted_germ_refuses_phase_mismatch(even_shift):

@@ -1,7 +1,9 @@
 """The decided step of a presented shift, against brute force.
 
 ``PresentedShift.memory`` is read from the 2-subset search of the
-Fischer cover, whatever the spec's ``type:`` line says.  It is checked
+follower-merged subset automaton, whatever the spec's ``type:`` line
+says.  On an irreducible shift that automaton has the Fischer cover's
+non-synchronizing words, so the two give one memory.  It is checked
 here on seeded random presentations with at most 4 states and 2 symbols:
 against the language itself, read on frozensets by
 ``membership_reference``; against the least word length at which every
@@ -9,8 +11,8 @@ run of the reference Fischer cover ends in at most one state; on
 reducible shifts, which have no Fischer cover, against the least length
 from which short words glue; and, on irreducible shifts, against the
 paper's Smale-space criterion (a sofic shift is an SFT iff it has no
-non-synchronizing point).  Named cases
-pin the memories and germ rules that the decision changes.
+non-synchronizing point).  Named cases pin the memories and germ rules
+that the decision changes.
 """
 
 import random

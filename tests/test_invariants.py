@@ -66,7 +66,7 @@ def predicted_order_counts(diagonal, g):
 
 
 def test_smith_identity():
-    form = smith_normal_form(IntMatrix.identity(2))
+    form = smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 1]]))
     assert form.diagonal == (1, 1)
 
 
@@ -219,14 +219,6 @@ def test_nonsync_subshift_of_large_covers(edge_text, cover_size):
     assert report.finiteness == "infinite"
     if cover_size == 48:
         assert p == reference_subset_automaton(fischer_cover(s), 2, key=str)
-
-
-def test_power_rejects_a_negative_exponent():
-    a = IntMatrix.from_rows([[1, 1], [1, 0]])
-    with pytest.raises(ValueError, match="exponent"):
-        a.power(-1)
-    assert a.power(0) == IntMatrix.identity(2)
-    assert a.power(5).entries == ((8, 5), (5, 3))
 
 
 def test_bowen_franks_examples(golden_mean, full_two, period_two):

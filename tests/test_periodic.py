@@ -11,11 +11,13 @@ from synchrolab.invariants import IntMatrix
 from synchrolab.periodic import (count_periodic, enumerate_periodic, find_periodic_by_bracket,
                                  find_return, minimal_period, multiply_covered_cycles,
                                  periodic_counts, periodic_density_check, zeta)
-from synchrolab.points import BiSeq, distance, point_in_shift, shift_by
+from synchrolab.points import (BiSeq, agree_on, bracket, distance, enumerate_points,
+                               point_in_shift, replace_window, shift_by)
 from synchrolab.presentation import Presentation, determinize
 from synchrolab.shift import Alphabet, build_sofic, fischer_cover
+from synchrolab.sync import central_word_synchronizes, classify_point
 
-from membership_reference import reference_point_in_shift
+from membership_reference import reference_point_in_shift, reference_trace_power
 
 ZEROS = BiSeq.constant("0")
 ONES = BiSeq.constant("1")
@@ -51,7 +53,7 @@ def test_golden_mean_counts_match_trace(golden_mean):
     for n, count in zip(range(1, 6), expected):
         ps = enumerate_periodic(golden_mean, n)
         assert ps.count == count
-        assert a.power(n).trace() == count
+        assert reference_trace_power(a, n) == count
         assert ps.points == tuple(sorted(
             brute_force_periodic_words(golden_mean, n),
             key=lambda p: (p.description_size(), str(p))))
@@ -91,7 +93,7 @@ def test_trace_agreement_up_to_eight(golden_mean, even_times_golden, full_two):
     for s in (golden_mean, full_two):
         a = adjacency(fischer_cover(s))
         for n in range(1, 9):
-            assert enumerate_periodic(s, n).count == a.power(n).trace()
+            assert enumerate_periodic(s, n).count == reference_trace_power(a, n)
 
 
 def lucas(n):
@@ -106,7 +108,7 @@ def test_count_matches_trace_up_to_thirty(golden_mean, full_two):
     for s in (golden_mean, full_two):
         a = adjacency(fischer_cover(s))
         for n in range(1, 31):
-            assert count_periodic(s, n) == a.power(n).trace()
+            assert count_periodic(s, n) == reference_trace_power(a, n)
 
 
 def test_golden_mean_counts_are_lucas_numbers(golden_mean):
@@ -291,6 +293,40 @@ def test_bracket_iteration_even_explicit_instance(even_shift):
     p = find_periodic_by_bracket(even_shift, x, y, n=6, N=2)
     assert shift_by(p, 12) == p
     assert p in enumerate_periodic(even_shift, 12).points
+
+
+def test_bracket_recursion_stops_at_z1(golden_mean, even_shift, full_two):
+    # [a, b] takes a's coordinates >= 0 and b's < 0, so z_1 reads y_(i mod n)
+    # on [-n, n]: on every valid input the result is the periodization of
+    # y's word on [0, n), and z_1 already agrees with it there
+    gap = build_sofic(Alphabet(("0", "1")), Presentation.build("ABCD", [
+        ("A", "1", "B"), ("B", "0", "A"), ("B", "0", "C"), ("C", "0", "D"), ("D", "0", "A")]))
+    abc = build_sofic(Alphabet(("a", "b", "c")), Presentation.build("AB", [
+        ("A", "a", "A"), ("A", "b", "B"), ("B", "c", "A"), ("B", "b", "B"), ("B", "a", "B")]))
+    shifts = (golden_mean, even_shift, full_two, gap, abc)
+    bases = [[x for x in enumerate_points(s) if classify_point(s, x).status == "synchronizing"]
+             for s in shifts]
+    rng = random.Random(19)
+    returned = 0
+    for _ in range(600):
+        k = rng.randrange(len(shifts))
+        s, x = shifts[k], rng.choice(bases[k])
+        N, n = rng.randint(2, 4), rng.randint(1, 9)
+        # x's central window at 0 and at n, free symbols between
+        window = {i: x.at(i) for i in range(1 - N, N)}
+        window.update({i + n: x.at(i) for i in range(1 - N, N)})
+        y = replace_window(x, 1 - N, tuple(window.get(i, rng.choice(s.alphabet.symbols))
+                                           for i in range(1 - N, n + N)))
+        if (not central_word_synchronizes(s, x, N) or point_in_shift(s, y) != "yes"
+                or not agree_on(x, y, 1 - N, N) or not agree_on(x, shift_by(y, n), 1 - N, N)):
+            continue
+        p = find_periodic_by_bracket(s, x, y, n, N)
+        assert p == BiSeq.periodic(y.window(0, n))
+        z0 = bracket(s, y, shift_by(y, n), N)
+        z1 = bracket(s, shift_by(z0, -n), shift_by(z0, n), N)
+        assert agree_on(z1, p, -n, n + 1)
+        returned += 1
+    assert returned >= 200
 
 
 def test_bracket_iteration_nonsync_base_rejected(even_shift):

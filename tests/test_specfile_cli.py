@@ -272,6 +272,8 @@ def test_cli_bad_alphabet_is_an_error_line(capsys, tmp_path, declaration):
       "--return-point", "L=0 C= O=0 R=0", "--n", "0"], "period n must be >= 1"),
     (["find-periodic", "goldenmean", "--point", "L=0 C= O=0 R=0",
       "--return-point", "L=0 C= O=0 R=0", "--n", "-1"], "period n must be >= 1"),
+    (["find-periodic", "goldenmean", "--point", "L=0 C= O=0 R=0",
+      "--return-point", "L=0 C= O=0 R=0"], "--n is required with --return-point"),
 ])
 def test_cli_library_argument_error_exit_2(capsys, argv, message):
     assert main(argv) == 2
