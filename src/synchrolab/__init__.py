@@ -29,6 +29,6 @@ from synchrolab.shift import (Alphabet, OracleShift, PresentedShift, build_sft,
 from synchrolab.specfile import SpecFile, emit_spec, load_spec, parse_point
 from synchrolab.sync import (NonSyncReport, SyncVerdict, classify_point,
                              is_sync_word, nonsync_subshift, rectangle_check,
-                             sync_density_check)
+                             sync_density_check, sync_radius)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

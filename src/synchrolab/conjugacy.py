@@ -28,8 +28,7 @@ from synchrolab.points import (BiSeq, agree_on, alignment_bound, bracket,
                                future_splice, point_in_shift, replace_window, shift_by,
                                splice)
 from synchrolab.shift import shift_flags
-from synchrolab.sync import (cylinder_representatives, central_word_synchronizes,
-                             classify_point)
+from synchrolab.sync import classify_point, cylinder_representatives, sync_radius
 
 KINDS = ("lc", "lcs", "lcu")
 _REQUIRED_RELATION = {"lc": "homoclinic", "lcs": "stable", "lcu": "unstable"}
@@ -234,12 +233,9 @@ class Germ:
         if self.target != other.source or self.kind != other.kind:
             raise ValueError("germs do not chain")
 
+        # two germs of one kind have both bounds None or both integers
         def merge(a, b, pick):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return pick(a, b)
+            return None if a is None else pick(a, b)
 
         return Germ(self.shift, self.kind, self.source, other.target,
                     merge(self.dom_lo, other.dom_lo, min),
@@ -308,9 +304,9 @@ def verify_germ(germ, budget=6):
 
 # -- germ constructors -------------------------------------------------------
 
-def identity_germ(s, x, kind="lc", window=2):
-    lo = None if kind == "lcs" else -window
-    hi = None if kind == "lcu" else window
+def identity_germ(s, x, kind="lc"):
+    lo = None if kind == "lcs" else -2
+    hi = None if kind == "lcu" else 2
     return Germ(s, kind, x, x, lo, hi, IdentityRule())
 
 
@@ -333,7 +329,7 @@ def ruelle_germ(s, x, y, verify=True):
     if not decide_relation(x, y, "homoclinic"):
         raise NotHomoclinic(f"{x} and {y} are not homoclinic")
     if x == y:
-        return identity_germ(s, x, "lc", 2)
+        return identity_germ(s, x, "lc")
     w = _disagreement_radius(x, y) + s.memory
     germ = Germ(s, "lc", x, y, -w, w, BlockRule(-w, y.window(-w, w + 1)))
     if verify:
@@ -457,7 +453,7 @@ def rectangle_germs(s, x, y, N, verify=True):
     to x (kind lcs, on the unstable cylinder of [x,y]).
     """
     check_bracket_radius(N)
-    if not central_word_synchronizes(s, x, N):
+    if sync_radius(s, x) > N:
         raise NotSynchronizing(f"no synchronizing central word at radius {N}")
     if not agree_on(x, y, 1 - N, N):
         raise NotInRectangle("y does not agree with x on the central window")
@@ -482,11 +478,7 @@ def compose_lcs_lcu(s, gu, gs, x, y, verify=True):
         raise ValueError("compose_lcs_lcu needs (lcs, lcu) germs")
     if gu.source != x or gs.source != x or gu.target != y or gs.target != y:
         raise ValueError("germ endpoints do not match the requested pair")
-    vx = classify_point(s, x)
-    vy = classify_point(s, y)
-    if vx.status != "synchronizing" or vy.status != "synchronizing":
-        raise NotSynchronizing("both endpoints must synchronize")
-    n = max(vx.window_used + 1, vy.window_used + 1, gu.window, gs.window, 2)
+    n = max(sync_radius(s, x), sync_radius(s, y), gu.window, gs.window)
     germ = Germ(s, "lc", x, y, -n, n, ComposeRule(gu, gs, x, n))
     if verify:
         verify_germ(germ, budget=4)
@@ -499,8 +491,7 @@ def _require_sync_periodic(s, *points):
     for p in points:
         if minimal_period(p) is None:
             raise NotSynchronizing(f"{p} is not periodic")
-        if classify_point(s, p).status != "synchronizing":
-            raise NotSynchronizing(f"{p} is not synchronizing")
+        sync_radius(s, p)
 
 
 def _join_left_tail(s, p, tail, boundary):
@@ -554,10 +545,7 @@ def heteroclinic_bridge(s, z, p, q):
     if not shift_flags(s)["mixing"]:
         raise NotSynchronizing("bridges need a mixing shift")
     _require_sync_periodic(s, p, q)
-    verdict = classify_point(s, z)
-    if verdict.status != "synchronizing":
-        raise NotSynchronizing("bridge base must synchronize")
-    n = max(verdict.window_used + 1, 2)
+    n = sync_radius(s, z)
     x = _join_left_tail(s, p, z, 1 - n)
     y = _join_right_tail(s, z, n, q)
     # x agrees with z from 1-n on, so [x, z] = z: x ~lcs z directly
@@ -585,10 +573,7 @@ def sync_bridge(s, x, y, p, q):
         raise NotSynchronizing("y is not in the stable class of q")
     if x == y:
         return x
-    verdict = classify_point(s, y)
-    if verdict.status != "synchronizing":
-        raise NotSynchronizing("y must synchronize")
-    n = max(verdict.window_used + 1, 2)
+    n = sync_radius(s, y)
     # bridge candidates: y's pattern through the rectangle window, then a
     # connector, then x's right cycle in phase
     for z in _right_joins(s, y, n, BiSeq.periodic(x.right, x.right_start)):
@@ -612,7 +597,7 @@ class GroupoidArrow:
     groupoid: str
 
 
-def groupoid_sample(s, selector, P=(), bound=6, verify=False):
+def groupoid_sample(s, selector, P=(), bound=6):
     """Arrows of the requested groupoid between small-description points.
 
     Selectors: ``lc`` (local conjugacy), ``lcsync`` (both endpoints
@@ -641,7 +626,7 @@ def groupoid_sample(s, selector, P=(), bound=6, verify=False):
         arrows.append(GroupoidArrow(x, x, identity_germ(s, x, kind), selector))
         for y in points[i + 1:]:
             try:
-                germ = construct_germ(s, x, y, kind, verify=verify)
+                germ = construct_germ(s, x, y, kind, verify=False)
             except NotConstructive:
                 continue
             arrows.append(GroupoidArrow(x, y, germ, selector))

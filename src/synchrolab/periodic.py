@@ -22,15 +22,13 @@ the periodic point repeating y's word on [0, n).
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from synchrolab.errors import (BracketUndefined, InvariantViolation, NotAgreeing,
-                               NotInShift, NotSynchronizing, SearchExhausted,
-                               Unverified)
+from synchrolab.errors import (InvariantViolation, NotInShift, NotSynchronizing,
+                               SearchExhausted, Unverified)
 from synchrolab.points import (BiSeq, agree_on, bracket, canonical_order, check_bracket_radius,
-                               distance, point_in_shift, shift_by)
+                               point_in_shift, shift_by)
 from synchrolab.presentation import _subset_search, determinize
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
-from synchrolab.sync import (close_orbit_through, oracle_density_entry,
-                             central_word_synchronizes, classify_point)
+from synchrolab.sync import close_orbit_through, oracle_density_entry, sync_radius
 
 
 @dataclass(frozen=True)
@@ -310,9 +308,10 @@ def periodic_density_check(s, L):
 def find_periodic_by_bracket(s, x, y, n, N):
     """Runs the bracket recursion from a return point near ``x``.
 
-    Preconditions: ``x`` synchronizes with a central witness inside
-    radius ``N``, and both ``y`` and ``shift^n(y)`` lie in the closed
-    ball of radius ``2**-N`` around ``x``.  The recursion is
+    Preconditions, each checked once at entry: ``x`` synchronizes with
+    a central witness inside radius ``N``, ``y`` lies in the shift, and
+    ``y`` and ``shift^n(y)`` lie in the closed ball of radius ``2**-N``
+    around ``x``, that is agree with it on [1 - N, N - 1].  The recursion is
 
         z_0 = [y, shift^n(y)],   z_{m+1} = [shift^-n(z_m), shift^n(z_m)]
 
@@ -324,31 +323,32 @@ def find_periodic_by_bracket(s, x, y, n, N):
     p is returned after checking that z_1 agrees with it, that it is
     shift^(2n)-fixed and that it lies in the shift.
 
+    Neither bracket can fail.  As y_i = x_i = y_(i+n) on [1 - N, N - 1],
+    z_0 equals y from 1 - N on, and shift^-n(z_0) and shift^n(z_0) agree
+    with x there too.  So both arguments of each bracket lie in the
+    shift and carry x's synchronizing central word on [1 - N, N - 1]:
+    they agree there, every run of the word ends at one state, and the
+    splice glues inside it.
+
     Raises
     ------
-    BracketUndefined
-        With the failing step index, 0 or 1.
+    ValueError, NotInShift, NotSynchronizing, Unverified
+        For N < 2, n < 1, or y or shift^n(y) outside the ball; for x or
+        y outside the shift; for x not synchronizing at radius N; on an
+        oracle shift.
     """
     check_bracket_radius(N)
     if n < 1:
         raise ValueError("period n must be >= 1")
-    verdict = classify_point(s, x)
-    if verdict.status != "synchronizing":
-        raise NotSynchronizing(f"base point classifies {verdict.status}")
-    if not central_word_synchronizes(s, x, N):
+    if sync_radius(s, x) > N:
         raise NotSynchronizing(f"witness window exceeds radius {N}")
+    if point_in_shift(s, y) == "no":
+        raise NotInShift("return point is not in the shift")
     for candidate, name in ((y, "y"), (shift_by(y, n), "shift^n(y)")):
-        d = distance(x, candidate)
-        if not (d.is_zero or d.k >= N):
+        if not agree_on(x, candidate, 1 - N, N):
             raise ValueError(f"{name} is not within 2^-{N} of the base point")
-    try:
-        z = bracket(s, y, shift_by(y, n), N)
-    except (NotAgreeing, NotInShift, Unverified) as exc:
-        raise BracketUndefined(f"z_0 undefined: {exc}", step=0) from exc
-    try:
-        z = bracket(s, shift_by(z, -n), shift_by(z, n), N)
-    except (NotAgreeing, NotInShift, Unverified) as exc:
-        raise BracketUndefined(f"z_1 undefined: {exc}", step=1) from exc
+    z = bracket(s, y, shift_by(y, n), N)
+    z = bracket(s, shift_by(z, -n), shift_by(z, n), N)
     p = BiSeq.periodic(y.window(0, n))
     if not agree_on(z, p, -n, n + 1):
         raise InvariantViolation("z_1 does not agree with the periodization on [-n, n]")
@@ -371,17 +371,18 @@ def find_return(s, x, N):
 
     Closes a periodic orbit through the central window ``x[-N..N]`` and
     returns ``(y, n)`` with ``y`` and ``shift^n(y)`` in the closed
-    ``2**-N`` ball around ``x``.
+    ``2**-N`` ball around ``x``.  ``close_orbit_through`` returns a
+    ``BiSeq.periodic`` point that reads the window from 0, so y, its
+    shift by N, is periodic with minimal period n, and it reads x's
+    window on [-N, N]: it can neither fail to be periodic nor leave the
+    ball, and shift^n(y) = y.
+
+    Raises ``NotInShift`` for an ``x`` outside the shift; on an oracle
+    shift the cover read stops it with ``Unverified``.
     """
     check_bracket_radius(N)
-    cover = fischer_cover(s)
-    w = x.window(-N, N + 1)
-    point = close_orbit_through(cover, w)
+    if point_in_shift(s, x) == "no":
+        raise NotInShift("point is not in the shift")
+    point = close_orbit_through(fischer_cover(s), x.window(-N, N + 1))
     y = shift_by(point, N)  # place the window at [-N, N]
-    n = len(y.right) if minimal_period(y) else None
-    if n is None:
-        raise SearchExhausted("cycle closure did not produce a periodic point")
-    d = distance(x, y)
-    if not (d.is_zero or d.k >= N):
-        raise SearchExhausted("return point drifted outside the ball")
-    return y, n
+    return y, minimal_period(y)

@@ -13,7 +13,8 @@ from functools import cached_property
 from itertools import product as iproduct
 
 from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
-                               NotSynchronizing, SearchExhausted, WindowTooSmall)
+                               NotSynchronizing, SearchExhausted, Unverified,
+                               WindowTooSmall)
 from synchrolab.points import (BiSeq, canonical_order, check_bracket_radius,
                                point_in_shift, try_bracket)
 from synchrolab.presentation import Presentation, _subset_presentation, _subset_search
@@ -113,11 +114,22 @@ def classify_point(s, x):
     raise InvariantViolation("synchronizing limit set without central witness")
 
 
-def central_word_synchronizes(s, x, N):
-    """True iff the central word ``x[1-N..N-1]`` is synchronizing."""
-    if N < 2:
-        return False
-    return is_sync_word(s, x.window(1 - N, N))
+def sync_radius(s, x):
+    """The least bracket radius N >= 2 at which the central word
+    ``x[1-N..N-1]`` of ``x`` synchronizes.
+
+    A word that contains a synchronizing word synchronizes, so that word
+    synchronizes iff N - 1 >= ``window_used``, the radius of the least
+    witness of ``classify_point``.  Raises ``NotInShift`` (through
+    ``classify_point``), ``NotSynchronizing`` for a point that does not
+    synchronize and ``Unverified`` on an oracle shift.
+    """
+    verdict = classify_point(s, x)
+    if verdict.status == "unverified":
+        raise Unverified("an oracle shift cannot decide synchronization")
+    if verdict.status != "synchronizing":
+        raise NotSynchronizing(f"{x} is not synchronizing")
+    return max(verdict.window_used, 1) + 1
 
 
 def cylinder_representatives(s, x, N, L, side):
@@ -164,10 +176,7 @@ def rectangle_check(s, x, N, L):
     Returns a report dict; raises on precondition failures.
     """
     check_bracket_radius(N)
-    verdict = classify_point(s, x)
-    if verdict.status != "synchronizing":
-        raise NotSynchronizing(f"point classifies {verdict.status}")
-    if not central_word_synchronizes(s, x, N):
+    if sync_radius(s, x) > N:
         raise NotSynchronizing(f"central word at radius {N} is not synchronizing")
     unstable = cylinder_representatives(s, x, N, L, "u")
     stable = cylinder_representatives(s, x, N, L, "s")

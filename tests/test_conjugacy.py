@@ -122,6 +122,13 @@ def test_rectangle_germ_rejects_outside(even_shift):
         rectangle_germs(even_shift, ONES, outside, 2)
 
 
+def test_rectangle_germs_rejects_base_outside_shift(golden_mean):
+    # x's central word 000 synchronizes, but x carries 11 at -5, -4
+    outside = BiSeq(("0",), ("1", "1"), ("0",), -5)
+    with pytest.raises(NotInShift):
+        rectangle_germs(golden_mean, outside, ZEROS, 2)
+
+
 @pytest.mark.parametrize("N", [1, 0, -1])
 def test_rectangle_germs_rejects_radius_below_two(golden_mean, N):
     with pytest.raises(ValueError, match="N >= 2"):

@@ -6,7 +6,7 @@ import pytest
 
 from synchrolab import periodic
 from synchrolab.cli import main
-from synchrolab.errors import EmptyShift, NotSynchronizing, SearchExhausted
+from synchrolab.errors import EmptyShift, NotInShift, NotSynchronizing, SearchExhausted
 from synchrolab.invariants import IntMatrix
 from synchrolab.periodic import (count_periodic, enumerate_periodic, find_periodic_by_bracket,
                                  find_return, minimal_period, multiply_covered_cycles,
@@ -15,7 +15,7 @@ from synchrolab.points import (BiSeq, agree_on, bracket, distance, enumerate_poi
                                point_in_shift, replace_window, shift_by)
 from synchrolab.presentation import Presentation, determinize
 from synchrolab.shift import Alphabet, build_sofic, fischer_cover
-from synchrolab.sync import central_word_synchronizes, classify_point
+from synchrolab.sync import classify_point, is_sync_word
 
 from membership_reference import reference_point_in_shift, reference_trace_power
 
@@ -317,7 +317,7 @@ def test_bracket_recursion_stops_at_z1(golden_mean, even_shift, full_two):
         window.update({i + n: x.at(i) for i in range(1 - N, N)})
         y = replace_window(x, 1 - N, tuple(window.get(i, rng.choice(s.alphabet.symbols))
                                            for i in range(1 - N, n + N)))
-        if (not central_word_synchronizes(s, x, N) or point_in_shift(s, y) != "yes"
+        if (not is_sync_word(s, x.window(1 - N, N)) or point_in_shift(s, y) != "yes"
                 or not agree_on(x, y, 1 - N, N) or not agree_on(x, shift_by(y, n), 1 - N, N)):
             continue
         p = find_periodic_by_bracket(s, x, y, n, N)
@@ -333,6 +333,24 @@ def test_bracket_iteration_nonsync_base_rejected(even_shift):
     y = BiSeq(("0",), ("1",), ("0",), 5)
     with pytest.raises(NotSynchronizing):
         find_periodic_by_bracket(even_shift, ZEROS, y, n=4, N=2)
+
+
+def test_bracket_iteration_rejects_return_point_outside_shift(golden_mean):
+    # y carries 11 at 3, 4: both ball conditions hold, but y is no point
+    y = BiSeq(("0",), ("1", "1"), ("0",), 3)
+    with pytest.raises(NotInShift, match="return point is not in the shift"):
+        find_periodic_by_bracket(golden_mean, ZEROS, y, n=6, N=2)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--point", "L=1 C= O=0 R=1"], "point is not in the shift"),
+    (["--point", "zeros", "--return-point", "L=0 C=11 O=3 R=0", "--n", "6", "--window", "2"],
+     "return point is not in the shift"),
+])
+def test_cli_find_periodic_input_outside_shift(capsys, argv, message):
+    assert main(["find-periodic", "goldenmean", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"NotInShift: {message}\n"
 
 
 def test_ball_invariant_on_various_instances(golden_mean):

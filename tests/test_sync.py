@@ -2,12 +2,12 @@
 
 import pytest
 
-from synchrolab.errors import NotInLanguage, NotSynchronizing
+from synchrolab.errors import NotInLanguage, NotInShift, NotSynchronizing, Unverified
 from synchrolab.points import BiSeq, distance, enumerate_points, point_in_shift, shift_by
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sofic, enumerate_words, word
 from synchrolab.sync import (classify_point, is_sync_word, nonsync_subshift,
-                             rectangle_check, sync_density_check)
+                             rectangle_check, sync_density_check, sync_radius)
 
 ZEROS = BiSeq.constant("0")
 ONES = BiSeq.constant("1")
@@ -89,6 +89,34 @@ def test_product_pair_with_nonsync_coordinate_is_nonsync(even_times_even):
     assert classify_point(even_times_even, zero_one).status == "nonSynchronizing"
     ones_pair = BiSeq.constant("1|1")
     assert classify_point(even_times_even, ones_pair).status == "synchronizing"
+
+
+def test_sync_radius_matches_brute_force(golden_mean, even_shift, even_times_golden):
+    # the least N >= 2 whose central word x[1-N..N-1] synchronizes, read
+    # word by word; no small point needs a radius past 12
+    gap3 = build_sofic(Alphabet(("0", "1")), Presentation.build(
+        "ABC", [("A", "1", "A"), ("A", "0", "B"), ("B", "0", "C"), ("C", "0", "A")]))
+    radii, refused = 0, 0
+    for s in (golden_mean, even_shift, gap3, even_times_golden):
+        for x in enumerate_points(s):
+            want = next((N for N in range(2, 13) if is_sync_word(s, x.window(1 - N, N))), None)
+            if want is None:
+                with pytest.raises(NotSynchronizing):
+                    sync_radius(s, x)
+                refused += 1
+            else:
+                assert sync_radius(s, x) == want, (s, x)
+                radii += 1
+    assert radii > 100 and refused > 0
+    with pytest.raises(NotSynchronizing):
+        sync_radius(even_shift, ZEROS)
+
+
+def test_sync_radius_refusals(golden_mean, ray_oracle):
+    with pytest.raises(NotInShift):
+        sync_radius(golden_mean, BiSeq.constant("1"))
+    with pytest.raises(Unverified):
+        sync_radius(ray_oracle, BiSeq.periodic(("a", "b", "b", "c", "c")))
 
 
 def test_rectangle_check_golden_mean(golden_mean):

@@ -27,8 +27,8 @@ from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq, decide_relation, enumerate_points
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sft, build_sofic
-from synchrolab.sync import (central_word_synchronizes, classify_point,
-                             cylinder_representatives, rectangle_check)
+from synchrolab.sync import (classify_point, cylinder_representatives, is_sync_word,
+                             rectangle_check)
 
 from membership_reference import (reference_bridge_candidates,
                                   reference_cylinder_representatives,
@@ -257,7 +257,7 @@ def _rectangle_bases(s, N):
     synchronizes, and the least such point with a core."""
     points = [x for x in enumerate_points(s, cycle_len=2, core_len=1)
               if classify_point(s, x).status == "synchronizing"
-              and central_word_synchronizes(s, x, N)]
+              and is_sync_word(s, x.window(1 - N, N))]
     return points[:1] + [x for x in points if x.core][:1]
 
 
