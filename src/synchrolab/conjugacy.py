@@ -244,7 +244,11 @@ class Germ:
 
 
 def domain_samples(germ, budget=6):
-    """Representatives of a germ's domain for verification sweeps."""
+    """Representatives of a germ's domain for verification sweeps.
+
+    For kind ``lc``, up to two past representatives of each future one,
+    read until ``budget`` samples are held.
+    """
     s = germ.shift
     x = germ.source
     if germ.kind == "lcs":
@@ -254,6 +258,8 @@ def domain_samples(germ, budget=6):
     futures = cylinder_representatives(s, x, germ.dom_hi + 1, germ.dom_hi + 3, "u")[:budget]
     out = []
     for y in futures:
+        if len(out) >= budget:
+            break
         pasts = cylinder_representatives(s, y, 1 - germ.dom_lo, 1 - germ.dom_lo + 2, "s")
         out.extend(pasts[:2])
     return out[:budget] if out else [x]
@@ -562,7 +568,10 @@ def sync_bridge(s, x, y, p, q):
     ``x`` must lie in the unstable class of ``p`` and ``y`` in the
     stable class of ``q`` (both synchronizing periodic).  The bridge
     point carries y's past and x's far future, glued inside a rectangle
-    of y, with germ witnesses constructed and verified.
+    of y, with germ witnesses constructed and verified.  It synchronizes
+    with no check: with n = ``sync_radius(s, y)``, every candidate is a
+    point of the shift equal to y below n, so its central word
+    ``[1-n, n-1]`` is y's, which synchronizes.
     """
     if not shift_flags(s)["mixing"]:
         raise NotSynchronizing("bridges need a mixing shift")
@@ -582,8 +591,7 @@ def sync_bridge(s, x, y, p, q):
         except NotConstructive:
             continue
         verify_germ(Germ(s, "lcu", z, y, 1 - n, None, FutureRule(y, 0)), budget=4)
-        if classify_point(s, z).status == "synchronizing":
-            return z
+        return z
     raise SearchExhausted("no bridge point found", depth=_CONNECTOR_DEPTH)
 
 

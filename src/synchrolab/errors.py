@@ -60,10 +60,6 @@ class NotConstructive(SynchrolabError):
 class BracketUndefined(SynchrolabError):
     """A bracket value required by an algorithm is undefined."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
 
 class SearchExhausted(SynchrolabError):
     """A bounded search failed to produce a witness."""

@@ -136,27 +136,40 @@ def cylinder_representatives(s, x, N, L, side):
     """The small-description points of one cylinder of ``x``.
 
     ``side`` "u" freezes coordinates <= N-1 (unstable cylinder) and
-    varies the future; "s" freezes coordinates >= 1-N and varies the
-    past.  Free words fit in window L, are read out of the frozen side's
-    tail set, and close into cycles of length at most 2 whose tail
-    fixpoint their run meets.  Raises ``Unverified`` for an oracle shift.
+    varies the future, the point ``x[<N] u c^inf``; "s" freezes
+    coordinates >= 1-N and varies the past, ``c^inf u x[>=1-N]``.  Free
+    words u fit in window L, are read out of the frozen side's tail set,
+    and close into cycles c of length at most 2 whose tail fixpoint
+    their run meets; that test is exact membership of the point.
+
+    Only reduced pairs are built: c is primitive, and u does not end
+    with c's last symbol ("u"; "s": start with c's first symbol).  Any
+    other pair names a point a reduced one names too: ``aa`` repeats as
+    ``a`` does, and ``u'b c^inf`` with b = c[-1] is ``u' c'^inf`` for the
+    rotation c' = b c[:-1]; u' is shorter, so the word search yields it,
+    and membership is exact, so it passes just when the longer pair does.
+    A reduced pair is the point's least preperiod and primitive period,
+    so distinct reduced pairs name distinct points and each point is
+    built once.  Raises ``Unverified`` for an oracle shift.
     """
     g, symbols = s.presentation, s.alphabet.symbols
     free = max(0, L - N)
     unstable = side == "u"
     cycles = [(c, g.tail_fixpoint(c, unstable))
-              for (c, _) in g.words(g.full_mask, symbols, 2) if c]
+              for (c, _) in g.words(g.full_mask, symbols, 2)
+              if c and len(set(c)) == len(c)]  # primitive at length <= 2
     if unstable:
         a = min(x.origin, N)
         past, head = x.left_pattern_at(a), x.window(a, N)
-        runs = g.words(g.past_set(x, N), symbols, free)
+        out = [BiSeq(past, head + u, c, a)
+               for (u, run) in g.words(g.past_set(x, N), symbols, free)
+               for (c, fixed) in cycles if run & fixed and u[-1:] != c[-1:]]
     else:
         b = max(x.right_start, 1 - N)
         tail, future = x.window(1 - N, b), x.right_pattern_at(b)
-        runs = g.words(g.future_set(x, 1 - N), symbols, free, backward=True)
-    out = {BiSeq(past, head + u, c, a) if unstable
-           else BiSeq(c, u + tail, future, 1 - N - len(u))
-           for (u, run) in runs for (c, fixed) in cycles if run & fixed}
+        out = [BiSeq(c, u + tail, future, 1 - N - len(u))
+               for (u, run) in g.words(g.future_set(x, 1 - N), symbols, free, backward=True)
+               for (c, fixed) in cycles if run & fixed and u[:1] != c[:1]]
     return canonical_order(out)
 
 

@@ -15,7 +15,10 @@ transforms tracked and checked, determinants over the rationals; the
 library eliminates modulo one minor and tracks no transform.  The word
 searches for small points, cylinder samples and connectors build every
 candidate word with ``itertools.product`` and decide each candidate
-point here; the library prunes one word search by tail masks.  The
+point here; the library prunes one word search by tail masks and builds
+only reduced cylinder candidates.  Germ domain samples read every
+future's pasts and cut the list at the end; the library stops at its
+budget.  The
 rectangle check brackets every sample pair and brackets the value back
 with the base point, deciding each splice here; the library ANDs one
 tail mask per sample.  The density checks close orbits by a state BFS
@@ -430,6 +433,22 @@ def reference_cylinder_representatives(s, x, N, L, cycle_len, side):
         candidates = {BiSeq(c, u + x.window(1 - N, b), x.right_pattern_at(b), 1 - N - len(u))
                       for u in words for c in cycles}
     return _canonical_order(y for y in candidates if reference_point_in_shift(s, y) == "yes")
+
+
+def reference_domain_samples(germ, budget=6):
+    """A germ's domain samples as the brute-force cylinder points give
+    them: for kind ``lc``, the first two pasts of every future read, and
+    the list cut to ``budget`` at the end."""
+    s, x, lo, hi = germ.shift, germ.source, germ.dom_lo, germ.dom_hi
+    if germ.kind == "lcs":
+        return reference_cylinder_representatives(s, x, hi + 1, hi + 3, 2, "u")[:budget]
+    if germ.kind == "lcu":
+        return reference_cylinder_representatives(s, x, 1 - lo, 3 - lo, 2, "s")[:budget]
+    futures = reference_cylinder_representatives(s, x, hi + 1, hi + 3, 2, "u")[:budget]
+    out = []
+    for y in futures:
+        out.extend(reference_cylinder_representatives(s, y, 1 - lo, 3 - lo, 2, "s")[:2])
+    return out[:budget] if out else [x]
 
 
 def reference_join_left_tail(s, p, tail, boundary, depth):

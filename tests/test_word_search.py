@@ -7,7 +7,10 @@ compared with the ``itertools.product`` loops of
 frozensets.  The shifts are the golden mean, even, 3-gap, even x golden
 and dead-end shifts, and seeded random irreducible presentations whose
 alphabets are declared in a seeded order, so that the order in which
-the searches try words is checked too.  The rectangle check, which
+the searches try words is checked too.  The cylinder samples are also
+counted as they are built, one construction per point returned, and
+the germ domain samples they feed are compared with the loop that reads
+every future's pasts.  The rectangle check, which
 reads one tail mask per sample, is compared with the loop that
 brackets every pair, on its own samples and on small points that
 disagree with the base point or splice outside the shift.
@@ -16,12 +19,13 @@ disagree with the base point or splice outside the shift.
 import functools
 import random
 from collections import Counter
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
 from synchrolab import conjugacy, sync
-from synchrolab.conjugacy import _join_left_tail, _join_right_tail, construct_germ, sync_bridge
+from synchrolab.conjugacy import (KINDS, _join_left_tail, _join_right_tail, construct_germ,
+                                  domain_samples, identity_germ, sync_bridge)
 from synchrolab.errors import NotConstructive, SearchExhausted, Unverified
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq, decide_relation, enumerate_points
@@ -31,7 +35,7 @@ from synchrolab.sync import (classify_point, cylinder_representatives, is_sync_w
                              rectangle_check)
 
 from membership_reference import (reference_bridge_candidates,
-                                  reference_cylinder_representatives,
+                                  reference_cylinder_representatives, reference_domain_samples,
                                   reference_enumerate_points, reference_join_left_tail,
                                   reference_join_right_tail, reference_point_in_shift,
                                   reference_rectangle_failures, reference_words)
@@ -142,6 +146,56 @@ def test_cylinder_representatives_match_reference(named, shifts):
                         (s, x, N, L, side)
                     checked += bool(got)
     assert checked > 100
+
+
+def test_cylinder_representatives_build_each_point_once(shifts, monkeypatch):
+    # only reduced (word, cycle) pairs are built, one per point returned
+    built = Counter()
+
+    def counting(*args):
+        built["points"] += 1
+        return BiSeq(*args)
+
+    monkeypatch.setattr(sync, "BiSeq", counting)
+    returned = 0
+    for s in shifts:
+        sizes = ((2, 4), (3, 5)) if len(s.alphabet) <= 2 else ((2, 3), (3, 4))
+        for x in _sample_points(s):
+            for (N, L) in sizes:
+                for side in ("u", "s"):
+                    built.clear()
+                    got = cylinder_representatives(s, x, N, L, side)
+                    assert built["points"] == len(got), (s, x, N, side)
+                    returned += len(got)
+    assert returned > 500
+
+
+def _germs(s, kind, count=4):
+    """The identity germ at the least synchronizing point of ``s`` and
+    the first ``count`` - 1 germs of ``kind`` between small points."""
+    points = [x for x in enumerate_points(s, cycle_len=2, core_len=2)
+              if classify_point(s, x).status == "synchronizing"]
+    germs = [identity_germ(s, points[0], kind)]
+    for (x, y) in combinations(points, 2):
+        if len(germs) == count:
+            break
+        try:
+            germs.append(construct_germ(s, x, y, kind, verify=False))
+        except NotConstructive:
+            continue
+    return germs
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ["golden", "even", "gap3", "even_x_golden"])
+def test_domain_samples_match_reference(named, name, kind):
+    s = named[name]
+    germs = _germs(s, kind)
+    assert len(germs) > 1
+    for germ in germs:
+        for budget in (1, 4, 6):
+            assert domain_samples(germ, budget) == reference_domain_samples(germ, budget), \
+                (germ.source, germ.target, budget)
 
 
 def _periodic_points(s):
