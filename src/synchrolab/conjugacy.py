@@ -449,7 +449,7 @@ def construct_germ(s, x, y, kind, verify=True):
     return lifted_germ(s, x, y, kind, verify)
 
 
-def rectangle_germs(s, x, y, N, verify=True):
+def rectangle_germs(s, x, y, N):
     """The germ chain of a rectangle neighborhood: y ~lcu [x,y] ~lcs x.
 
     Requires ``x`` synchronizing with its witness inside radius ``N``
@@ -457,6 +457,10 @@ def rectangle_germs(s, x, y, N, verify=True):
     ``(gu, gs)`` where ``gu : z -> [x, z]`` maps y to [x,y] (kind lcu,
     on the stable cylinder of y) and ``gs : z -> [z, x]`` maps [x,y]
     to x (kind lcs, on the unstable cylinder of [x,y]).
+    Each is a splice at 0 whose domain pins x's synchronizing central
+    word on [1-N, N-1], so it passes ``verify_germ`` unchecked: it maps
+    source to target by construction, keeps the controlled side, where
+    distinct inputs differ, and glues inside that word, in the shift.
     """
     check_bracket_radius(N)
     if sync_radius(s, x) > N:
@@ -464,21 +468,18 @@ def rectangle_germs(s, x, y, N, verify=True):
     if not agree_on(x, y, 1 - N, N):
         raise NotInRectangle("y does not agree with x on the central window")
     corner = bracket(s, x, y, N)
-    gu = Germ(s, "lcu", y, corner, 1 - N, None, FutureRule(x, 0))
-    gs = Germ(s, "lcs", corner, x, None, N - 1, PastRule(x, 0))
-    if verify:
-        verify_germ(gu)
-        verify_germ(gs)
-    return gu, gs
+    return (Germ(s, "lcu", y, corner, 1 - N, None, FutureRule(x, 0)),
+            Germ(s, "lcs", corner, x, None, N - 1, PastRule(x, 0)))
 
 
-def compose_lcs_lcu(s, gu, gs, x, y, verify=True):
+def compose_lcs_lcu(s, gu, gs, x, y):
     """Builds the two-sided germ from one-sided germs at sync points.
 
     ``gu`` must realize x ~lcs y on an unstable cylinder of x and
     ``gs`` must realize x ~lcu y on a stable cylinder of x; both
     endpoints must synchronize.  The composed rule is
-    ``z -> [gu([z, x]), gs([x, z])]`` on a rectangle around x.
+    ``z -> [gu([z, x]), gs([x, z])]`` on a rectangle around x.  No
+    proof covers arbitrary germs, so the result is always verified.
     """
     if gu.kind != "lcs" or gs.kind != "lcu":
         raise ValueError("compose_lcs_lcu needs (lcs, lcu) germs")
@@ -486,8 +487,7 @@ def compose_lcs_lcu(s, gu, gs, x, y, verify=True):
         raise ValueError("germ endpoints do not match the requested pair")
     n = max(sync_radius(s, x), sync_radius(s, y), gu.window, gs.window)
     germ = Germ(s, "lc", x, y, -n, n, ComposeRule(gu, gs, x, n))
-    if verify:
-        verify_germ(germ, budget=4)
+    verify_germ(germ, budget=4)
     return germ
 
 
@@ -546,7 +546,8 @@ def heteroclinic_bridge(s, z, p, q):
 
     Searches the rectangle of ``z`` for a point with p's past and one
     with q's future, then brackets them onto ``z``.  Returns
-    ``(x, y, germ_x_to_z, germ_y_to_z)``.
+    ``(x, y, germ_x_to_z, germ_y_to_z)``: splices at 0 of z pinning its
+    synchronizing central word, so they verify (see ``rectangle_germs``).
     """
     if not shift_flags(s)["mixing"]:
         raise NotSynchronizing("bridges need a mixing shift")
@@ -557,8 +558,6 @@ def heteroclinic_bridge(s, z, p, q):
     # x agrees with z from 1-n on, so [x, z] = z: x ~lcs z directly
     gx = Germ(s, "lcs", x, z, None, n - 1, PastRule(z, 0))
     gy = Germ(s, "lcu", y, z, 1 - n, None, FutureRule(z, 0))
-    verify_germ(gx, budget=4)
-    verify_germ(gy, budget=4)
     return x, y, gx, gy
 
 
@@ -568,10 +567,11 @@ def sync_bridge(s, x, y, p, q):
     ``x`` must lie in the unstable class of ``p`` and ``y`` in the
     stable class of ``q`` (both synchronizing periodic).  The bridge
     point carries y's past and x's far future, glued inside a rectangle
-    of y, with germ witnesses constructed and verified.  It synchronizes
-    with no check: with n = ``sync_radius(s, y)``, every candidate is a
-    point of the shift equal to y below n, so its central word
-    ``[1-n, n-1]`` is y's, which synchronizes.
+    of y, with an lcs germ from x.  With n = ``sync_radius(s, y)``,
+    every candidate is a point of the shift equal to y below n, so its
+    central word ``[1-n, n-1]`` is y's, which synchronizes: z does, and
+    its lcu germ to y, ``FutureRule(y, 0)`` on that word, verifies (see
+    ``rectangle_germs``).
     """
     if not shift_flags(s)["mixing"]:
         raise NotSynchronizing("bridges need a mixing shift")
@@ -590,7 +590,6 @@ def sync_bridge(s, x, y, p, q):
             construct_germ(s, x, z, "lcs")
         except NotConstructive:
             continue
-        verify_germ(Germ(s, "lcu", z, y, 1 - n, None, FutureRule(y, 0)), budget=4)
         return z
     raise SearchExhausted("no bridge point found", depth=_CONNECTOR_DEPTH)
 
@@ -618,7 +617,7 @@ def groupoid_sample(s, selector, P=(), bound=6):
         raise ValueError(f"unknown groupoid selector {selector!r}")
     if selector in ("lcs", "lcu") and not P:
         raise ValueError(f"the {selector} groupoid needs a non-empty base set P")
-    points = [x for x in enumerate_points(s, cycle_len=2, core_len=2)
+    points = [x for x in enumerate_points(s, core_len=2)
               if x.description_size() <= bound]
     kind = "lc" if selector == "lcsync" else selector
     if selector == "lcsync":

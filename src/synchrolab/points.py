@@ -399,16 +399,16 @@ def try_bracket(s, x, y, N):
         return None
 
 
-def enumerate_points(s, cycle_len=2, core_len=2, origin_radius=1):
+def enumerate_points(s, core_len=2, origin_radius=1):
     """All canonical points of the shift with small descriptions.
 
-    Cycles up to ``cycle_len``, cores up to ``core_len`` and origins up to
+    Cycles up to length 2, cores up to ``core_len`` and origins up to
     ``origin_radius``: each core is read from its left cycle's tail set
     and kept where its run meets the right cycle's.  Output order is
     canonical.  Raises ``Unverified`` for an oracle shift.
     """
     g, symbols = s.presentation, s.alphabet.symbols
-    cycles = [c for (c, _) in g.words(g.full_mask, symbols, cycle_len) if c]
+    cycles = [c for (c, _) in g.words(g.full_mask, symbols, 2) if c]
     rights = [(c, g.tail_fixpoint(c, True)) for c in cycles]
     points = {BiSeq(left, core, right, origin)
               for left in cycles

@@ -86,7 +86,7 @@ def test_criterion_3_even_cover_preimages(even_shift):
     m = degree_bound(cover)
     assert m == 2
     samples = 0
-    for p in enumerate_points(even_shift, cycle_len=2, core_len=3, origin_radius=2):
+    for p in enumerate_points(even_shift, core_len=3, origin_radius=2):
         if p.description_size() > 8 or point_in_shift(even_shift, p) != "yes":
             continue
         assert preimage_count(cover, p)["count"] <= m, p
@@ -153,7 +153,7 @@ def test_criterion_7_invariance_suite(golden_mean, even_shift, even_times_golden
             germs.append((s, germ.conjugate(k)))
 
     # golden mean: block-rewrite germs on homoclinic pairs
-    gm_pts = [p for p in enumerate_points(golden_mean, cycle_len=2, core_len=2)
+    gm_pts = [p for p in enumerate_points(golden_mean, core_len=2)
               if point_in_shift(golden_mean, p) == "yes"]
     pairs = 0
     for i, x in enumerate(gm_pts):
@@ -167,16 +167,16 @@ def test_criterion_7_invariance_suite(golden_mean, even_shift, even_times_golden
                     break
     # even shift and the product: lifted and rectangle germs
     for s, base in ((even_shift, ONES), (even_times_golden, BiSeq.constant("1|0"))):
-        sample = [p for p in enumerate_points(s, cycle_len=2, core_len=2)
+        sample = [p for p in enumerate_points(s, core_len=2)
                   if point_in_shift(s, p) == "yes"][:25]
         verdict = classify_point(s, base)
         n = max(verdict.window_used + 1, 2)
         for y in sample:
             if agree_on(base, y, 1 - n, n):
-                gu, gs = rectangle_germs(s, base, y, n, verify=False)
+                gu, gs = rectangle_germs(s, base, y, n)
                 harvest(s, gu)
                 harvest(s, gs)
-    ev_pts = [p for p in enumerate_points(even_shift, cycle_len=2, core_len=2)
+    ev_pts = [p for p in enumerate_points(even_shift, core_len=2)
               if point_in_shift(even_shift, p) == "yes"]
     built = 0
     for i, x in enumerate(ev_pts):
@@ -239,7 +239,7 @@ def test_criterion_7_invariance_suite(golden_mean, even_shift, even_times_golden
                 gs = construct_germ(even_shift, x, y, "lcu", verify=False)
             except NotConstructive:
                 continue
-            germ = compose_lcs_lcu(even_shift, gu, gs, x, y, verify=False)
+            germ = compose_lcs_lcu(even_shift, gu, gs, x, y)
             assert germ.apply(x) == y
             composed += 1
     assert composed >= 5

@@ -9,17 +9,20 @@ from synchrolab.conjugacy import (KINDS, BlockRule, FutureRule, Germ, IdentityRu
                                   rectangle_germs, ruelle_germ, sync_bridge,
                                   verify_germ)
 from synchrolab.errors import (InvariantViolation, NotConstructive, NotHomoclinic,
-                               NotInRectangle, NotInShift, NotSFT, Unverified)
-from synchrolab.points import (BiSeq, decide_relation, enumerate_points,
+                               NotInRectangle, NotInShift, NotSFT, SearchExhausted,
+                               Unverified)
+from synchrolab.points import (BiSeq, agree_on, decide_relation, enumerate_points,
                                point_in_shift, shift_by)
-from synchrolab.sync import classify_point
+from synchrolab.presentation import Presentation
+from synchrolab.shift import Alphabet, build_sofic
+from synchrolab.sync import classify_point, sync_radius
 
 ZEROS = BiSeq.constant("0")
 ONES = BiSeq.constant("1")
 
 
 def homoclinic_pairs(s, limit=40):
-    pts = [p for p in enumerate_points(s, cycle_len=2, core_len=2)
+    pts = [p for p in enumerate_points(s, core_len=2)
            if point_in_shift(s, p) == "yes"]
     pairs = []
     for i, x in enumerate(pts):
@@ -139,10 +142,9 @@ def test_rectangle_endpoints_relations(even_shift, golden_mean):
     for s, base in ((even_shift, ONES), (golden_mean, ZEROS)):
         verdict = classify_point(s, base)
         n = max(verdict.window_used + 1, 2)
-        for y in enumerate_points(s, cycle_len=2, core_len=2)[:30]:
+        for y in enumerate_points(s, core_len=2)[:30]:
             if point_in_shift(s, y) != "yes":
                 continue
-            from synchrolab.points import agree_on
             if not agree_on(base, y, 1 - n, n):
                 continue
             gu, gs = rectangle_germs(s, base, y, n)
@@ -236,7 +238,7 @@ def test_sampled_lcs_class_equals_stable_class_at_periodic_base(even_shift):
     # at the synchronizing periodic base point, one-sided germs exist for
     # every sampled stably equivalent partner
     base = ONES
-    pts = [p for p in enumerate_points(even_shift, cycle_len=2, core_len=2)
+    pts = [p for p in enumerate_points(even_shift, core_len=2)
            if point_in_shift(even_shift, p) == "yes"]
     partners = [p for p in pts if decide_relation(p, base, "stable")]
     assert len(partners) > 3
@@ -294,10 +296,48 @@ def test_sync_bridge_golden(golden_mean):
     assert decide_relation(z, y, "unstable")
 
 
+def test_proved_germs_pass_verification(golden_mean, even_shift, even_times_golden):
+    # the bridges and rectangle_germs return their germs unverified, as
+    # splices at 0 inside a synchronizing central word; every one verifies
+    three_gap = build_sofic(Alphabet(("0", "1")), Presentation.build(
+        "ABC", [("A", "1", "A"), ("A", "0", "B"), ("B", "0", "C"), ("C", "0", "A")]))
+    heteroclinic = bridges = rectangles = 0
+    for s in (golden_mean, even_shift, three_gap, even_times_golden):
+        points = enumerate_points(s, core_len=1)
+        bases = [p for p in points if not p.core and p.left == p.right
+                 and classify_point(s, p).status == "synchronizing"][:2]
+        for p in bases:
+            xs = [x for x in points if decide_relation(x, p, "unstable")][1:4]
+            ys = [y for y in points if decide_relation(y, p, "stable")
+                  and classify_point(s, y).status == "synchronizing"][1:4]
+            # z in one class of p: the bridge joins z's other side to p
+            for z in ys + [x for x in xs if classify_point(s, x).status == "synchronizing"]:
+                _, _, gx, gy = heteroclinic_bridge(s, z, p, p)
+                assert verify_germ(gx) >= 1 and verify_germ(gy) >= 1
+                heteroclinic += 2
+            for y in ys:
+                n = sync_radius(s, y)
+                for x in xs:
+                    try:
+                        z = sync_bridge(s, x, y, p, p)
+                    except SearchExhausted:
+                        continue
+                    assert verify_germ(Germ(s, "lcu", z, y, 1 - n, None, FutureRule(y, 0))) >= 1
+                    bridges += 1
+        for N in (2, 3):
+            for base in [p for p in bases if sync_radius(s, p) <= N]:
+                for y in enumerate_points(s):
+                    if agree_on(base, y, 1 - N, N):
+                        gu, gs = rectangle_germs(s, base, y, N)
+                        assert verify_germ(gu) >= 1 and verify_germ(gs) >= 1
+                        rectangles += 2
+    assert heteroclinic >= 60 and bridges >= 50 and rectangles >= 150
+
+
 def test_groupoid_lc_golden_matches_homoclinic(golden_mean):
     arrows = groupoid_sample(golden_mean, "lc", bound=4)
     sampled = {(a.source, a.target) for a in arrows}
-    pts = [p for p in enumerate_points(golden_mean, cycle_len=2, core_len=2)
+    pts = [p for p in enumerate_points(golden_mean, core_len=2)
            if p.description_size() <= 4 and point_in_shift(golden_mean, p) == "yes"]
     for x in pts:
         for y in pts:

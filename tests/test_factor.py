@@ -75,7 +75,7 @@ def test_even_cover_preimage_counts():
 
 def test_identity_labeling_preimages_unique():
     c = identity_cover()
-    for p in enumerate_points(c.target, cycle_len=2, core_len=2):
+    for p in enumerate_points(c.target, core_len=2):
         if point_in_shift(c.target, p) != "yes":
             continue
         assert preimage_count(c, p)["count"] == 1
@@ -86,7 +86,7 @@ def test_degree_bound_never_exceeded():
     m = degree_bound(c)
     assert m == 2
     observed = 0
-    for p in enumerate_points(c.target, cycle_len=2, core_len=2):
+    for p in enumerate_points(c.target, core_len=2):
         if p.description_size() > 8:
             continue
         count = preimage_count(c, p)["count"]
@@ -97,7 +97,7 @@ def test_degree_bound_never_exceeded():
 
 def test_projection_commutes_with_shift():
     c = even_cover()
-    for x in enumerate_points(c.source, cycle_len=2, core_len=2)[:30]:
+    for x in enumerate_points(c.source, core_len=2)[:30]:
         if point_in_shift(c.source, x) != "yes":
             continue
         assert c.project(shift_by(x, 1)) == shift_by(c.project(x), 1)
@@ -114,7 +114,7 @@ def test_images_of_periodic_points_have_dividing_period():
 
 def test_preimages_project_back_and_lie_in_source():
     c = even_cover()
-    for p in enumerate_points(c.target, cycle_len=2, core_len=2)[:25]:
+    for p in enumerate_points(c.target, core_len=2)[:25]:
         if point_in_shift(c.target, p) != "yes":
             continue
         result = preimage_count(c, p)
@@ -128,7 +128,7 @@ def test_unstable_class_decomposition_bound():
     c = even_cover()
     m = degree_bound(c)
     base = ONES
-    members = [p for p in enumerate_points(c.target, cycle_len=2, core_len=2)
+    members = [p for p in enumerate_points(c.target, core_len=2)
                if decide_relation(p, base, "unstable")]
     lifted = [pre for p in members for pre in preimage_count(c, p)["preimages"]]
     classes = []
@@ -146,7 +146,7 @@ def test_resolving_injectivity_on_unstable_sets():
     # u-resolving: unstably equivalent preimages of the same point coincide
     c = even_cover()
     assert c.right_resolving
-    for p in enumerate_points(c.target, cycle_len=2, core_len=2)[:30]:
+    for p in enumerate_points(c.target, core_len=2)[:30]:
         if point_in_shift(c.target, p) != "yes":
             continue
         pres = preimage_count(c, p)["preimages"]
@@ -160,7 +160,7 @@ def test_unique_preimage_unstable_class_restriction():
     # unstable class maps onto the unstable class of the image
     c = even_cover()
     (q,) = preimage_count(c, ONES)["preimages"]
-    lifted_class = [y for y in enumerate_points(c.source, cycle_len=2, core_len=2)
+    lifted_class = [y for y in enumerate_points(c.source, core_len=2)
                     if decide_relation(y, q, "unstable")]
     image_class = {c.project(y) for y in lifted_class}
     for img in image_class:
@@ -265,7 +265,7 @@ def test_preimage_counts_match_windowed_path_counts():
     # others are refused
     seen = Counter()
     for c in _random_cover_maps() + _random_resolving_maps(16, seed=5):
-        points = enumerate_points(c.target, cycle_len=2, core_len=2)
+        points = enumerate_points(c.target, core_len=2)
         if not c.right_resolving:
             with pytest.raises(NotResolving):
                 preimage_count(c, points[0])

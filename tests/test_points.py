@@ -276,7 +276,7 @@ def test_bracket_uniqueness_brute_force(even_shift, golden_mean):
     from itertools import product as iproduct
     N = 2
     for s in (even_shift, golden_mean):
-        pts = [p for p in enumerate_points(s, cycle_len=2, core_len=1)
+        pts = [p for p in enumerate_points(s, core_len=1)
                if point_in_shift(s, p) == "yes" and p.description_size() <= 4]
         sample = pts[:12]
         for x in sample:
@@ -299,7 +299,7 @@ def test_bracket_uniqueness_brute_force(even_shift, golden_mean):
 
 def test_bracket_lipschitz_constant_one(even_shift):
     # d(y, [y,z]) <= d(y, z): splicing never moves the disagreement inward
-    pts = [p for p in enumerate_points(even_shift, cycle_len=2, core_len=1)
+    pts = [p for p in enumerate_points(even_shift, core_len=1)
            if point_in_shift(even_shift, p) == "yes"]
     for y in pts:
         for z in pts:
@@ -345,7 +345,7 @@ def test_sofic_membership_agrees_with_factor_scan(even_shift, even_times_golden)
     # one joint period beyond the core decides all factors
     from synchrolab.shift import contains_word
     for s in (even_shift, even_times_golden):
-        for p in enumerate_points(s, cycle_len=2, core_len=2)[:60]:
+        for p in enumerate_points(s, core_len=2)[:60]:
             span = 2 * (abs(p.origin) + len(p.core)
                         + 2 * len(p.left) * len(p.right)) + 8
             all_factors_ok = all(
@@ -372,7 +372,7 @@ def test_membership_against_sft_route(even_shift):
                 count += 1
         return all(r % 2 == 0 for r in runs)
 
-    for p in enumerate_points(even_shift, cycle_len=2, core_len=2):
+    for p in enumerate_points(even_shift, core_len=2):
         status = point_in_shift(even_shift, p)
         if status == "yes":
             assert parity_ok(p), p

@@ -46,13 +46,13 @@ def test_classify_examples(even_shift, golden_mean):
 
 
 def test_every_golden_mean_point_synchronizes(golden_mean):
-    for p in enumerate_points(golden_mean, cycle_len=2, core_len=2):
+    for p in enumerate_points(golden_mean, core_len=2):
         assert classify_point(golden_mean, p).status == "synchronizing", p
 
 
 def test_classify_shift_invariance(even_shift, golden_mean, even_times_golden):
     for s in (even_shift, golden_mean, even_times_golden):
-        for p in enumerate_points(s, cycle_len=2, core_len=1)[:40]:
+        for p in enumerate_points(s, core_len=1)[:40]:
             status = classify_point(s, p).status
             assert classify_point(s, shift_by(p, 1)).status == status
             assert classify_point(s, shift_by(p, -1)).status == status
@@ -60,12 +60,12 @@ def test_classify_shift_invariance(even_shift, golden_mean, even_times_golden):
 
 def test_classify_openness_witness(even_shift):
     # every point that close to a synchronizing point synchronizes too
-    for p in enumerate_points(even_shift, cycle_len=2, core_len=2):
+    for p in enumerate_points(even_shift, core_len=2):
         verdict = classify_point(even_shift, p)
         if verdict.status != "synchronizing":
             continue
         n = verdict.window_used
-        for q in enumerate_points(even_shift, cycle_len=2, core_len=2):
+        for q in enumerate_points(even_shift, core_len=2):
             d = distance(p, q)
             if d.is_zero or d.k > n:  # d < 2^-n
                 assert classify_point(even_shift, q).status == "synchronizing"

@@ -130,7 +130,7 @@ def _sample_points(s):
 def test_enumerate_points_match_reference(shifts):
     for s in shifts:
         core_len = 1 if len(s.alphabet) > 3 else 2
-        got = enumerate_points(s, cycle_len=2, core_len=core_len)
+        got = enumerate_points(s, core_len=core_len)
         assert got == reference_enumerate_points(s, cycle_len=2, core_len=core_len), s
 
 
@@ -173,7 +173,7 @@ def test_cylinder_representatives_build_each_point_once(shifts, monkeypatch):
 def _germs(s, kind, count=4):
     """The identity germ at the least synchronizing point of ``s`` and
     the first ``count`` - 1 germs of ``kind`` between small points."""
-    points = [x for x in enumerate_points(s, cycle_len=2, core_len=2)
+    points = [x for x in enumerate_points(s, core_len=2)
               if classify_point(s, x).status == "synchronizing"]
     germs = [identity_germ(s, points[0], kind)]
     for (x, y) in combinations(points, 2):
@@ -253,7 +253,7 @@ def _reference_bridge(s, x, y, depth):
 def _bridge_cases(s):
     """``(p, x, y)`` with p synchronizing periodic, x in the unstable and
     y in the synchronizing stable class of p, x != y."""
-    points = enumerate_points(s, cycle_len=2, core_len=1)
+    points = enumerate_points(s, core_len=1)
     cases = []
     for p in [p for p in points if not p.core and p.left == p.right][:2]:
         if classify_point(s, p).status != "synchronizing":
@@ -309,7 +309,7 @@ def test_oracle_searches_are_unverified(ray_oracle):
 def _rectangle_bases(s, N):
     """The least point of ``s`` whose central word at radius N
     synchronizes, and the least such point with a core."""
-    points = [x for x in enumerate_points(s, cycle_len=2, core_len=1)
+    points = [x for x in enumerate_points(s, core_len=1)
               if classify_point(s, x).status == "synchronizing"
               and is_sync_word(s, x.window(1 - N, N))]
     return points[:1] + [x for x in points if x.core][:1]
@@ -318,7 +318,7 @@ def _rectangle_bases(s, N):
 def _small_samples(s, x, N, rng):
     """At most 30 small points of ``s``: up to 10 with x's central
     window, the rest without."""
-    points = enumerate_points(s, cycle_len=2, core_len=2)
+    points = enumerate_points(s, core_len=2)
     near = [p for p in points if p.window(1 - N, N) == x.window(1 - N, N)]
     far = [p for p in points if p.window(1 - N, N) != x.window(1 - N, N)]
     return rng.sample(near, min(10, len(near))) + rng.sample(far, min(20, len(far)))
