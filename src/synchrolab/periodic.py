@@ -26,7 +26,7 @@ from synchrolab.errors import (InvariantViolation, NotInShift, NotSynchronizing,
                                SearchExhausted, Unverified)
 from synchrolab.points import (BiSeq, agree_on, bracket, canonical_order, check_bracket_radius,
                                point_in_shift, shift_by)
-from synchrolab.presentation import _subset_search, determinize
+from synchrolab.presentation import _blocks, _subset_search, determinize
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 from synchrolab.sync import close_orbit_through, oracle_density_entry, sync_radius
 
@@ -203,40 +203,6 @@ def count_periodic(s, n):
     """|Fix(shift^n)|, the last of ``periodic_counts``; exact past the
     kernel's limits too, with no |A|^n enumeration."""
     return periodic_counts(s, n)[-1]
-
-
-def _blocks(arcs):
-    # The strongly connected blocks of the graph ``arcs`` ({node: {node:
-    # weight}}), by Tarjan's algorithm run on an explicit stack.  A node
-    # of a finished block gets a low link past every index, so later arcs
-    # into it change nothing.
-    index, low, stack, blocks = {}, {}, [], []
-    for root in arcs:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(arcs[root]))]
-        while work:
-            v, out = work[-1]
-            for w in out:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(arcs[w])))
-                    break
-                low[v] = min(low[v], low[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    block = [stack.pop()]
-                    while block[-1] != v:
-                        block.append(stack.pop())
-                    low.update(dict.fromkeys(block, len(arcs)))
-                    blocks.append(block)
-    return blocks
 
 
 def _det_one_minus(rows):

@@ -15,14 +15,15 @@ successor masks.  On it sit the tail sets of an eventually periodic
 point at a cut -- the past set and the future set -- which decide
 membership and pin cover states, and one word search, ``words``, which
 grows words from a mask and cuts each branch whose mask empties.  Cover
-structure -- components, irreducibility and period -- reads one
-reachability closure of the same masks, ``Presentation.reach``.
-Trimming needs no closure: it peels states with no in-edge or no
-out-edge in time linear in the graph.  The subset automata and the
-minimal cover share one subset search, which peels its graph on the
-discovery indices before any state set is named; the minimal cover
-merges followers, finds the terminal component and checks its language
-on those indices too, and names only the states of the cover.
+structure -- components, irreducibility and period -- reads the
+strongly connected blocks of one linear-time Tarjan pass, ``_blocks``,
+which also finds the minimal cover's terminal component and zeta's
+blocks.  Trimming peels states with no in-edge or no out-edge in time
+linear in the graph.  The subset automata and the minimal cover share
+one subset search, which peels its graph on the discovery indices
+before any state set is named; the minimal cover merges followers,
+finds the terminal component and checks its language on those indices
+too, and names only the states of the cover.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -193,53 +194,37 @@ class Presentation:
         yield from layer
 
     @cached_property
-    def reach(self):
-        """``reach[i]`` is the mask of the states at the end of a non-empty
-        path from ``states[i]``: Warshall's closure of the ``masks`` rows.
-
-        The graph structure below -- components and flags -- all reads
-        this one closure; ``trim`` does not.
-        """
-        rows = [0] * len(self.states)
-        for label_rows in self.masks.values():
-            for i, row in enumerate(label_rows):
-                rows[i] |= row
-        return _closure(rows)
-
-    @cached_property
     def sccs(self):
         """Strongly connected components as state masks, ordered by least
-        member (the canonical order)."""
-        reach = self.reach
-        components = []
-        left = self.full_mask
-        for i, row in enumerate(reach):
-            if left >> i & 1:
-                component = 1 << i
-                for j in range(i + 1, len(reach)):
-                    if row >> j & 1 and reach[j] >> i & 1:
-                        component |= 1 << j
-                components.append(component)
-                left &= ~component
-        return tuple(components)
+        member (the canonical order): Tarjan's blocks of the state graph.
+
+        The flags below read these blocks; ``trim`` does not.
+        """
+        index = {q: i for i, q in enumerate(self.states)}
+        succ = {i: [] for i in range(len(self.states))}
+        for (p, _, q) in self.edges:
+            succ[index[p]].append(index[q])
+        blocks = [sum(1 << i for i in block) for block in _blocks(succ)]
+        return tuple(sorted(blocks, key=lambda block: block & -block))
 
     @cached_property
     def irreducible(self):
         """True iff the graph is non-empty and every state reaches every
-        state by a non-empty path."""
-        return bool(self.states) and all(row == self.full_mask for row in self.reach)
+        state by a non-empty path: one component holds every state, and
+        so every edge, of which there is at least one (a lone state's
+        loop)."""
+        return self.sccs == (self.full_mask,) and bool(self.edges)
 
     @cached_property
     def period(self):
         """gcd of all cycle lengths; 0 for an acyclic graph.
 
-        Computed per cyclic SCC by the standard level-gcd argument and
-        combined across SCCs, so it divides the length of every cycle.
+        Computed per SCC by the standard level-gcd argument and combined
+        across SCCs, so it divides the length of every cycle; a state on
+        no cycle adds gcd 0, which changes nothing.
         """
         overall = 0
         for component in self.sccs:
-            if not _image(self.reach, component) & component:
-                continue
             root = (component & -component).bit_length() - 1
             level = {root: 0}
             queue = [root]
@@ -272,18 +257,6 @@ def _image(rows, mask):
         image |= rows[low.bit_length() - 1]
         mask ^= low
     return image
-
-
-def _closure(rows):
-    # Warshall's closure of the successor masks ``rows``: entry i is the
-    # mask of the ends of the non-empty paths from i.
-    reach = list(rows)
-    for k in range(len(reach)):
-        bit = 1 << k
-        for i, row in enumerate(reach):
-            if row & bit:
-                reach[i] = row | reach[k]
-    return tuple(reach)
 
 
 def _read(kernel, mask, word):
@@ -328,6 +301,41 @@ def _peel(n, arcs):
             if not out_degree[j] and alive[j]:
                 queue.append(j)
     return sum(1 << i for i in range(n) if alive[i])
+
+
+def _blocks(succ):
+    # The strongly connected blocks of the graph ``succ`` ({node: iterable
+    # of successor nodes}, every node a key), by Tarjan's algorithm run on
+    # an explicit stack, in time linear in the graph.  A node of a
+    # finished block gets a low link past every index, so later arcs into
+    # it change nothing.
+    index, low, stack, blocks = {}, {}, [], []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, out = work[-1]
+            for w in out:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    block = [stack.pop()]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    low.update(dict.fromkeys(block, len(succ)))
+                    blocks.append(block)
+    return blocks
 
 
 def trim(p):
@@ -398,8 +406,8 @@ def minimal_cover(p):
     an irreducible sofic shift this is its Fischer cover (Lind & Marcus
     §3.3), unique up to state renaming.  The work runs on the subset
     search's discovery indices: Moore refinement on the peeled indices,
-    a reachability closure of the quotient, the language check, and one
-    build naming only the core.  A core class of one subset is named by
+    Tarjan's blocks of the quotient, the language check, and one build
+    naming only the core.  A core class of one subset is named by
     its members, a larger class by the tuple of its subsets' names in
     canonical order; the classes are then renamed ``s0, s1, ...``.
 
@@ -413,15 +421,16 @@ def minimal_cover(p):
     count = len(classes)
     # rows[a][c]: the bit of the class label a leads to from c, or 0
     rows = {a: [0] * count for a in p.alphabet}
+    succ = {c: [] for c in range(count)}
     for (c, a, d) in edges:
         rows[a][c] = 1 << d
-    reach = _closure([sum({row[c] for row in rows.values()}) for c in range(count)])
-    # each terminal component is a closure row that all its members share
-    terminal = {row for row in set(reach)
-                if all(reach[c] == row for c in range(count) if row >> c & 1)}
+        succ[c].append(d)
+    # a terminal component is a block that no arc leaves
+    terminal = [block for block in map(set, _blocks(succ))
+                if all(d in block for c in block for d in succ[c])]
     if len(terminal) != 1:
         raise NotIrreducible(f"{len(terminal)} terminal components; shift is not irreducible")
-    core = terminal.pop()
+    core = sum(1 << c for c in terminal[0])
     # the core reads a sublanguage of what all classes read, L(trim p);
     # they differ iff a pair reachable from (all, core) empties only core
     pair = ((1 << count) - 1, core)

@@ -174,10 +174,12 @@ def _reachable(g, q):
 
 
 def reference_graph_structure(g):
-    """``(irreducible, terminal, period)`` of ``g``: strong connectivity,
-    the subgraph on the unique component with no edge out of it (``None``
-    unless there is exactly one), and gcd{n <= |states| : some closed
-    walk has length n}, from pairwise reachability and bounded walks."""
+    """``(irreducible, terminal, period, components)`` of ``g``: strong
+    connectivity, the subgraph on the unique component with no edge out
+    of it (``None`` unless there is exactly one), gcd{n <= |states| : some
+    closed walk has length n}, and the set of strongly connected
+    components as frozensets of states, from pairwise reachability and
+    bounded walks."""
     reach = {q: _reachable(g, q) for q in g.states}
     components = {frozenset({q} | {r for r in reach[q] if q in reach[r]})
                   for q in g.states}
@@ -191,7 +193,7 @@ def reference_graph_structure(g):
             period = math.gcd(period, n)
     irreducible = bool(g.states) and all(reach[q] == set(g.states) for q in g.states)
     return (irreducible, _subgraph(g, terminal[0]) if len(terminal) == 1 else None,
-            period)
+            period, components)
 
 
 def reference_subset_automaton(g, least, key=_canonical_key):

@@ -285,7 +285,11 @@ def named_shifts(golden_mean, even_shift, even_times_golden):
 
 @pytest.fixture(scope="module")
 def reference_graphs(named_shifts):
-    return [s.presentation for s in named_shifts] + _random_presentations()
+    # the component {a, c} straddles {b}, so ordering the component masks
+    # as integers would put {b} first
+    straddle = Presentation.build(
+        ["a", "b", "c"], [("a", "0", "c"), ("c", "1", "a"), ("a", "1", "b"), ("b", "0", "b")])
+    return [s.presentation for s in named_shifts] + [straddle] + _random_presentations()
 
 
 @pytest.fixture(scope="module")
@@ -321,12 +325,11 @@ def test_nonsync_subshift_matches_frozenset_reference(reference_shifts):
 
 def terminal_components(p):
     """The subgraphs of ``p`` on its SCCs that no edge leaves, read from
-    ``p.sccs`` and ``p.reach``."""
+    ``p.sccs`` and ``p.edges``."""
     out = []
     for component in p.sccs:
         members = set(p.names(component))
-        if all(p.reach[i] | component == component
-               for i, q in enumerate(p.states) if q in members):
+        if all(r in members for (q, _, r) in p.edges if q in members):
             out.append(Presentation.build(
                 members, [e for e in p.edges if e[0] in members and e[2] in members]))
     return out
@@ -362,8 +365,12 @@ def test_tail_fixpoint_matches_cycle_graph_reference(reference_graphs):
 def test_graph_structure_matches_reference(reference_graphs):
     verdicts = set()
     for p in reference_graphs:
-        irreducible, terminal, period = reference_graph_structure(p)
+        irreducible, terminal, period, components = reference_graph_structure(p)
         assert (p.irreducible, p.period) == (irreducible, period), p
+        sccs = [p.names(component) for component in p.sccs]
+        assert len(sccs) == len(components) and {frozenset(c) for c in sccs} == components, p
+        least = [p.states.index(c[0]) for c in sccs]
+        assert least == sorted(least), p
         assert trim(p).states == reference_trim(p).states, p
         components = terminal_components(p)
         assert (components[0] if len(components) == 1 else None) == terminal, p
