@@ -322,13 +322,14 @@ def _disagreement_radius(x, y):
     return max((abs(i) + 1 for i in range(-bound, bound + 1) if x.at(i) != y.at(i)), default=0)
 
 
-def ruelle_germ(s, x, y, verify=True):
+def ruelle_germ(s, x, y):
     """The central-block local conjugacy between homoclinic SFT points.
 
     With K the disagreement radius and m the SFT memory, the rule
-    rewrites the block [-W, W], W = K + m, from x's pattern to y's;
-    memory buffering makes every junction window a window of the
-    input, so images stay in the shift.
+    rewrites the block [-W, W], W = K + m, from x's pattern to y's.  It
+    is proved, not verified: as y = x = z on K <= |i| <= W, an image z'
+    of z differs from z only inside (-K, K), and a window of length m
+    meeting (-K, K) lies in [-W, W], a window of y, so z' is in the shift.
     """
     if s.memory is None:
         raise NotSFT("ruelle_germ needs an SFT; use compose_lcs_lcu on sofic shifts")
@@ -337,30 +338,28 @@ def ruelle_germ(s, x, y, verify=True):
     if x == y:
         return identity_germ(s, x, "lc")
     w = _disagreement_radius(x, y) + s.memory
-    germ = Germ(s, "lc", x, y, -w, w, BlockRule(-w, y.window(-w, w + 1)))
-    if verify:
-        verify_germ(germ)
-    return germ
+    return Germ(s, "lc", x, y, -w, w, BlockRule(-w, y.window(-w, w + 1)))
 
 
-def _sft_one_sided_germ(s, x, y, kind, verify=True):
-    """Tail-swap germs between stable/unstable equivalent SFT points."""
+def _sft_one_sided_germ(s, x, y, kind):
+    """Tail-swap germs between stable/unstable equivalent SFT points.
+
+    Proved, not verified: with m the memory, x = y and the domain holds
+    z = x on the m coordinates on y's side of the cut, so a window of
+    length m that crosses the cut is a window of the input z.
+    """
     m, bound = s.memory, alignment_bound(x, y)
     if kind == "lcs":
         agree_from = bound
         while agree_from > -bound and x.at(agree_from - 1) == y.at(agree_from - 1):
             agree_from -= 1
         cut = agree_from + m
-        germ = Germ(s, "lcs", x, y, None, cut + m, PastRule(y, cut))
-    else:
-        agree_to = -bound
-        while agree_to < bound and x.at(agree_to + 1) == y.at(agree_to + 1):
-            agree_to += 1
-        cut = agree_to - m + 1
-        germ = Germ(s, "lcu", x, y, cut - m, None, FutureRule(y, cut))
-    if verify:
-        verify_germ(germ)
-    return germ
+        return Germ(s, "lcs", x, y, None, cut + m, PastRule(y, cut))
+    agree_to = -bound
+    while agree_to < bound and x.at(agree_to + 1) == y.at(agree_to + 1):
+        agree_to += 1
+    cut = agree_to - m + 1
+    return Germ(s, "lcu", x, y, cut - m, None, FutureRule(y, cut))
 
 
 @lru_cache(maxsize=None)
@@ -401,7 +400,7 @@ def lifted_germ(s, x, y, kind, verify=True):
     for xh in _lifts(s, x):
         for yh in _lifts(s, y):
             try:
-                inner = construct_germ(cover.source, xh, yh, kind, verify=False)
+                inner = construct_germ(cover.source, xh, yh, kind)
             except NotConstructive:
                 continue
             lo, hi = inner.dom_lo, inner.dom_hi
@@ -433,7 +432,8 @@ def construct_germ(s, x, y, kind, verify=True):
 
     Dispatches on the decided memory: identity, SFT block/tail rules,
     or cover-lifted rules on other shifts.  An oracle shift has no cover,
-    so ``lifted_germ`` stops it with ``Unverified``.
+    so ``lifted_germ`` stops it with ``Unverified``.  ``verify`` reaches
+    only lifted germs: the SFT rules are proved where they are built.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown germ kind {kind!r}")
@@ -444,8 +444,8 @@ def construct_germ(s, x, y, kind, verify=True):
             f"points are not {_REQUIRED_RELATION[kind]}-equivalent")
     if s.memory is not None:
         if kind == "lc":
-            return ruelle_germ(s, x, y, verify)
-        return _sft_one_sided_germ(s, x, y, kind, verify)
+            return ruelle_germ(s, x, y)
+        return _sft_one_sided_germ(s, x, y, kind)
     return lifted_germ(s, x, y, kind, verify)
 
 

@@ -284,8 +284,8 @@ def find_periodic_by_bracket(s, x, y, n, N):
     reads z_0(i - n) on [0, n] and z_0(i + n) on [-n, 0): both are
     y_(i mod n).  So z_1 agrees on [-n, n] with p, the periodic point
     repeating y's word on [0, n), which is the 2n-periodization of z_0.
-    p is returned after checking that z_1 agrees with it, that it is
-    shift^(2n)-fixed and that it lies in the shift.
+    p is returned after checking that z_1 agrees with it and that it
+    lies in the shift.
 
     Neither bracket can fail.  As y_i = x_i = y_(i+n) on [1 - N, N - 1],
     z_0 equals y from 1 - N on, and shift^-n(z_0) and shift^n(z_0) agree
@@ -316,8 +316,6 @@ def find_periodic_by_bracket(s, x, y, n, N):
     p = BiSeq.periodic(y.window(0, n))
     if not agree_on(z, p, -n, n + 1):
         raise InvariantViolation("z_1 does not agree with the periodization on [-n, n]")
-    if shift_by(p, 2 * n) != p:
-        raise InvariantViolation("periodization is not shift^(2n)-fixed")
     if point_in_shift(s, p) != "yes":
         raise NotInShift("periodization leaves the shift")
     return p

@@ -161,7 +161,7 @@ def test_criterion_7_invariance_suite(golden_mean, even_shift, even_times_golden
             break
         for y in gm_pts[i + 1:]:
             if decide_relation(x, y, "homoclinic"):
-                harvest(golden_mean, ruelle_germ(golden_mean, x, y, verify=False))
+                harvest(golden_mean, ruelle_germ(golden_mean, x, y))
                 pairs += 1
                 if pairs >= 32:
                     break

@@ -1,9 +1,12 @@
 """Germ constructions, invariance laws, bridges, groupoid sampling."""
 
+from collections import Counter
+from itertools import permutations
+
 import pytest
 
 from synchrolab.conjugacy import (KINDS, BlockRule, FutureRule, Germ, IdentityRule,
-                                  LiftedRule, PastRule, compose_lcs_lcu,
+                                  LiftedRule, PastRule, canonical_cover, compose_lcs_lcu,
                                   construct_germ, groupoid_sample,
                                   heteroclinic_bridge, identity_germ,
                                   rectangle_germs, ruelle_germ, sync_bridge,
@@ -14,8 +17,11 @@ from synchrolab.errors import (InvariantViolation, NotConstructive, NotHomoclini
 from synchrolab.points import (BiSeq, agree_on, decide_relation, enumerate_points,
                                point_in_shift, shift_by)
 from synchrolab.presentation import Presentation
-from synchrolab.shift import Alphabet, build_sofic
+from synchrolab.shift import Alphabet, build_sft, build_sofic, word
+from synchrolab.specfile import parse_spec_text
 from synchrolab.sync import classify_point, sync_radius
+
+from test_decided_step import SOFIC_GOLDEN
 
 ZEROS = BiSeq.constant("0")
 ONES = BiSeq.constant("1")
@@ -332,6 +338,26 @@ def test_proved_germs_pass_verification(golden_mean, even_shift, even_times_gold
                         assert verify_germ(gu) >= 1 and verify_germ(gs) >= 1
                         rectangles += 2
     assert heteroclinic >= 60 and bridges >= 50 and rectangles >= 150
+
+
+def test_sft_germs_pass_verification(golden_mean, even_shift):
+    # ruelle_germ and the one-sided SFT germs are returned unverified, as
+    # their memory buffer proves them sound; every one verifies
+    two_step = build_sft(Alphabet(("0", "1")), {word("111"), word("00")})
+    sofic_golden = parse_spec_text(SOFIC_GOLDEN).shift
+    edge_shift = canonical_cover(even_shift).source
+    for s in (golden_mean, two_step, sofic_golden, edge_shift):
+        points = enumerate_points(s, core_len=1)
+        seen = Counter()
+        for x, y in permutations(points, 2):
+            for kind in KINDS:
+                try:
+                    g = construct_germ(s, x, y, kind)
+                except NotConstructive:
+                    continue
+                assert verify_germ(g) >= 1, (s, x, y, kind)
+                seen[type(g.rule)] += 1
+        assert set(seen) == {BlockRule, PastRule, FutureRule}, (s, seen)
 
 
 def test_groupoid_lc_golden_matches_homoclinic(golden_mean):

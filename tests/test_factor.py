@@ -275,8 +275,13 @@ def test_preimage_counts_match_windowed_path_counts():
         seen["reducible"] += not g.irreducible
         seen["untrimmed"] += trim(g) != g
         for x in points:
-            count = preimage_count(c, x)["count"]
+            result = preimage_count(c, x)
+            count = result["count"]
             assert count == reference_preimage_count(g, x), (g, x)
+            preimages = result["preimages"]
+            assert len(set(preimages)) == len(preimages) == count, (g, x)
+            for pre in preimages:
+                assert point_in_shift(c.source, pre) == "yes" and c.project(pre) == x, (g, x, pre)
             seen[min(count, 2)] += 1
     assert min(seen.values()) >= 10, seen
     assert set(seen) == {"refused", "reducible", "untrimmed", 1, 2}
