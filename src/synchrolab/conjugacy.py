@@ -330,15 +330,23 @@ def ruelle_germ(s, x, y):
     is proved, not verified: as y = x = z on K <= |i| <= W, an image z'
     of z differs from z only inside (-K, K), and a window of length m
     meeting (-K, K) lies in [-W, W], a window of y, so z' is in the shift.
+    An endpoint outside the shift raises ``NotInShift``.
     """
     if s.memory is None:
         raise NotSFT("ruelle_germ needs an SFT; use compose_lcs_lcu on sofic shifts")
     if not decide_relation(x, y, "homoclinic"):
         raise NotHomoclinic(f"{x} and {y} are not homoclinic")
+    _require_in_shift(s, x, y)
     if x == y:
         return identity_germ(s, x, "lc")
     w = _disagreement_radius(x, y) + s.memory
     return Germ(s, "lc", x, y, -w, w, BlockRule(-w, y.window(-w, w + 1)))
+
+
+def _require_in_shift(s, *points):
+    for p in points:
+        if point_in_shift(s, p) != "yes":
+            raise NotInShift(f"{p} is not in the shift")
 
 
 def _sft_one_sided_germ(s, x, y, kind):
@@ -377,16 +385,18 @@ def lifted_germ(s, x, y, kind, verify=True):
 
     Searches the (finitely many) lift pairs for one in the relation the
     kind requires, builds the SFT germ upstairs, and conjugates by the
-    labeling map.  The frozen part of the domain must pin the lift --
-    a synchronizing central word for two-sided germs, a singleton tail
-    state set for one-sided ones -- so that the projected rule is a
-    genuine map of cylinders, not a partial map.  A two-sided domain
-    [lo, hi] has lo <= -witness and hi >= witness, so it holds both
-    endpoints' synchronizing central witnesses; a word containing a
-    synchronizing word synchronizes, so it pins the lift with no check.
-    ``NotConstructive`` signals a sound refusal (no related lift pair,
-    or no pinning); an oracle shift has no cover and raises
-    ``Unverified``.
+    labeling map.  The frozen part of the domain must pin the lift.  A
+    one-sided germ is proved once both endpoints have a singleton tail
+    set at the domain's edge: for ``lcs``, ``past_set(x, hi + 1) = {q}``,
+    so a domain point z (= x below hi + 1) lifts into the inner domain
+    by xh's path there, continued from q along z; each such lift maps to
+    one reading y below the cut and z from it, so the value is unique,
+    and in the shift as the inner germ is a proved SFT germ (``lcu``:
+    the mirror image).  A two-sided germ is verified (with ``verify``
+    false, applied to x): a synchronizing central witness pins the lift
+    only to its right.  ``NotConstructive`` signals a sound refusal (no
+    related lift pair, or no pinning); an oracle shift has no cover and
+    raises ``Unverified``.
     """
     cover = canonical_cover(s)
     g = cover.presentation  # the Fischer cover
@@ -407,15 +417,13 @@ def lifted_germ(s, x, y, kind, verify=True):
             slack = len(cover.presentation.states) + 1
             lo = None if lo is None else min(lo - slack, -witness)
             hi = None if hi is None else max(hi + slack, witness)
-            if kind == "lcs":
-                if (g.past_set(x, hi + 1).bit_count() != 1
-                        or g.past_set(y, hi + 1).bit_count() != 1):
-                    continue
-            elif kind == "lcu":
-                if (g.future_set(x, lo).bit_count() != 1
-                        or g.future_set(y, lo).bit_count() != 1):
-                    continue
             germ = Germ(s, kind, x, y, lo, hi, LiftedRule(cover, inner))
+            if kind != "lc":
+                tails = (g.past_set(p, hi + 1) if kind == "lcs" else g.future_set(p, lo)
+                         for p in (x, y))
+                if all(m.bit_count() == 1 for m in tails):
+                    return germ
+                continue
             try:
                 if verify:
                     verify_germ(germ)
@@ -433,7 +441,8 @@ def construct_germ(s, x, y, kind, verify=True):
     Dispatches on the decided memory: identity, SFT block/tail rules,
     or cover-lifted rules on other shifts.  An oracle shift has no cover,
     so ``lifted_germ`` stops it with ``Unverified``.  ``verify`` reaches
-    only lifted germs: the SFT rules are proved where they are built.
+    only two-sided lifted germs: the others are proved where they are
+    built, on endpoints in the shift (else ``NotInShift``).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown germ kind {kind!r}")
@@ -445,6 +454,7 @@ def construct_germ(s, x, y, kind, verify=True):
     if s.memory is not None:
         if kind == "lc":
             return ruelle_germ(s, x, y)
+        _require_in_shift(s, x, y)
         return _sft_one_sided_germ(s, x, y, kind)
     return lifted_germ(s, x, y, kind, verify)
 
@@ -612,6 +622,8 @@ def groupoid_sample(s, selector, P=(), bound=6):
     unstable/stable classes of the synchronizing periodic base set P).
     Arrows carry constructed germs, so the sampled relation is a sound
     under-approximation; identities and inverses are always included.
+    A two-sided lifted germ is verified, not proved, so its pair is kept
+    only if the inverse verifies too; other inverses are proved alike.
     """
     if selector not in ("lc", "lcsync", "lcs", "lcu"):
         raise ValueError(f"unknown groupoid selector {selector!r}")
@@ -633,9 +645,12 @@ def groupoid_sample(s, selector, P=(), bound=6):
         arrows.append(GroupoidArrow(x, x, identity_germ(s, x, kind), selector))
         for y in points[i + 1:]:
             try:
-                germ = construct_germ(s, x, y, kind, verify=False)
-            except NotConstructive:
+                germ = construct_germ(s, x, y, kind)
+                inverse = germ.inverse()
+                if kind == "lc" and s.memory is None:
+                    verify_germ(inverse)
+            except (NotConstructive, NotInDomain, InvariantViolation):
                 continue
             arrows.append(GroupoidArrow(x, y, germ, selector))
-            arrows.append(GroupoidArrow(y, x, germ.inverse(), selector))
+            arrows.append(GroupoidArrow(y, x, inverse, selector))
     return arrows

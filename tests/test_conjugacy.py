@@ -22,9 +22,27 @@ from synchrolab.specfile import parse_spec_text
 from synchrolab.sync import classify_point, sync_radius
 
 from test_decided_step import SOFIC_GOLDEN
+from test_word_search import _random_shifts
 
 ZEROS = BiSeq.constant("0")
 ONES = BiSeq.constant("1")
+# a sofic shift on which a two-sided lifted germ can verify while its
+# inverse does not, and some pairs have only unverifiable lc germs
+THREE_STATE = """\
+alphabet: a b c
+type: sofic
+state: q0
+state: q1
+state: q2
+edge: q0 b q0
+edge: q0 b q1
+edge: q0 b q2
+edge: q1 a q0
+edge: q1 b q2
+edge: q1 c q2
+edge: q2 a q1
+edge: q2 c q0
+"""
 
 
 def homoclinic_pairs(s, limit=40):
@@ -358,6 +376,54 @@ def test_sft_germs_pass_verification(golden_mean, even_shift):
                 assert verify_germ(g) >= 1, (s, x, y, kind)
                 seen[type(g.rule)] += 1
         assert set(seen) == {BlockRule, PastRule, FutureRule}, (s, seen)
+
+
+def test_one_sided_lifted_germs_pass_verification(even_shift, even_times_golden):
+    # lcs/lcu lifted germs are returned unverified once both endpoints have a
+    # singleton tail set at the domain's edge; every one verifies
+    three_gap = build_sofic(Alphabet(("0", "1")), Presentation.build(
+        "ABC", [("A", "1", "A"), ("A", "0", "B"), ("B", "0", "C"), ("C", "0", "A")]))
+    three_state = parse_spec_text(THREE_STATE).shift
+    cases = [(even_shift, 4), (three_gap, 4), (even_times_golden, 3), (three_state, 4)]
+    cases += [(s, 4) for s in _random_shifts(40, seed=1) if s.memory is None]
+    seen = Counter()
+    for s, size in cases:
+        points = [p for p in enumerate_points(s, core_len=1) if p.description_size() <= size]
+        for x, y in permutations(points, 2):
+            for kind in ("lcs", "lcu"):
+                try:
+                    g = construct_germ(s, x, y, kind, verify=False)
+                except NotConstructive:
+                    continue
+                assert type(g.rule) is LiftedRule and verify_germ(g) >= 1, (s, x, y, kind)
+                seen[kind] += 1
+    assert seen["lcs"] >= 200 and seen["lcu"] >= 50, seen
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sft_germs_refuse_endpoints_outside_the_shift(golden_mean, kind):
+    # 11 is forbidden, yet the point is homoclinic to 0^oo in every sense,
+    # so only the membership check stops the proved constructions
+    outside = BiSeq(("0",), ("1", "1"), ("0",), 0)
+    for x, y in ((ZEROS, outside), (outside, ZEROS)):
+        with pytest.raises(NotInShift):
+            construct_germ(golden_mean, x, y, kind)
+    if kind == "lc":
+        with pytest.raises(NotInShift):
+            ruelle_germ(golden_mean, ZEROS, outside)
+
+
+def test_groupoid_arrows_verify_in_both_directions():
+    # the lc germ between these two verifies only one way round, so the
+    # pair is left out; every arrow kept verifies
+    s = parse_spec_text(THREE_STATE).shift
+    arrows = groupoid_sample(s, "lc", bound=5)
+    x = BiSeq(("a", "b"), (), ("a", "c"), 0)
+    y = BiSeq(("a", "b"), ("b",), ("c", "a"), 0)
+    assert {(x, y), (y, x)}.isdisjoint((a.source, a.target) for a in arrows)
+    assert len(arrows) > 100
+    for a in arrows:
+        assert verify_germ(a.germ) >= 1, (a.source, a.target)
 
 
 def test_groupoid_lc_golden_matches_homoclinic(golden_mean):
