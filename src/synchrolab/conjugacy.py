@@ -442,11 +442,13 @@ def construct_germ(s, x, y, kind, verify=True):
     or cover-lifted rules on other shifts.  An oracle shift has no cover,
     so ``lifted_germ`` stops it with ``Unverified``.  ``verify`` reaches
     only two-sided lifted germs: the others are proved where they are
-    built, on endpoints in the shift (else ``NotInShift``).
+    built, on endpoints in the shift (else ``NotInShift``, also for the
+    identity germ).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown germ kind {kind!r}")
     if x == y:
+        _require_in_shift(s, x)
         return identity_germ(s, x, kind)
     if not decide_relation(x, y, _REQUIRED_RELATION[kind]):
         raise NotConstructive(

@@ -25,16 +25,12 @@ class NotInShift(SynchrolabError):
     """Point does not belong to the shift."""
 
 
-class WindowExceeded(SynchrolabError):
-    """Oracle query exceeds the oracle's window bound."""
-
-
 class NotAgreeing(SynchrolabError):
     """Bracket arguments do not agree on the required central window."""
 
 
 class Unverified(SynchrolabError):
-    """An oracle-backed check cannot be settled within the window bound."""
+    """The computation needs a finite presentation, and the shift has none."""
 
 
 class NotHomoclinic(SynchrolabError):

@@ -1,11 +1,9 @@
-"""Builtin membership oracles for shifts with no finite presentation."""
-
-from functools import lru_cache
+"""Builtin membership oracles for shifts with no finite presentation, and
+the patterns that make their words synchronize."""
 
 from synchrolab.shift import Alphabet, OracleShift
 
 
-@lru_cache(maxsize=1 << 18)
 def _ray_admissible(w):
     """Walks on the right-infinite ray graph.
 
@@ -37,7 +35,6 @@ def _ray_admissible(w):
     return True
 
 
-@lru_cache(maxsize=1 << 18)
 def _context_free_admissible(w):
     """Balanced-block constraint: every factor ``a b^m c^n a`` needs m = n."""
     n = len(w)
@@ -59,17 +56,29 @@ def _context_free_admissible(w):
     return True
 
 
-def nonsofic_ray(window_bound=64):
+def nonsofic_ray():
     """The synchronizing non-sofic shift on the ray graph."""
     return OracleShift(Alphabet(("a", "b", "c")), _ray_admissible,
-                       window_bound, "nonsofic-ray").with_name("nonsofic-ray")
+                       "nonsofic-ray").with_name("nonsofic-ray")
 
 
-def context_free(window_bound=64):
+def context_free():
     """The context-free shift (balanced b/c blocks between a's)."""
     return OracleShift(Alphabet(("a", "b", "c")), _context_free_admissible,
-                       window_bound, "context-free").with_name("context-free")
+                       "context-free").with_name("context-free")
 
+
+# A word w of a builtin synchronizes (uw, wv admissible imply uwv
+# admissible) iff it holds one of the builtin's patterns.
+# * nonsofic-ray, ``a``: an ``a`` pins every height of uwv, and uw and wv
+#   check each height at that pin.  An a-free w with least start height
+#   h and end height e (from h) fails: u = a b^(h-1) and v = c^e give
+#   admissible uw and wv, but uwv ends at height 0.
+# * context-free, ``a`` or ``cb``: a forbidden factor a b^m c^n a of uwv
+#   that lies in neither uw nor wv starts in u and ends in v, so w is a
+#   factor of b^m c^n, which holds neither pattern.  A w = b^i c^j fails
+#   with u = a and v = c^t a for t = 1 or 2, the t with i != j + t.
+SYNC_PATTERNS = {"nonsofic-ray": (("a",),), "context-free": (("a",), ("c", "b"))}
 
 BUILTIN_ORACLES = {
     "nonsofic-ray": nonsofic_ray,

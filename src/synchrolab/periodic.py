@@ -253,20 +253,19 @@ def periodic_density_check(s, L):
     On a presented shift each admissible word gets the point
     ``close_orbit_through`` closes through it in the Fischer cover, with
     status ``"yes"``: the point is a cycle of the cover, so it lies in
-    the shift, is periodic, and reads the word at 0.  Oracle shifts use
-    a bounded wrap search and report unverified.  No word is ever
-    refuted, so the report passes.
+    the shift, is periodic, and reads the word at 0.  An oracle shift
+    gets the witness ``oracle_density_entry`` proves to exist.
     """
     entries = []
     if isinstance(s, OracleShift):
-        for w in enumerate_words(s, min(L, s.window_bound)):
+        for w in enumerate_words(s, L):
             entries.append(oracle_density_entry(s, w, want_sync=False))
     else:
         cover = fischer_cover(s)
         for w in enumerate_words(s, L):
             entries.append({"word": w, "point": str(close_orbit_through(cover, w)),
                             "status": "yes"})
-    return {"L": L, "entries": entries, "passed": True}
+    return {"L": L, "entries": entries}
 
 
 def find_periodic_by_bracket(s, x, y, n, N):
@@ -291,15 +290,14 @@ def find_periodic_by_bracket(s, x, y, n, N):
     z_0 equals y from 1 - N on, and shift^-n(z_0) and shift^n(z_0) agree
     with x there too.  So both arguments of each bracket lie in the
     shift and carry x's synchronizing central word on [1 - N, N - 1]:
-    they agree there, every run of the word ends at one state, and the
-    splice glues inside it.
+    they agree there, and the splice glues inside that word: with uv and
+    vw in the language, so is uvw.
 
     Raises
     ------
-    ValueError, NotInShift, NotSynchronizing, Unverified
+    ValueError, NotInShift, NotSynchronizing
         For N < 2, n < 1, or y or shift^n(y) outside the ball; for x or
-        y outside the shift; for x not synchronizing at radius N; on an
-        oracle shift.
+        y outside the shift; for x not synchronizing at radius N.
     """
     check_bracket_radius(N)
     if n < 1:

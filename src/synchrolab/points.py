@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from math import lcm
 
-from synchrolab.errors import NotAgreeing, NotInShift, Unverified
+from synchrolab.errors import NotAgreeing, NotInShift
 from synchrolab.shift import OracleShift
 
 
@@ -335,26 +335,43 @@ def replace_window(x, lo, pattern):
 
 
 def point_in_shift(s, x):
-    """Exact membership for SFT/sofic shifts; window-bounded for oracles.
+    """Exact membership: ``"yes"`` or ``"no"``.
 
-    Returns one of ``"yes"``, ``"no"``, ``"unverified"``.  SFT and sofic
-    shifts are decided alike on their presentation (for an SFT, its
-    higher-block one): x is a point iff, at the cut ``x.right_start``,
-    the past set (states ending a left-infinite path reading x below the
-    cut) meets the future set (states starting a right-infinite path
-    reading x from the cut on).
+    SFT and sofic shifts are decided alike on their presentation (for an
+    SFT, its higher-block one): x is a point iff, at the cut
+    ``x.right_start``, the past set (states ending a left-infinite path
+    reading x below the cut) meets the future set (states starting a
+    right-infinite path reading x from the cut on).
+
+    An oracle shift asks its predicate once, on W_k, the window of k
+    periods of each tail cycle on each side of the core, with k = |core|
+    + |left| + |right| + 3.  x is a point iff every W_m is admissible, as
+    every window of x lies in some W_m; so W_k decides when W_k
+    admissible implies W_m admissible for m >= k.  Both builtins are
+    coded by the marker ``a``: a word is admissible iff each of its
+    a-to-a blocks is (context-free: not a b^m c^n a with m != n; ray: a
+    Dyck path from height 1 back to 1), and, on the ray, its a-free ends
+    stay at height >= 1 when pinned by an ``a``.  An ``a``-free x has no
+    block and no pin, and every window is admissible.  Otherwise:
+
+    * a tail cycle that holds ``a`` repeats its a-to-a blocks with its
+      period, so each lies within two periods of the core, in W_k;
+    * an a-free tail admits every window, except on the ray.  There its
+      heights change by the cycle's drift d each period outward; with
+      d >= 0 none falls below those of its first period, in W_k.  With d
+      < 0 (more ``c`` than ``b`` going right, more ``b`` than ``c``
+      going left) the tail falls below height 1: the last ``a`` before
+      it lies within |core| + |other cycle| of its start, which so has
+      height at most 1 + |core| + |other cycle|, and that many periods
+      and one more bring it to 0, inside W_k.
     """
     for symbol in x.symbols:
         if symbol not in s.alphabet:
             return "no"
     if isinstance(s, OracleShift):
-        width = s.window_bound
-        lo = x.origin - len(x.left) - width
-        hi = x.right_start + len(x.right)
-        for p in range(lo, hi + 1):
-            if not s.admits(x.window(p, p + width)):
-                return "no"
-        return "unverified"
+        k = len(x.core) + len(x.left) + len(x.right) + 3
+        window = x.window(x.origin - k * len(x.left), x.right_start + k * len(x.right))
+        return "yes" if s.admits(window) else "no"
     g = s.presentation
     cut = x.right_start
     return "yes" if g.past_set(x, cut) & g.future_set(x, cut) else "no"
@@ -377,17 +394,14 @@ def bracket(s, x, y, N):
 
     Raises
     ------
-    NotAgreeing, NotInShift, Unverified
+    NotAgreeing, NotInShift
     """
     check_bracket_radius(N)
     if not agree_on(x, y, 1 - N, N):
         raise NotAgreeing(f"central windows differ within radius {N - 1}")
     z = splice(x, y)
-    status = point_in_shift(s, z)
-    if status == "yes":
+    if point_in_shift(s, z) == "yes":
         return z
-    if status == "unverified":
-        raise Unverified("oracle shift cannot certify the splice")
     raise NotInShift("splice leaves the shift")
 
 

@@ -6,8 +6,10 @@ A shift is one of two variants:
   labeled graph; its ``memory``, and so whether it is an SFT, is
   decided from its follower-merged subset automaton, not from how the
   shift was given.
-* ``OracleShift`` -- a word-membership predicate with a hard window
-  bound, for shifts with no finite presentation.
+* ``OracleShift`` -- an exact word-membership predicate, for the two
+  builtin shifts with no finite presentation; their point questions
+  are decided from it, and every computation that needs a presentation
+  stops with ``Unverified``.
 
 Words are tuples of symbols; symbols are non-empty strings.
 """
@@ -15,7 +17,7 @@ Words are tuples of symbols; symbols are non-empty strings.
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from synchrolab.errors import EmptyShift, NotIrreducible, Unverified, WindowExceeded
+from synchrolab.errors import EmptyShift, NotIrreducible, Unverified
 from synchrolab.presentation import (Presentation, _moore_quotient, _subset_search,
                                      minimal_cover, trim)
 
@@ -121,37 +123,17 @@ class PresentedShift(Shift):
 class OracleShift(Shift):
     """Shift known only through a word-membership predicate.
 
-    The predicate must be factorial (a word with an inadmissible factor
-    is inadmissible) and bi-extendable within the window; both are
-    sampled at construction and violations raise.  Answers are trusted
-    only up to ``window_bound``.
+    The class of the builtins ``nonsofic-ray`` and ``context-free``
+    (``synchrolab.oracles``), both coded systems with marker ``a``.  The
+    predicate decides every word, of any length; membership and
+    classification of points are decided from it (``point_in_shift``,
+    ``classify_point``).  The shift has no finite presentation, so every
+    computation that needs one stops at ``presentation``.
     """
 
     alphabet: Alphabet
     admits: callable = field(compare=False)
-    window_bound: int
     oracle_name: str = "oracle"
-
-    def __post_init__(self):
-        if self.window_bound < 1:
-            raise ValueError("window bound must be >= 1")
-        depth = min(3, self.window_bound - 1)
-        words = [()]
-        for _ in range(depth):
-            words = [w + (a,) for w in words for a in self.alphabet]
-            for w in words:
-                admissible = self.admits(w)
-                for a in self.alphabet:
-                    if not admissible:
-                        if self.admits(w + (a,)) or self.admits((a,) + w):
-                            raise ValueError(
-                                f"oracle is not factorial at {w + (a,)}")
-                if admissible and not any(self.admits(w + (a,))
-                                          for a in self.alphabet):
-                    raise ValueError(f"oracle word {w} is not right-extendable")
-                if admissible and not any(self.admits((a,) + w)
-                                          for a in self.alphabet):
-                    raise ValueError(f"oracle word {w} is not left-extendable")
 
     @property
     def kind(self):
@@ -219,14 +201,11 @@ def contains_word(s, w):
     """True iff ``w`` occurs in some point of the shift.
 
     A presented shift runs its trimmed presentation, whose paths all
-    extend to bi-infinite ones.  For an oracle shift the predicate
-    is consulted; queries longer than the window bound raise
-    ``WindowExceeded``.
+    extend to bi-infinite ones.  An oracle shift asks its predicate,
+    which decides words of every length.
     """
     w = s.alphabet.check_word(w)
     if isinstance(s, OracleShift):
-        if len(w) > s.window_bound:
-            raise WindowExceeded(f"|w| = {len(w)} exceeds window bound {s.window_bound}")
         return bool(s.admits(w))
     return s.presentation.accepts(w)
 

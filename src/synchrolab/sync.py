@@ -10,10 +10,10 @@ size->=2 part of the subset automaton.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as iproduct
 
 from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
-                               NotSynchronizing, Unverified, WindowTooSmall)
+                               NotSynchronizing, WindowTooSmall)
+from synchrolab.oracles import SYNC_PATTERNS
 from synchrolab.points import BiSeq, canonical_order, check_bracket_radius, point_in_shift
 from synchrolab.presentation import Presentation, _subset_presentation, _subset_search
 from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
@@ -23,10 +23,9 @@ from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
 class SyncVerdict:
     """Outcome of classifying one point.
 
-    ``status`` is ``"synchronizing"``, ``"nonSynchronizing"``, or
-    ``"unverified"``; a synchronizing verdict carries a central witness
-    word ``x[-N..N]`` that is intrinsically synchronizing, with
-    ``window_used = N``.
+    ``status`` is ``"synchronizing"`` or ``"nonSynchronizing"``; a
+    synchronizing verdict carries a central witness word ``x[-N..N]``
+    that is intrinsically synchronizing, with ``window_used = N``.
     """
 
     status: str
@@ -81,14 +80,23 @@ def classify_point(s, x):
     synchronizing.  The orbit is read until a singleton or a repeated
     (set, cycle phase) pair, so no bound enters the verdict.
 
-    Oracle shifts return ``unverified``.
+    On an oracle shift a word synchronizes iff it holds one of the
+    builtin's ``SYNC_PATTERNS`` (proved there), and the witness is the
+    least central word that holds one.  A pattern p of x occurs within
+    [origin - |left| - |p| + 1, right_start + |right| + |p| - 1), as an
+    occurrence past that slides back by tail periods; so with |p| <= 2 the
+    scan ends at the radius ``reach`` that covers this span.
     """
-    if isinstance(s, OracleShift):
-        if point_in_shift(s, x) == "no":
-            raise NotInShift("point has an inadmissible factor")
-        return SyncVerdict("unverified")
     if point_in_shift(s, x) != "yes":
         raise NotInShift("point is not in the shift")
+    if isinstance(s, OracleShift):
+        patterns = SYNC_PATTERNS[s.oracle_name]
+        reach = max(len(x.left) + 1 - x.origin, x.right_start + len(x.right))
+        for n in range(reach + 1):
+            word = x.window(-n, n + 1)
+            if any(word[i:i + len(p)] == p for p in patterns for i in range(len(word))):
+                return SyncVerdict("synchronizing", word, n)
+        return SyncVerdict("nonSynchronizing")
     cover = fischer_cover(s)
     pos = x.right_start
     current = cover.past_set(x, pos)
@@ -119,12 +127,10 @@ def sync_radius(s, x):
     A word that contains a synchronizing word synchronizes, so that word
     synchronizes iff N - 1 >= ``window_used``, the radius of the least
     witness of ``classify_point``.  Raises ``NotInShift`` (through
-    ``classify_point``), ``NotSynchronizing`` for a point that does not
-    synchronize and ``Unverified`` on an oracle shift.
+    ``classify_point``) and ``NotSynchronizing`` for a point that does
+    not synchronize.
     """
     verdict = classify_point(s, x)
-    if verdict.status == "unverified":
-        raise Unverified("an oracle shift cannot decide synchronization")
     if verdict.status != "synchronizing":
         raise NotSynchronizing(f"{x} is not synchronizing")
     return max(verdict.window_used, 1) + 1
@@ -271,12 +277,12 @@ def sync_density_check(s, L):
     through w·u, status ``"yes"`` by a theorem (L&M §3.3): the Fischer
     cover is irreducible with a synchronizing word v, so w·t·v
     synchronizes for a path t from an end of w's run to v, u exists, and
-    the point, holding w·u, synchronizes.  Oracle shifts get a bounded
-    witness search, reported unverified.  No word is refuted: it passes.
+    the point, holding w·u, synchronizes.  An oracle shift gets the
+    witness ``oracle_density_entry`` proves to exist.
     """
     entries = []
     if isinstance(s, OracleShift):
-        for w in enumerate_words(s, min(L, s.window_bound)):
+        for w in enumerate_words(s, L):
             entries.append(oracle_density_entry(s, w, want_sync=True))
     else:
         cover = fischer_cover(s)
@@ -285,66 +291,40 @@ def sync_density_check(s, L):
                                lambda m: m.bit_count() == 1)
             entries.append({"word": w, "point": str(close_orbit_through(cover, w + u)),
                             "status": "yes", "witness": w + u})
-    return {"L": L, "entries": entries, "passed": True}
+    return {"L": L, "entries": entries}
 
 
 def oracle_density_entry(s, w, want_sync):
-    """Bounded witness search for oracle shifts.
+    """A periodic point of an oracle shift that reads ``w`` at 0, and
+    synchronizes when ``want_sync``.
 
-    Looks for a wrap ``u + w + v`` whose periodization is admissible in
-    the oracle's window (and, when ``want_sync``, whose central word
-    passes a bounded intrinsic-synchronization test).  Candidates using
-    more of the alphabet are tried first, since synchronizing words in
-    practice pin the presentation with rare symbols.  Status is
-    ``unverified`` on success; a word is never refuted, only left
-    without a witness.
+    Tries the cycles w·v with w·v admissible and |v| <= |w| + 2, v
+    shortest first, and returns the first whose periodization is in the
+    shift and, when asked, synchronizes, both decided, with status
+    ``"yes"``.  One always qualifies, so the search ends with a witness:
+    * context-free: v = cb.  The periodization holds ``cb``, so it
+      synchronizes, and its a-to-a blocks are those of w or one through
+      ``cb``, which is not b^m c^n: none is forbidden.
+    * ray: with h the least start height of w and e its end height from
+      h, v = c^(e-1) a b^(h-1) returns to height h through an ``a`` at
+      height 1, so the periodization holds ``a`` and every height is
+      >= 1 with every ``a`` at 1.  As h - 1 and e - 1 count at most the
+      ``c`` and ``b`` of w (of w outside its ``a``s when it has one),
+      |v| <= |w| + 1.
     """
-    candidates = []
-    prefixes = [u for n in range(3) for u in iproduct(s.alphabet.symbols, repeat=n)
-                if s.admits(u + w)]
-    for u in prefixes:
-        for v in _admissible_suffixes(s, u + w, len(w) + 2):
-            cycle = u + w + v
-            if cycle:
-                candidates.append((u, cycle))
-    candidates.sort(key=lambda c: (-len(set(c[1])), len(c[1]), c[1]))
-    for u, cycle in candidates:
-        point = BiSeq.periodic(cycle, -len(u) % len(cycle))
-        if point_in_shift(s, point) == "no":
-            continue
-        if want_sync and not _apparently_sync(s, cycle):
-            continue
-        return {"word": w, "point": str(point), "status": "unverified",
-                "witness": cycle}
-    return {"word": w, "point": None, "status": "no witness found", "witness": None}
+    for v in _admissible_suffixes(s, w, len(w) + 2):
+        if w + v:
+            point = BiSeq.periodic(w + v)
+            if point_in_shift(s, point) == "yes" and (
+                    not want_sync or classify_point(s, point).status == "synchronizing"):
+                return {"word": w, "point": str(point), "status": "yes", "witness": w + v}
+    raise InvariantViolation(f"no periodic witness through {w}")
 
 
 def _admissible_suffixes(s, base, depth):
     """All v with |v| <= depth and base + v admissible, shortest first."""
     queue = [()]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
         yield v
         if len(v) < depth:
-            for a in s.alphabet:
-                if s.admits(base + v + (a,)):
-                    queue.append(v + (a,))
-
-
-def _apparently_sync(s, word, depth=4):
-    """Bounded intrinsic-synchronization test for oracle shifts.
-
-    Checks that every admissible bounded left/right extension of
-    ``word`` glues: ``p + word`` and ``word + q`` admissible implies
-    ``p + word + q`` admissible.  Sound only as a refutation; success
-    is reported as unverified elsewhere.
-    """
-    lefts = [p for n in range(depth + 1) for p in iproduct(s.alphabet.symbols, repeat=n)
-             if s.admits(p + word)]
-    rights = [q for n in range(depth + 1) for q in iproduct(s.alphabet.symbols, repeat=n)
-              if s.admits(word + q)]
-    for p in lefts:
-        for q in rights:
-            if len(p + word + q) <= s.window_bound and not s.admits(p + word + q):
-                return False
-    return True
+            queue.extend(v + (a,) for a in s.alphabet if s.admits(base + v + (a,)))

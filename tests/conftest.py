@@ -1,9 +1,11 @@
 import pytest
 
 from synchrolab.oracles import context_free, nonsofic_ray
-from synchrolab.points import BiSeq
+from synchrolab.points import BiSeq, point_in_shift
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sft, build_sofic, full_shift, product, word
+from synchrolab.specfile import parse_point
+from synchrolab.sync import classify_point
 
 BINARY = Alphabet(("0", "1"))
 
@@ -42,12 +44,29 @@ def even_times_even(even_shift):
 
 @pytest.fixture(scope="session")
 def ray_oracle():
-    return nonsofic_ray(window_bound=32)
+    return nonsofic_ray()
 
 
 @pytest.fixture(scope="session")
 def cf_oracle():
-    return context_free(window_bound=32)
+    return context_free()
+
+
+@pytest.fixture(scope="session")
+def density_holds():
+    """Checks a density report: every entry is a ``"yes"`` with a point of
+    the shift that reads the entry's word at 0 and, for the sync check,
+    synchronizes."""
+    def check(s, report, sync):
+        assert report["entries"]
+        for entry in report["entries"]:
+            assert entry["status"] == "yes", entry
+            p = parse_point(entry["point"], s.alphabet)
+            assert point_in_shift(s, p) == "yes", entry
+            assert p.window(0, len(entry["word"])) == entry["word"], entry
+            if sync:
+                assert classify_point(s, p).status == "synchronizing", entry
+    return check
 
 
 @pytest.fixture

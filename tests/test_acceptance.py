@@ -131,15 +131,10 @@ def test_criterion_5_rectangle_property(golden_mean, even_shift, even_times_gold
           f"({checked} checks)")
 
 
-def test_criterion_6_density_suites(golden_mean, even_shift, ray_oracle):
-    for s in (golden_mean, even_shift):
-        assert sync_density_check(s, 8)["passed"]
-        assert periodic_density_check(s, 8)["passed"]
-    for report in (sync_density_check(ray_oracle, 4),
-                   periodic_density_check(ray_oracle, 4)):
-        assert report["passed"]
-        for entry in report["entries"]:
-            assert entry["status"] in ("yes", "unverified"), entry
+def test_criterion_6_density_suites(golden_mean, even_shift, ray_oracle, density_holds):
+    for s, L in ((golden_mean, 8), (even_shift, 8), (ray_oracle, 4)):
+        density_holds(s, sync_density_check(s, L), sync=True)
+        density_holds(s, periodic_density_check(s, L), sync=False)
     ok(6, "sync + periodic density at L=8 (golden, even) and L=4 (nonsofic-ray)")
 
 

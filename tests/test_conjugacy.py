@@ -18,7 +18,7 @@ from synchrolab.points import (BiSeq, agree_on, decide_relation, enumerate_point
                                point_in_shift, shift_by)
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sft, build_sofic, word
-from synchrolab.specfile import parse_spec_text
+from synchrolab.specfile import parse_point, parse_spec_text
 from synchrolab.sync import classify_point, sync_radius
 
 from test_decided_step import SOFIC_GOLDEN
@@ -509,3 +509,18 @@ def test_oracle_germs_stop_at_the_presentation(ray_oracle, kind):
     y = BiSeq(("a",), ("b",), ("a",), 0)
     with pytest.raises(Unverified):
         construct_germ(ray_oracle, x, y, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_identity_germ_needs_a_point_of_the_shift(golden_mean, even_shift, ray_oracle, kind):
+    # 11 is forbidden on the golden mean shift, an odd zero run on the even
+    # shift, and a c right after an a (height 1) on the ray
+    cases = ((golden_mean, "L=0 C=11 O=0 R=0", "L=0 C= O=0 R=0"),
+             (even_shift, "L=1 C=010 O=0 R=1", "L=1 C=00 O=0 R=1"),
+             (ray_oracle, "L=a C=c O=0 R=a", "L=a C=bc O=0 R=a"))
+    for s, outside, inside in cases:
+        x = parse_point(outside)
+        with pytest.raises(NotInShift, match="is not in the shift"):
+            construct_germ(s, x, x, kind)
+        y = parse_point(inside)
+        assert isinstance(construct_germ(s, y, y, kind).rule, IdentityRule)

@@ -67,9 +67,9 @@ def test_three_gap_periodic_counts(three_gap):
     assert enumerate_periodic(three_gap, 3).count == 2
 
 
-def test_three_gap_density(three_gap):
-    assert sync_density_check(three_gap, 5)["passed"]
-    assert periodic_density_check(three_gap, 5)["passed"]
+def test_three_gap_density(three_gap, density_holds):
+    density_holds(three_gap, sync_density_check(three_gap, 5), sync=True)
+    density_holds(three_gap, periodic_density_check(three_gap, 5), sync=False)
 
 
 def test_three_gap_preimages(three_gap):

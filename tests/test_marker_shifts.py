@@ -1,0 +1,120 @@
+"""The two non-sofic builtins against brute force.
+
+``nonsofic-ray`` and ``context-free`` are coded by the marker ``a``.
+The library decides a point by one predicate query on a window of
+k = |core| + |left| + |right| + 3 tail periods, and classifies it by the
+builtin's synchronizing patterns.  Here membership is read on a window of
+80 periods, synchronization by gluing every short left and right
+extension, and the least witness by scanning central windows outward.
+"""
+
+import random
+from itertools import product as iproduct
+
+import pytest
+
+from synchrolab.errors import NotInShift, NotSynchronizing
+from synchrolab.oracles import SYNC_PATTERNS
+from synchrolab.periodic import periodic_density_check
+from synchrolab.points import BiSeq, point_in_shift
+from synchrolab.shift import enumerate_words
+from synchrolab.sync import classify_point, sync_density_check, sync_radius
+
+SYMBOLS = ("a", "b", "c")
+
+
+def _word(rng, lo, hi):
+    return tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(lo, hi)))
+
+
+def _points(seed, count=2000):
+    """Seeded points: cycles of length 1-4, cores up to 4, origins within 2."""
+    rng = random.Random(seed)
+    return [BiSeq(_word(rng, 1, 4), _word(rng, 0, 4), _word(rng, 1, 4), rng.randint(-2, 2))
+            for _ in range(count)]
+
+
+def _drift_cases():
+    # the tails that step away from the marker's height 1 (ray) or hold no
+    # marker at all
+    b41c40 = ("b",) * 41 + ("c",) * 40
+    return [BiSeq(b41c40, ("a",), ("a",), 0), BiSeq.constant("b"), BiSeq.constant("c"),
+            BiSeq(("c",), ("a",), ("c",), 0), BiSeq(("b",), ("a",), ("b",), 0),
+            BiSeq(("c",), ("a",), ("b",), 0), BiSeq(("a",), (), ("b", "c", "c"), 0),
+            BiSeq(("b", "b", "c"), (), ("a",), 0)]
+
+
+def _reference_in_shift(s, x, periods=80):
+    return s.admits(x.window(x.origin - periods * len(x.left),
+                             x.right_start + periods * len(x.right)))
+
+
+def _holds_pattern(s, w):
+    return any(w[i:i + len(p)] == p
+               for p in SYNC_PATTERNS[s.oracle_name] for i in range(len(w)))
+
+
+@pytest.fixture(scope="module", params=["ray", "cf"])
+def marker_shift(request, ray_oracle, cf_oracle):
+    return ray_oracle if request.param == "ray" else cf_oracle
+
+
+@pytest.fixture(scope="module")
+def decided(marker_shift):
+    """The seeded and drift points with the reference's verdict."""
+    points = _points(seed=26) + _drift_cases()
+    return [(x, _reference_in_shift(marker_shift, x)) for x in points]
+
+
+def test_membership_matches_a_long_window(marker_shift, decided):
+    assert 200 < sum(inside for (_, inside) in decided) < len(decided) - 200
+    for x, inside in decided:
+        assert point_in_shift(marker_shift, x) == ("yes" if inside else "no"), x
+
+
+def test_drift_cases(ray_oracle, cf_oracle):
+    want = {"nonsofic-ray": ["no", "yes", "yes", "no", "no", "yes", "no", "no"],
+            "context-free": ["yes"] * 8}
+    for s in (ray_oracle, cf_oracle):
+        assert [point_in_shift(s, x) for x in _drift_cases()] == want[s.oracle_name]
+    with pytest.raises(NotInShift, match="point is not in the shift"):
+        classify_point(ray_oracle, _drift_cases()[0])  # the b^41 c^40 tail
+
+
+def test_pattern_rule_matches_gluing(marker_shift):
+    # w synchronizes iff u·w·v is admissible whenever u·w and w·v are
+    s = marker_shift
+    extensions = [e for n in range(5) for e in iproduct(SYMBOLS, repeat=n)]
+    glued = 0
+    for w in enumerate_words(s, 3):
+        lefts = [u for u in extensions if s.admits(u + w)]
+        rights = [v for v in extensions if s.admits(w + v)]
+        glues = all(s.admits(u + w + v) for u in lefts for v in rights)
+        assert glues == _holds_pattern(s, w), w
+        glued += glues
+    assert glued > 5
+
+
+def test_least_witness_and_radius(marker_shift, decided):
+    s = marker_shift
+    verdicts = set()
+    for x, inside in decided:
+        if not inside:
+            continue
+        least = next((n for n in range(120) if _holds_pattern(s, x.window(-n, n + 1))), None)
+        verdict = classify_point(s, x)
+        verdicts.add(verdict.status)
+        if least is None:
+            assert verdict.status == "nonSynchronizing", x
+            with pytest.raises(NotSynchronizing):
+                sync_radius(s, x)
+        else:
+            assert (verdict.status, verdict.window_used) == ("synchronizing", least), x
+            assert verdict.witness == x.window(-least, least + 1)
+            assert sync_radius(s, x) == max(least, 1) + 1
+    assert verdicts == {"synchronizing", "nonSynchronizing"}
+
+
+def test_density_at_length_five(marker_shift, density_holds):
+    density_holds(marker_shift, sync_density_check(marker_shift, 5), sync=True)
+    density_holds(marker_shift, periodic_density_check(marker_shift, 5), sync=False)

@@ -227,18 +227,14 @@ def test_period_below_one_is_rejected(golden_mean):
             call(golden_mean, 0)
 
 
-def test_periodic_density(even_shift, golden_mean, full_two):
+def test_periodic_density(even_shift, golden_mean, full_two, density_holds):
     for s in (even_shift, golden_mean):
-        assert periodic_density_check(s, 6)["passed"]
-    report = periodic_density_check(full_two, 4)
-    assert report["passed"]
+        density_holds(s, periodic_density_check(s, 6), sync=False)
+    density_holds(full_two, periodic_density_check(full_two, 4), sync=False)
 
 
-def test_periodic_density_ray(ray_oracle):
-    report = periodic_density_check(ray_oracle, 4)
-    assert report["passed"]
-    for e in report["entries"]:
-        assert e["status"] in ("yes", "unverified")
+def test_periodic_density_ray(ray_oracle, density_holds):
+    density_holds(ray_oracle, periodic_density_check(ray_oracle, 4), sync=False)
 
 
 def test_bracket_iteration_golden_instance(golden_mean):

@@ -6,7 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from synchrolab.errors import EmptyShift, NotIrreducible, WindowExceeded
+from synchrolab.errors import EmptyShift, NotIrreducible
 from synchrolab.points import BiSeq, point_in_shift
 from synchrolab.presentation import (Presentation, determinize, minimal_cover,
                                      subset_automaton, trim)
@@ -218,9 +218,11 @@ def test_sft_words_occur_in_points_despite_dead_ends():
         assert point_in_shift(s, BiSeq(("0",), w, ("0",), 0)) == "no"
 
 
-def test_oracle_window_exceeded(ray_oracle):
-    with pytest.raises(WindowExceeded):
-        contains_word(ray_oracle, word("a" * 40))
+def test_oracle_decides_long_words(ray_oracle):
+    # 200-symbol words: from the a's height 1, b^100 c^99 ends at height 2
+    # and b^99 c^100 falls to 0
+    assert contains_word(ray_oracle, word("a" + "b" * 100 + "c" * 99))
+    assert not contains_word(ray_oracle, word("a" + "b" * 99 + "c" * 100))
 
 
 def test_product_full_shifts(full_two):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from synchrolab.errors import NotInLanguage, NotInShift, NotSynchronizing, Unverified
+from synchrolab.errors import NotInLanguage, NotInShift, NotSynchronizing
 from synchrolab.points import BiSeq, distance, enumerate_points, point_in_shift, shift_by
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sofic, enumerate_words, word
-from synchrolab.sync import (classify_point, is_sync_word, nonsync_subshift,
+from synchrolab.sync import (SyncVerdict, classify_point, is_sync_word, nonsync_subshift,
                              rectangle_check, sync_density_check, sync_radius)
 
 ZEROS = BiSeq.constant("0")
@@ -72,8 +72,10 @@ def test_classify_openness_witness(even_shift):
 
 
 def test_classify_oracle_unverified(ray_oracle):
+    # decided: a word of the ray shift synchronizes iff it holds an a
     p = BiSeq.periodic(("a", "b", "b", "c", "c"))
-    assert classify_point(ray_oracle, p).status == "unverified"
+    assert classify_point(ray_oracle, p) == SyncVerdict("synchronizing", ("a",), 0)
+    assert classify_point(ray_oracle, BiSeq.constant("b")).status == "nonSynchronizing"
 
 
 def test_product_of_sync_points_is_sync(even_times_golden):
@@ -115,8 +117,11 @@ def test_sync_radius_matches_brute_force(golden_mean, even_shift, even_times_gol
 def test_sync_radius_refusals(golden_mean, ray_oracle):
     with pytest.raises(NotInShift):
         sync_radius(golden_mean, BiSeq.constant("1"))
-    with pytest.raises(Unverified):
-        sync_radius(ray_oracle, BiSeq.periodic(("a", "b", "b", "c", "c")))
+    assert sync_radius(ray_oracle, BiSeq.periodic(("a", "b", "b", "c", "c"))) == 2
+    with pytest.raises(NotSynchronizing):
+        sync_radius(ray_oracle, BiSeq.constant("b"))
+    with pytest.raises(NotInShift):
+        sync_radius(ray_oracle, BiSeq.periodic(("a", "c")))
 
 
 def test_rectangle_check_golden_mean(golden_mean):
@@ -210,17 +215,13 @@ def test_nonsync_points_fail_rectangle_at_all_small_radii(even_shift):
         assert point_in_shift(even_shift, r) == "no", N
 
 
-def test_sync_density_even_and_golden(even_shift, golden_mean):
+def test_sync_density_even_and_golden(even_shift, golden_mean, density_holds):
     for s in (even_shift, golden_mean):
-        report = sync_density_check(s, 6)
-        assert report["passed"]
-        for entry in report["entries"]:
-            assert entry["status"] == "yes"
+        density_holds(s, sync_density_check(s, 6), sync=True)
 
 
-def test_sync_density_ray_oracle(ray_oracle):
+def test_sync_density_ray_oracle(ray_oracle, density_holds):
     report = sync_density_check(ray_oracle, 4)
-    assert report["passed"]
+    density_holds(ray_oracle, report, sync=True)
     for entry in report["entries"]:
-        assert entry["status"] in ("yes", "unverified")
         assert "a" in entry["witness"]
