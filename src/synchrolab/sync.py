@@ -136,8 +136,22 @@ def sync_radius(s, x):
     return max(verdict.window_used, 1) + 1
 
 
+def _cylinder_frame(s, x, N, unstable):
+    """The presentation, the primitive cycles c of length <= 2 with their
+    tail fixpoints, and the frozen side's tail set, out of which the free
+    words of a cylinder of ``x`` are read (``unstable``: the past set at
+    N, read forward; else the future set at 1-N, read backward).  Raises
+    ``Unverified`` for an oracle shift."""
+    g = s.presentation
+    cycles = [(c, g.tail_fixpoint(c, unstable))
+              for (c, _) in g.words(g.full_mask, s.alphabet.symbols, 2)
+              if c and len(set(c)) == len(c)]  # primitive at length <= 2
+    return g, cycles, g.past_set(x, N) if unstable else g.future_set(x, 1 - N)
+
+
 def cylinder_representatives(s, x, N, L, side):
-    """The small-description points of one cylinder of ``x``.
+    """The small-description points of one cylinder of ``x``, the samples
+    ``conjugacy.domain_samples`` draws from.
 
     ``side`` "u" freezes coordinates <= N-1 (unstable cylinder) and
     varies the future, the point ``x[<N] u c^inf``; "s" freezes
@@ -156,54 +170,92 @@ def cylinder_representatives(s, x, N, L, side):
     so distinct reduced pairs name distinct points and each point is
     built once.  Raises ``Unverified`` for an oracle shift.
     """
-    g, symbols = s.presentation, s.alphabet.symbols
-    free = max(0, L - N)
     unstable = side == "u"
-    cycles = [(c, g.tail_fixpoint(c, unstable))
-              for (c, _) in g.words(g.full_mask, symbols, 2)
-              if c and len(set(c)) == len(c)]  # primitive at length <= 2
+    g, cycles, start = _cylinder_frame(s, x, N, unstable)
+    free, symbols = max(0, L - N), s.alphabet.symbols
     if unstable:
         a = min(x.origin, N)
         past, head = x.left_pattern_at(a), x.window(a, N)
         out = [BiSeq(past, head + u, c, a)
-               for (u, run) in g.words(g.past_set(x, N), symbols, free)
+               for (u, run) in g.words(start, symbols, free)
                for (c, fixed) in cycles if run & fixed and u[-1:] != c[-1:]]
     else:
         b = max(x.right_start, 1 - N)
         tail, future = x.window(1 - N, b), x.right_pattern_at(b)
         out = [BiSeq(c, u + tail, future, 1 - N - len(u))
-               for (u, run) in g.words(g.future_set(x, 1 - N), symbols, free, backward=True)
+               for (u, run) in g.words(start, symbols, free, backward=True)
                for (c, fixed) in cycles if run & fixed and u[:1] != c[:1]]
     return canonical_order(out)
+
+
+def cylinder_count(s, x, N, L, side):
+    """``len(cylinder_representatives(s, x, N, L, side))``, with no point
+    built.
+
+    The representatives keep a free word u with a cycle c iff u's run
+    meets c's tail fixpoint and u's boundary symbol (last for "u", first
+    for "s", none for the empty word) is not c's: a test on the pair
+    (run mask, boundary symbol) alone.  So each length's words are held
+    as one layer ``{(run mask, boundary symbol): number of words}``,
+    grown a symbol at a time as ``Presentation.words`` grows them, and
+    each entry counts once per cycle it closes into; distinct reduced
+    pairs are distinct points, so the sum is exact.  Raises
+    ``Unverified`` for an oracle shift.
+    """
+    unstable = side == "u"
+    g, cycles, start = _cylinder_frame(s, x, N, unstable)
+    read, end = (g.run, -1) if unstable else (g.back, 0)
+    free = max(0, L - N)
+    layer, total = {(start, None): 1} if start else {}, 0
+    for depth in range(free + 1):
+        total += sum(n for ((run, b), n) in layer.items()
+                     for (c, fixed) in cycles if run & fixed and b != c[end])
+        if depth == free:
+            break
+        grown = {}
+        for ((run, _), n) in layer.items():
+            for a in s.alphabet.symbols:
+                nxt = read(run, (a,))
+                if nxt:
+                    grown[nxt, a] = grown.get((nxt, a), 0) + n
+        layer = grown
+    return total
 
 
 def rectangle_check(s, x, N, L):
     """Reports the local product structure at a synchronizing point.
 
-    Takes the representatives of ``X^u(x, 2**-N)`` and ``X^s(x, 2**-N)``
-    with descriptions in window ``L`` (``cylinder_representatives``) and
-    counts them.  The rectangle on them is a theorem (L&M §3.3), so
-    ``failures`` is empty and ``passed`` true.  Let y be an unstable and
-    z a stable sample.  Both carry x's central word v = x[1-N..N-1],
-    which synchronizes as ``sync_radius(s, x) <= N``: every path reading
-    v ends at one state q.  So z's left-infinite path below N and y's
-    right-infinite path from N meet at q, and their concatenation reads
-    the splice ``[y, z]`` (z below 0, y from 0): it is in the shift,
-    equal to y from 1-N on and to z below N, and h_x inverts on it, as
-    ``[[y, z], x] = y`` (y = x below N) and ``[x, [y, z]] = z`` (z = x
-    from 1-N on).
+    Counts the representatives of ``X^u(x, 2**-N)`` and
+    ``X^s(x, 2**-N)`` with descriptions in window ``L`` with no point
+    built (``cylinder_count``).  The count is exact: whether a free word
+    u closes into a cycle c as a reduced pair depends on u only through
+    its run mask and boundary symbol, and distinct reduced pairs are
+    distinct points (``cylinder_representatives``), so summing the
+    words of each (run mask, boundary symbol) pair gives the number of
+    points.  It costs (L-N+1) layers of at most |reachable pairs| x |A|
+    mask reads, linear in L, where building the points reads the
+    |A|^(L-N) free words a side.  The rectangle on the samples is a
+    theorem (L&M §3.3), so ``failures`` is empty and ``passed`` true.
+    Let y be an unstable and z a stable sample.  Both carry x's central
+    word v = x[1-N..N-1], which synchronizes as ``sync_radius(s, x) <=
+    N``: every path reading v ends at one state q.  So z's left-infinite
+    path below N and y's right-infinite path from N meet at q, and their
+    concatenation reads the splice ``[y, z]`` (z below 0, y from 0): it
+    is in the shift, equal to y from 1-N on and to z below N, and h_x
+    inverts on it, as ``[[y, z], x] = y`` (y = x below N) and
+    ``[x, [y, z]] = z`` (z = x from 1-N on).
 
     Returns a report dict; raises on precondition failures.
     """
     check_bracket_radius(N)
     if sync_radius(s, x) > N:
         raise NotSynchronizing(f"central word at radius {N} is not synchronizing")
-    unstable = cylinder_representatives(s, x, N, L, "u")
-    stable = cylinder_representatives(s, x, N, L, "s")
+    unstable = cylinder_count(s, x, N, L, "u")
+    stable = cylinder_count(s, x, N, L, "s")
     if not unstable or not stable:
         raise WindowTooSmall(f"no representatives fit in window {L}")
-    return {"point": str(x), "N": N, "L": L, "unstable_samples": len(unstable),
-            "stable_samples": len(stable), "pairs": len(unstable) * len(stable),
+    return {"point": str(x), "N": N, "L": L, "unstable_samples": unstable,
+            "stable_samples": stable, "pairs": unstable * stable,
             "failures": [], "passed": True}
 
 

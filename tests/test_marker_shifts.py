@@ -1,23 +1,25 @@
 """The two non-sofic builtins against brute force.
 
 ``nonsofic-ray`` and ``context-free`` are coded by the marker ``a``.
-The library decides a point by one predicate query on a window of
-k = |core| + |left| + |right| + 3 tail periods, and classifies it by the
-builtin's synchronizing patterns.  Here membership is read on a window of
+The library decides a point by one predicate query on a window of two
+periods of each tail cycle, or |core| + |other cycle| + 2 periods of a
+ray tail that steps down, and classifies it by the builtin's
+synchronizing patterns.  Here membership is read on a window of
 80 periods, synchronization by gluing every short left and right
 extension, and the least witness by scanning central windows outward.
 """
 
 import random
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
 
 from synchrolab.errors import NotInShift, NotSynchronizing
-from synchrolab.oracles import SYNC_PATTERNS
+from synchrolab.oracles import BUILTIN_ORACLES, SYNC_PATTERNS
 from synchrolab.periodic import periodic_density_check
 from synchrolab.points import BiSeq, point_in_shift
-from synchrolab.shift import enumerate_words
+from synchrolab.shift import OracleShift, enumerate_words
 from synchrolab.sync import classify_point, sync_density_check, sync_radius
 
 SYMBOLS = ("a", "b", "c")
@@ -47,6 +49,24 @@ def _drift_cases():
 def _reference_in_shift(s, x, periods=80):
     return s.admits(x.window(x.origin - periods * len(x.left),
                              x.right_start + periods * len(x.right)))
+
+
+def _uniform_window_in_shift(s, x):
+    """The verdict on the window of k = |core| + |left| + |right| + 3
+    periods of both tails, the one count every tail got before."""
+    k = len(x.core) + len(x.left) + len(x.right) + 3
+    return s.admits(x.window(x.origin - k * len(x.left), x.right_start + k * len(x.right)))
+
+
+def _long_cycle_points(n):
+    """Points whose tail cycles are b^m c^m, b^(m+1) c^m or b^m c^(m+1)
+    (m = n + 40), with and without an ``a``."""
+    m = n + 40
+    cycles = [("b",) * b + ("c",) * c for (b, c) in ((m, m), (m + 1, m), (m, m + 1))]
+    cycles += [("a",) + c for c in cycles[:2]]
+    return [p for c in cycles
+            for p in (BiSeq(c, ("a",), ("a",), 0), BiSeq(("a",), ("a",), c, 0),
+                      BiSeq(c, ("a",), c, 0), BiSeq(c, (), ("b",), 0))]
 
 
 def _holds_pattern(s, w):
@@ -79,6 +99,38 @@ def test_drift_cases(ray_oracle, cf_oracle):
         assert [point_in_shift(s, x) for x in _drift_cases()] == want[s.oracle_name]
     with pytest.raises(NotInShift, match="point is not in the shift"):
         classify_point(ray_oracle, _drift_cases()[0])  # the b^41 c^40 tail
+
+
+def test_membership_matches_the_uniform_window(marker_shift, decided):
+    points = [x for (x, _) in decided] + [p for n in (1, 7) for p in _long_cycle_points(n)]
+    verdicts = Counter()
+    for x in points:
+        want = _uniform_window_in_shift(marker_shift, x)
+        assert point_in_shift(marker_shift, x) == ("yes" if want else "no"), x
+        verdicts[want] += 1
+    assert verdicts[True] > 200 and verdicts[False] > 200, verdicts
+
+
+def test_membership_window_is_linear_in_a_drift_free_tail():
+    # b^m c^m holds no a and has drift 0, so it gets two periods; the
+    # uniform count asks (2m + 4) periods of it, about 466,000 symbols at
+    # n = 300
+    for name in ("nonsofic-ray", "context-free"):
+        asked = []
+        builtin = BUILTIN_ORACLES[name]()
+
+        def recording(w):
+            asked.append(len(w))
+            return builtin.admits(w)
+
+        s = OracleShift(builtin.alphabet, recording, name)
+        for n in range(1, 301, 23):
+            bc = ("b",) * (n + 40) + ("c",) * (n + 40)
+            x = BiSeq(bc, ("a",), ("a",), 0)
+            asked.clear()
+            assert point_in_shift(s, x) == "yes"
+            assert asked == [2 * len(x.left) + len(x.core) + 2 * len(x.right)]
+            assert asked[0] < 3 * x.description_size()
 
 
 def test_pattern_rule_matches_gluing(marker_shift):

@@ -31,8 +31,8 @@ from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq, decide_relation, enumerate_points
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sft, build_sofic
-from synchrolab.sync import (classify_point, cylinder_representatives, is_sync_word,
-                             rectangle_check)
+from synchrolab.sync import (classify_point, cylinder_count, cylinder_representatives,
+                             is_sync_word, rectangle_check)
 
 from membership_reference import (reference_bridge_candidates,
                                   reference_cylinder_representatives, reference_domain_samples,
@@ -170,6 +170,22 @@ def test_cylinder_representatives_build_each_point_once(shifts, monkeypatch):
     assert returned > 500
 
 
+def test_cylinder_count_matches_representatives(shifts):
+    # the count reads a free word only through its (run mask, boundary
+    # symbol) pair, so it equals the number of points the sampler builds
+    checked = 0
+    for s in shifts:
+        for x in enumerate_points(s, core_len=1)[:3]:
+            for N in (1, 2, 3):
+                for L in range(N + 5):
+                    for side in ("u", "s"):
+                        got = cylinder_count(s, x, N, L, side)
+                        assert got == len(cylinder_representatives(s, x, N, L, side)), \
+                            (s, x, N, L, side)
+                        checked += got > 1
+    assert checked > 1000
+
+
 def _germs(s, kind, count=4):
     """The identity germ at the least synchronizing point of ``s`` and
     the first ``count`` - 1 germs of ``kind`` between small points."""
@@ -301,6 +317,7 @@ def test_oracle_searches_are_unverified(ray_oracle):
     x = BiSeq.constant("a")
     for search in (lambda: enumerate_points(ray_oracle),
                    lambda: cylinder_representatives(ray_oracle, x, 2, 4, "u"),
+                   lambda: rectangle_check(ray_oracle, x, 2, 4),
                    lambda: enumerate_periodic(ray_oracle, 2)):
         with pytest.raises(Unverified):
             search()
@@ -356,3 +373,23 @@ def test_rectangle_check_matches_reference(named):
     passed = seen["pairs"] - seen["bracket undefined"] - seen["h_x does not invert"]
     assert seen["reports"] >= 20 and seen["splice outside"] > 0, seen
     assert seen["h_x does not invert"] > 0 and passed > 0, seen
+
+
+def test_rectangle_check_builds_no_point(named, monkeypatch):
+    # the report's counts come from the (run mask, boundary symbol) layers,
+    # and equal the numbers of points the sampler builds
+    cases = [(s, x, N, N + 4) for s in named.values() for N in (2, 3)
+             for x in _rectangle_bases(s, N)]
+    want = [(len(cylinder_representatives(s, x, N, L, "u")),
+             len(cylinder_representatives(s, x, N, L, "s"))) for (s, x, N, L) in cases]
+    built = Counter()
+
+    def counting(*args):
+        built["points"] += 1
+        return BiSeq(*args)
+
+    monkeypatch.setattr(sync, "BiSeq", counting)
+    got = [(r["unstable_samples"], r["stable_samples"])
+           for r in (rectangle_check(*case) for case in cases)]
+    assert got == want and len(cases) >= 8
+    assert built["points"] == 0
