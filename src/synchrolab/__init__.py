@@ -16,6 +16,7 @@ from synchrolab.factor import (CoverMap, almost_one_to_one_check, degree_bound,
                                preimage_count, resolving_check)
 from synchrolab.invariants import (IntMatrix, SmithForm, bowen_franks,
                                    exact_sequence_report, smith_normal_form)
+from synchrolab.oracles import OracleShift
 from synchrolab.periodic import (PeriodicSet, count_periodic, enumerate_periodic,
                                  find_periodic_by_bracket, find_return,
                                  periodic_density_check, zeta)
@@ -23,9 +24,9 @@ from synchrolab.points import (BiSeq, CylinderS, CylinderU, Dyadic, bracket,
                                decide_relation, distance, point_in_shift, shift_by,
                                splice, try_bracket)
 from synchrolab.presentation import Presentation, determinize, trim
-from synchrolab.shift import (Alphabet, OracleShift, PresentedShift, build_sft,
-                              build_sofic, contains_word, enumerate_words,
-                              fischer_cover, full_shift, product, shift_flags, word)
+from synchrolab.shift import (Alphabet, PresentedShift, build_sft, build_sofic,
+                              contains_word, enumerate_words, fischer_cover, full_shift,
+                              product, shift_flags, word)
 from synchrolab.specfile import SpecFile, emit_spec, load_spec, parse_point
 from synchrolab.sync import (NonSyncReport, SyncVerdict, classify_point,
                              is_sync_word, nonsync_subshift, rectangle_check,

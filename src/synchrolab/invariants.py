@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from synchrolab.errors import InvariantViolation, NotIrreducible
-from synchrolab.shift import OracleShift, fischer_cover, shift_flags
+from synchrolab.shift import fischer_cover, shift_flags
 from synchrolab.sync import nonsync_subshift
 
 
@@ -269,23 +269,22 @@ def exact_sequence_report(s):
     """Assembles the report: flags, |non-sync set|, and fingerprints.
 
     The quotient dimension is emitted only when the non-synchronizing
-    set is finite; oracle shifts report "unknown".  Structural claims
-    tied to mixing are suppressed (flag only) when the shift is not
-    mixing.
+    set is finite; a shift whose flags are undecided (an oracle shift)
+    reports "unknown".  Structural claims tied to mixing are suppressed
+    (flag only) when the shift is not mixing.
     """
-    if isinstance(s, OracleShift):
-        return ExactSequenceReport(s.name, "unknown", None, (), 0,
-                                   {"irreducible": None, "mixing": None,
-                                    "finitelyManyNonSync": None})
     flags = shift_flags(s)
-    if not flags["irreducible"]:
+    if flags["irreducible"] is False:
         raise NotIrreducible("report requires an irreducible shift")
-    report = nonsync_subshift(s)
-    finite = report.finiteness == "finite"
-    m = report.count if finite else "infinite"
-    quotient = f"C^{m}" if finite else None
-    bf = bowen_franks(s)
+    m, quotient, factors, sign, finite = "unknown", None, (), 0, None
+    if flags["irreducible"]:
+        report = nonsync_subshift(s)
+        finite = report.finiteness == "finite"
+        m = report.count if finite else "infinite"
+        quotient = f"C^{m}" if finite else None
+        bf = bowen_franks(s)
+        factors, sign = bf["invariant_factors"], bf["det_sign"]
     return ExactSequenceReport(
-        s.name, m, quotient, bf["invariant_factors"], bf["det_sign"],
+        s.name, m, quotient, factors, sign,
         {"irreducible": flags["irreducible"], "mixing": flags["mixing"],
          "finitelyManyNonSync": finite})

@@ -1,59 +1,181 @@
-"""Builtin membership oracles for shifts with no finite presentation, and
-the patterns that make their words synchronize."""
+"""Marker shifts: ``OracleShift``, the class of the builtins with no finite
+presentation, ``nonsofic-ray`` and ``context-free``, both coded by the
+marker ``a`` (Blanchard & Hansel 1986).  All their logic lives here,
+behind the methods of ``shift.Shift``: the word predicates, the
+tail-period rule, the synchronizing patterns and the density witness."""
 
-from synchrolab.shift import Alphabet, OracleShift
+import re
+from dataclasses import dataclass, field
+
+from synchrolab.errors import InvariantViolation, Unverified
+from synchrolab.points import BiSeq, point_in_shift
+from synchrolab.shift import Alphabet, Shift
+from synchrolab.sync import classify_point
+
+
+@dataclass(frozen=True)
+class OracleShift(Shift):
+    """Shift known only through a predicate that decides every word;
+    points are decided from it, and what needs a presentation stops at
+    ``presentation``."""
+
+    alphabet: Alphabet
+    predicate: callable = field(compare=False)
+    oracle_name: str = "oracle"
+
+    @property
+    def kind(self):
+        return f"oracle:{self.oracle_name}"
+
+    @property
+    def presentation(self):
+        raise Unverified("an oracle shift has no presentation")
+
+    def check_periodic(self):
+        raise Unverified("an oracle shift cannot decide its periodic points")
+
+    def admits(self, w):
+        return bool(self.predicate(w))
+
+    def words(self, max_len):
+        return list(self._extensions((), max_len))
+
+    def _extensions(self, base, depth):
+        """All v with |v| <= depth and base + v admissible, shortest first
+        and then in alphabet order."""
+        queue = [()]
+        for v in queue:
+            yield v
+            if len(v) < depth:
+                queue.extend(v + (a,) for a in self.alphabet if self.admits(base + v + (a,)))
+
+    def flags(self):
+        return {"irreducible": None, "mixing": None, "period": None}
+
+    def contains_point(self, x):
+        """One predicate query, on the window W of k_L periods of the left
+        cycle, the core and k_R periods of the right cycle.
+
+        x is a point iff every such window with more periods is
+        admissible, as each window of x lies in one; so W decides when W
+        admissible implies every larger window admissible.  A word is
+        admissible iff each of its a-to-a blocks is (context-free: not a
+        b^m c^n a with m != n; ray: a Dyck path from height 1 back to 1),
+        and, on the ray, its a-free ends stay at height >= 1 when pinned
+        by an ``a``.  An ``a``-free x has no block and no pin, and every
+        window is admissible.  Otherwise each tail gets its own count:
+
+        * a tail cycle that holds ``a`` gets 2 periods: it repeats its
+          a-to-a blocks with its period, so each block in it, or from the
+          core into it, ends within two periods of the core.  On the ray
+          its pins also agree across two periods only if its drift is 0,
+          and then its heights repeat with its period;
+        * an a-free tail gets 2 periods, except on the ray with negative
+          outward drift.  On the context-free shift no a-to-a block
+          enters it.  On the ray its heights change by the cycle's drift
+          d each period outward; with d >= 0 none falls below those of
+          its first period, in W;
+        * an a-free ray tail with d < 0 (more ``c`` than ``b`` going right,
+          more ``b`` than ``c`` going left) is pinned by the nearest ``a``
+          on its inner side, if x has one, in the core or in the other
+          cycle's period next to it, which W holds.  The pin is at height
+          1, so the tail starts at height h, 1 plus the drift from the pin
+          read outward, and falls by |d| a period: x is not a point.  With
+          m <= d the least height within a period relative to its start,
+          period j (from 0) first reaches height <= 0 when h + j·d + m <=
+          0, at j* = max(0, ⌈(h + m)/|d|⌉); max(2, j* + 1) periods hold
+          it, so W is inadmissible.  As h <= |core| + |other cycle| and
+          m <= -1, that is at most max(2, |core| + |other cycle|) periods.
+        """
+        k_left = self._tail_periods(
+            x.left[::-1], x.window(x.origin, x.right_start + len(x.right))[::-1], "b")
+        k_right = self._tail_periods(
+            x.right, x.window(x.origin - len(x.left), x.right_start), "c")
+        return self.admits(x.window(x.origin - k_left * len(x.left),
+                                    x.right_start + k_right * len(x.right)))
+
+    def _tail_periods(self, cycle, inner, down):
+        """The periods ``contains_point`` asks of a tail (proof there), from
+        its ``cycle`` and the ``inner`` core and other cycle's period, both
+        read outward, ``down`` lowering the ray's height outward."""
+        if self.oracle_name != "nonsofic-ray" or "a" in cycle or "a" not in inner:
+            return 2
+        height = 1  # from the last 'a' of inner on
+        for symbol in inner:
+            height = 1 if symbol == "a" else height + (-1 if symbol == down else 1)
+        drift = low = 0
+        for symbol in cycle:
+            drift += -1 if symbol == down else 1
+            low = min(low, drift)
+        if drift >= 0:
+            return 2
+        return max(2, 1 - (height + low) // drift)
+
+    def sync_window(self, x):
+        """The least central word that holds one of ``SYNC_PATTERNS`` (a
+        word synchronizes iff it holds one; proof there).  A pattern p of x
+        occurs within [origin - |left| - |p| + 1, right_start + |right| +
+        |p| - 1), as one past that slides back by tail periods; with |p|
+        <= 2 the radius ``reach`` covers this span."""
+        patterns = SYNC_PATTERNS[self.oracle_name]
+        reach = max(len(x.left) + 1 - x.origin, x.right_start + len(x.right))
+        for n in range(reach + 1):
+            word = x.window(-n, n + 1)
+            if any(word[i:i + len(p)] == p for p in patterns for i in range(len(word))):
+                return word, n
+        return None
+
+    def density_entry(self, w, want_sync):
+        """The first cycle w·v, w·v admissible and |v| <= |w| + 2, v
+        shortest first, whose periodization is in the shift and, when
+        ``want_sync``, synchronizes, both decided.  One always qualifies:
+        * context-free: v = cb.  The periodization holds ``cb``, so it
+          synchronizes, and its a-to-a blocks are those of w or one through
+          ``cb``, which is not b^m c^n: none is forbidden.
+        * ray: with h the least start height of w and e its end height from
+          h, v = c^(e-1) a b^(h-1) returns to height h through an ``a`` at
+          height 1, so the periodization holds ``a`` and every height is
+          >= 1 with every ``a`` at 1.  As h - 1 and e - 1 count at most the
+          ``c`` and ``b`` of w (of w outside its ``a``s when it has one),
+          |v| <= |w| + 1.
+        """
+        for v in self._extensions(w, len(w) + 2):
+            if w + v:
+                point = BiSeq.periodic(w + v)
+                if point_in_shift(self, point) == "yes" and (
+                        not want_sync or classify_point(self, point).status == "synchronizing"):
+                    return {"word": w, "point": str(point), "status": "yes", "witness": w + v}
+        raise InvariantViolation(f"no periodic witness through {w}")
 
 
 def _ray_admissible(w):
     """Walks on the right-infinite ray graph.
 
     Vertices are heights 1, 2, 3, ...; ``a`` loops at height 1, ``b``
-    steps right, ``c`` steps left.  A word is admissible iff the height
-    constraints admit some starting height: each ``a`` forces the
-    current height to 1 and each ``c`` requires height >= 2 before the
-    step.
+    steps right, ``c`` steps left.  A word is admissible iff some start
+    height keeps every height >= 1 and puts each ``a`` at height 1.
     """
-    drift = 0
-    pinned = None  # required start height, if some 'a' occurred
-    lower = 1  # start height must be >= lower
+    drift, pinned, lower = 0, None, 1  # the start height each 'a' needs; the least
     for s in w:
         if s == "a":
-            need = 1 - drift
-            if pinned is not None and pinned != need:
+            if pinned not in (None, 1 - drift):
                 return False
-            pinned = need
-        elif s == "b":
-            drift += 1
-        elif s == "c":
-            lower = max(lower, 2 - drift)
-            drift -= 1
+            pinned = 1 - drift
+        elif s in ("b", "c"):
+            drift += 1 if s == "b" else -1
         else:
             return False
         lower = max(lower, 1 - drift)
-    if pinned is not None:
-        return pinned >= lower if pinned >= 1 else False
-    return True
+    return pinned is None or pinned >= lower
+
+
+_CONTEXT_FREE_BLOCK = re.compile("(?=a(b*)(c*)a)")
 
 
 def _context_free_admissible(w):
     """Balanced-block constraint: every factor ``a b^m c^n a`` needs m = n."""
-    n = len(w)
-    for i, s in enumerate(w):
-        if s not in ("a", "b", "c"):
-            return False
-        if s != "a":
-            continue
-        j = i + 1
-        while j < n and w[j] == "b":
-            j += 1
-        m = j - (i + 1)
-        k = j
-        while k < n and w[k] == "c":
-            k += 1
-        ncs = k - j
-        if k < n and w[k] == "a" and m != ncs:
-            return False
-    return True
+    return set(w) <= {"a", "b", "c"} and all(
+        len(b) == len(c) for (b, c) in _CONTEXT_FREE_BLOCK.findall("".join(w)))
 
 
 def nonsofic_ray():

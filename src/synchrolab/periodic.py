@@ -22,13 +22,12 @@ the periodic point repeating y's word on [0, n).
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from synchrolab.errors import (InvariantViolation, NotInShift, NotSynchronizing,
-                               SearchExhausted, Unverified)
+from synchrolab.errors import InvariantViolation, NotInShift, NotSynchronizing, SearchExhausted
 from synchrolab.points import (BiSeq, agree_on, bracket, canonical_order, check_bracket_radius,
                                point_in_shift, shift_by)
 from synchrolab.presentation import _blocks, _subset_search, determinize
-from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
-from synchrolab.sync import close_orbit_through, oracle_density_entry, sync_radius
+from synchrolab.shift import close_orbit_through, enumerate_words, fischer_cover
+from synchrolab.sync import sync_radius
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,7 @@ _BLOCK_LIMIT = 160
 def _check_period(s, n):
     if n < 1:
         raise ValueError("period must be >= 1")
-    if isinstance(s, OracleShift):
-        raise Unverified("an oracle shift cannot decide its periodic points")
+    s.check_periodic()
 
 
 def enumerate_periodic(s, n):
@@ -250,22 +248,10 @@ def _power_sums(poly, n):
 def periodic_density_check(s, L):
     """Exhibits periodic orbits through every cylinder of length <= L.
 
-    On a presented shift each admissible word gets the point
-    ``close_orbit_through`` closes through it in the Fischer cover, with
-    status ``"yes"``: the point is a cycle of the cover, so it lies in
-    the shift, is periodic, and reads the word at 0.  An oracle shift
-    gets the witness ``oracle_density_entry`` proves to exist.
+    Each admissible word w gets the periodic point through it that the
+    shift's ``density_entry`` proves to exist, with status ``"yes"``.
     """
-    entries = []
-    if isinstance(s, OracleShift):
-        for w in enumerate_words(s, L):
-            entries.append(oracle_density_entry(s, w, want_sync=False))
-    else:
-        cover = fischer_cover(s)
-        for w in enumerate_words(s, L):
-            entries.append({"word": w, "point": str(close_orbit_through(cover, w)),
-                            "status": "yes"})
-    return {"L": L, "entries": entries}
+    return {"L": L, "entries": [s.density_entry(w, False) for w in enumerate_words(s, L)]}
 
 
 def find_periodic_by_bracket(s, x, y, n, N):

@@ -20,7 +20,6 @@ from functools import total_ordering
 from math import lcm
 
 from synchrolab.errors import NotAgreeing, NotInShift
-from synchrolab.shift import OracleShift
 
 
 @total_ordering
@@ -337,65 +336,16 @@ def replace_window(x, lo, pattern):
 def point_in_shift(s, x):
     """Exact membership: ``"yes"`` or ``"no"``.
 
-    SFT and sofic shifts are decided alike on their presentation (for an
-    SFT, its higher-block one): x is a point iff, at the cut
-    ``x.right_start``, the past set (states ending a left-infinite path
-    reading x below the cut) meets the future set (states starting a
-    right-infinite path reading x from the cut on).
-
-    An oracle shift asks its predicate once, on the window W of k_L
-    periods of the left cycle, the core and k_R periods of the right
-    cycle.  x is a point iff every such window with more periods is
-    admissible, as each window of x lies in one; so W decides when W
-    admissible implies every larger window admissible.  Both builtins
-    are coded by the marker ``a``: a word is admissible iff each of its
-    a-to-a blocks is (context-free: not a b^m c^n a with m != n; ray: a
-    Dyck path from height 1 back to 1), and, on the ray, its a-free ends
-    stay at height >= 1 when pinned by an ``a``.  An ``a``-free x has no
-    block and no pin, and every window is admissible.  Otherwise each
-    tail gets its own count:
-
-    * a tail cycle that holds ``a`` gets 2 periods: it repeats its a-to-a
-      blocks with its period, so each block in it, or from the core into
-      it, ends within two periods of the core.  On the ray its pins also
-      agree across two periods only if its drift is 0, and then its
-      heights repeat with its period;
-    * an a-free tail gets 2 periods, except on the ray with negative
-      outward drift.  On the context-free shift no a-to-a block enters
-      it.  On the ray its heights change by the cycle's drift d each
-      period outward; with d >= 0 none falls below those of its first
-      period, in W;
-    * an a-free ray tail with d < 0 (more ``c`` than ``b`` going right,
-      more ``b`` than ``c`` going left) falls below height 1.  The last
-      ``a`` before it lies within |core| + |other cycle| of its start
-      (and in W, as the other cycle holds it if the core does not), so
-      that start has height at most 1 + |core| + |other cycle|, and that
-      many periods and one more bring it to 0: it gets |core| + |other
-      cycle| + 2 periods.
-
-    So W's length is linear in x's description unless a ray tail steps
-    down, where it is at most |tail| x (|core| + |other cycle| + 2).
+    A point with a symbol outside the alphabet is not in the shift; the
+    shift decides the others (``contains_point``).  SFT and sofic shifts
+    are decided alike on their presentation, by its past set and future
+    set at the core boundary; an oracle shift by one predicate query on
+    a window whose length its docstring proves enough.
     """
     for symbol in x.symbols:
         if symbol not in s.alphabet:
             return "no"
-    if isinstance(s, OracleShift):
-        lo = x.origin - _tail_periods(s, x.core, x.left, x.right, "b") * len(x.left)
-        hi = x.right_start + _tail_periods(s, x.core, x.right, x.left, "c") * len(x.right)
-        return "yes" if s.admits(x.window(lo, hi)) else "no"
-    g = s.presentation
-    cut = x.right_start
-    return "yes" if g.past_set(x, cut) & g.future_set(x, cut) else "no"
-
-
-def _tail_periods(s, core, cycle, other, down):
-    """The periods of a tail ``cycle`` that ``point_in_shift`` asks an
-    oracle shift for, ``down`` being the symbol that lowers the ray's
-    height going outward (proof there)."""
-    if (s.oracle_name == "nonsofic-ray" and "a" not in cycle
-            and 2 * cycle.count(down) > len(cycle)):
-        return len(core) + len(other) + 2
-    return 2
+    return "yes" if s.contains_point(x) else "no"
 
 
 def check_bracket_radius(N):

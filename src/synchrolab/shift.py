@@ -1,23 +1,24 @@
-"""Shift spaces: presented shifts and membership oracles.
+"""Shift spaces: presented shifts, and the questions every shift answers.
 
-A shift is one of two variants:
+A shift is one of two variants, and each answers the questions that
+depend on it through its own methods (``Shift``), so no caller tests
+its class:
 
 * ``PresentedShift`` -- the bi-infinite label sequences of a finite
-  labeled graph; its ``memory``, and so whether it is an SFT, is
-  decided from its follower-merged subset automaton, not from how the
-  shift was given.
-* ``OracleShift`` -- an exact word-membership predicate, for the two
-  builtin shifts with no finite presentation; their point questions
-  are decided from it, and every computation that needs a presentation
-  stops with ``Unverified``.
+  labeled graph, answered on the graph and its Fischer cover; its
+  ``memory``, and so whether it is an SFT, is decided from its
+  follower-merged subset automaton, not from how the shift was given.
+* ``OracleShift`` -- the two builtin marker shifts with no finite
+  presentation; all of their logic lives in ``synchrolab.oracles``.
 
 Words are tuples of symbols; symbols are non-empty strings.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
-from synchrolab.errors import EmptyShift, NotIrreducible, Unverified
+from synchrolab.errors import EmptyShift, InvariantViolation, NotInLanguage, NotIrreducible
+from synchrolab.points import BiSeq
 from synchrolab.presentation import (Presentation, _moore_quotient, _subset_search,
                                      minimal_cover, trim)
 
@@ -59,11 +60,16 @@ def word(text):
 
 
 class Shift:
-    """Base class of the tagged union; see the variants below.
+    """Base class of ``PresentedShift`` and ``OracleShift``.
 
     ``kind`` names the variant as a spec's ``type:`` line does:
     ``sft``, ``sofic`` or ``oracle:<name>``, and names an unnamed shift.
-    ``memory`` is None unless the shift is decided to be an SFT.
+    ``memory`` is None unless the shift is decided to be an SFT.  Each
+    variant answers ``admits(w)``, ``words(max_len)``,
+    ``contains_point(x)``, ``sync_window(x)`` (the least synchronizing
+    central window ``(x[-n..n], n)`` of a point, or None),
+    ``density_entry(w, want_sync)`` and ``flags()``; the module
+    functions (``point_in_shift``, ``classify_point``, ...) ask them.
     """
 
     alphabet: Alphabet
@@ -76,6 +82,9 @@ class Shift:
     def with_name(self, name):
         object.__setattr__(self, "_name", name)
         return self
+
+    def check_periodic(self):
+        """Raises ``Unverified`` unless the shift decides its periodic points."""
 
 
 @dataclass(frozen=True)
@@ -118,32 +127,70 @@ class PresentedShift(Shift):
             memory, layer = memory + 1, {j for (i, _, j) in arcs if i in layer}
         return memory
 
+    def admits(self, w):
+        return self.presentation.accepts(w)
 
-@dataclass(frozen=True)
-class OracleShift(Shift):
-    """Shift known only through a word-membership predicate.
+    def words(self, max_len):
+        g = self.presentation
+        return [w for (w, _) in g.words(g.full_mask, self.alphabet.symbols, max_len)]
 
-    The class of the builtins ``nonsofic-ray`` and ``context-free``
-    (``synchrolab.oracles``), both coded systems with marker ``a``.  The
-    predicate decides every word, of any length; membership and
-    classification of points are decided from it (``point_in_shift``,
-    ``classify_point``).  The shift has no finite presentation, so every
-    computation that needs one stops at ``presentation``.
-    """
+    def contains_point(self, x):
+        """x is a point iff, at the cut ``x.right_start``, the past set
+        (states ending a left-infinite path reading x below the cut) meets
+        the future set (states starting a right-infinite path reading x
+        from the cut on), for an SFT on its higher-block presentation."""
+        g = self.presentation
+        cut = x.right_start
+        return bool(g.past_set(x, cut) & g.future_set(x, cut))
 
-    alphabet: Alphabet
-    admits: callable = field(compare=False)
-    oracle_name: str = "oracle"
+    def sync_window(self, x):
+        """The past set of x at the core boundary stabilizes into a
+        periodic subset orbit of the Fischer cover while reading the
+        right tail; x synchronizes iff the orbit reaches a singleton.
+        The orbit is read until a singleton or a repeated (set, cycle
+        phase) pair, so no bound enters the answer."""
+        cover = fischer_cover(self)
+        pos = x.right_start
+        current = cover.past_set(x, pos)
+        period = len(x.right)
+        seen = {(current, 0)}
+        while current.bit_count() > 1:
+            current = cover.run(current, (x.at(pos),))
+            pos += 1
+            key = (current, (pos - x.right_start) % period)
+            if key in seen:
+                return None
+            seen.add(key)
+        # The past-set fixpoint takes at most |states| left-cycle reads, so
+        # the singleton is certified within [origin - |states|*|left|, pos);
+        # report the smallest synchronizing central word.
+        left_reach = abs(x.origin - len(cover.states) * len(x.left))
+        for n in range(max(abs(pos), left_reach) + 1):
+            word = x.window(-n, n + 1)
+            if cover.run(cover.full_mask, word).bit_count() == 1:
+                return word, n
+        raise InvariantViolation("synchronizing limit set without central witness")
 
-    @property
-    def kind(self):
-        return f"oracle:{self.oracle_name}"
+    def density_entry(self, w, want_sync):
+        """The cycle of the Fischer cover ``close_orbit_through`` closes
+        through w, or through w·u for the shortest u with w·u synchronizing
+        when ``want_sync``: it is a periodic point of the shift reading w
+        at 0.  u exists (L&M §3.3): the cover is irreducible with a
+        synchronizing word v, so w·t·v synchronizes for a path t from an
+        end of w's run to v."""
+        cover = fischer_cover(self)
+        if not want_sync:
+            return {"word": w, "point": str(close_orbit_through(cover, w)), "status": "yes"}
+        u = _shortest_word(cover, cover.run(cover.full_mask, w), lambda m: m.bit_count() == 1)
+        return {"word": w, "point": str(close_orbit_through(cover, w + u)),
+                "status": "yes", "witness": w + u}
 
-    @property
-    def presentation(self):
-        """An oracle shift has none: every presentation-based computation
-        stops here with ``Unverified``."""
-        raise Unverified("an oracle shift has no presentation")
+    def flags(self):
+        try:
+            p = fischer_cover(self)
+        except NotIrreducible:
+            p = self.presentation
+        return {"irreducible": p.irreducible, "mixing": p.mixing, "period": p.period}
 
 
 def build_sft(alphabet, forbidden):
@@ -198,34 +245,17 @@ def build_sofic(alphabet, presentation):
 
 
 def contains_word(s, w):
-    """True iff ``w`` occurs in some point of the shift.
-
-    A presented shift runs its trimmed presentation, whose paths all
-    extend to bi-infinite ones.  An oracle shift asks its predicate,
-    which decides words of every length.
-    """
-    w = s.alphabet.check_word(w)
-    if isinstance(s, OracleShift):
-        return bool(s.admits(w))
-    return s.presentation.accepts(w)
+    """True iff ``w`` occurs in some point of the shift: a presented shift
+    runs its trimmed presentation, whose paths all extend to bi-infinite
+    ones; an oracle shift asks its predicate."""
+    return s.admits(s.alphabet.check_word(w))
 
 
 def enumerate_words(s, max_len):
-    """All admissible words of length <= ``max_len``, in canonical order.
-
-    Canonical order is by length, then lexicographically in alphabet
-    order.  A presented shift reads them off its presentation's word
-    search; an oracle shift is asked word by word.
-    """
-    if not isinstance(s, OracleShift):
-        g = s.presentation
-        return [w for (w, _) in g.words(g.full_mask, s.alphabet.symbols, max_len)]
-    out, frontier = [()], [()]
-    for _ in range(max_len):
-        frontier = [w + (a,) for w in frontier for a in s.alphabet
-                    if contains_word(s, w + (a,))]
-        out += frontier
-    return out
+    """All admissible words of length <= ``max_len``, by length and then
+    in alphabet order: off the presentation's word search, or asked of
+    an oracle shift's predicate word by word."""
+    return s.words(max_len)
 
 
 @cache
@@ -246,19 +276,48 @@ def fischer_cover(s):
     return minimal_cover(s.presentation)
 
 
+def close_orbit_through(cover, word):
+    """A periodic point whose orbit reads ``word`` starting at 0.
+
+    Closes the run of ``word`` from the first state i that has one back
+    to i by the shortest return word (non-empty for the empty word).
+    Every caller passes a Fischer cover, which is irreducible, so that
+    word exists.  Raises ``NotInLanguage`` when no state has a run.
+    """
+    for i in range(len(cover.states)):
+        ends = cover.run(1 << i, word)
+        if ends:
+            path = _shortest_word(cover, ends, lambda m: m >> i & 1, empty=bool(word))
+            return BiSeq.periodic(word + path, 0)
+    raise NotInLanguage(f"no run of {word!r}")
+
+
+def _shortest_word(cover, mask, done, empty=True):
+    """The first word ``u``, by length and then in alphabet order, whose
+    non-empty run from ``mask`` passes ``done`` (``()`` too if ``empty``),
+    or None; a BFS over the masks reached, each expanded once."""
+    if empty and done(mask):
+        return ()
+    queue = [(mask, ())]
+    seen = {mask} if empty else set()
+    for (current, u) in queue:
+        for a in cover.alphabet:
+            nxt = cover.step(current, a)
+            if nxt and done(nxt):
+                return u + (a,)
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, u + (a,)))
+    return None
+
+
 def shift_flags(s):
     """Structural flags of the shift, computed on its Fischer cover.
 
     Falls back to the raw presentation's flags when the cover does not
-    exist (reducible shift).
+    exist (reducible shift); an oracle shift has none decided.
     """
-    if isinstance(s, OracleShift):
-        return {"irreducible": None, "mixing": None, "period": None}
-    try:
-        p = fischer_cover(s)
-    except NotIrreducible:
-        p = s.presentation
-    return {"irreducible": p.irreducible, "mixing": p.mixing, "period": p.period}
+    return s.flags()
 
 
 def product(s1, s2):

@@ -11,12 +11,10 @@ size->=2 part of the subset automaton.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from synchrolab.errors import (InvariantViolation, NotInLanguage, NotInShift,
-                               NotSynchronizing, WindowTooSmall)
-from synchrolab.oracles import SYNC_PATTERNS
+from synchrolab.errors import NotInLanguage, NotInShift, NotSynchronizing, WindowTooSmall
 from synchrolab.points import BiSeq, canonical_order, check_bracket_radius, point_in_shift
 from synchrolab.presentation import Presentation, _subset_presentation, _subset_search
-from synchrolab.shift import OracleShift, enumerate_words, fischer_cover
+from synchrolab.shift import enumerate_words, fischer_cover
 
 
 @dataclass(frozen=True)
@@ -73,51 +71,18 @@ def is_sync_word(s, w):
 def classify_point(s, x):
     """Classifies a point as synchronizing or not, exactly.
 
-    The past set of x at the core boundary stabilizes into a periodic
-    subset orbit while reading the right tail; the point is
-    synchronizing iff the orbit reaches a singleton.  When it does, the
-    verdict carries the smallest central word ``x[-N..N]`` that is
-    synchronizing.  The orbit is read until a singleton or a repeated
-    (set, cycle phase) pair, so no bound enters the verdict.
-
-    On an oracle shift a word synchronizes iff it holds one of the
-    builtin's ``SYNC_PATTERNS`` (proved there), and the witness is the
-    least central word that holds one.  A pattern p of x occurs within
-    [origin - |left| - |p| + 1, right_start + |right| + |p| - 1), as an
-    occurrence past that slides back by tail periods; so with |p| <= 2 the
-    scan ends at the radius ``reach`` that covers this span.
+    The shift reads the least synchronizing central window of x
+    (``sync_window``): on a presented shift from the orbit of x's past
+    set in the Fischer cover, on an oracle shift from the builtin's
+    synchronizing patterns.  A synchronizing verdict carries that
+    smallest central word ``x[-N..N]`` as its witness.
     """
     if point_in_shift(s, x) != "yes":
         raise NotInShift("point is not in the shift")
-    if isinstance(s, OracleShift):
-        patterns = SYNC_PATTERNS[s.oracle_name]
-        reach = max(len(x.left) + 1 - x.origin, x.right_start + len(x.right))
-        for n in range(reach + 1):
-            word = x.window(-n, n + 1)
-            if any(word[i:i + len(p)] == p for p in patterns for i in range(len(word))):
-                return SyncVerdict("synchronizing", word, n)
+    found = s.sync_window(x)
+    if found is None:
         return SyncVerdict("nonSynchronizing")
-    cover = fischer_cover(s)
-    pos = x.right_start
-    current = cover.past_set(x, pos)
-    period = len(x.right)
-    seen = {(current, 0)}
-    while current.bit_count() > 1:
-        current = cover.run(current, (x.at(pos),))
-        pos += 1
-        key = (current, (pos - x.right_start) % period)
-        if key in seen:
-            return SyncVerdict("nonSynchronizing")
-        seen.add(key)
-    # The past-set fixpoint takes at most |states| left-cycle reads, so
-    # the singleton is certified within [origin - |states|*|left|, pos);
-    # report the smallest synchronizing central word.
-    left_reach = abs(x.origin - len(cover.states) * len(x.left))
-    for n in range(max(abs(pos), left_reach) + 1):
-        word = x.window(-n, n + 1)
-        if cover.run(cover.full_mask, word).bit_count() == 1:
-            return SyncVerdict("synchronizing", word, n)
-    raise InvariantViolation("synchronizing limit set without central witness")
+    return SyncVerdict("synchronizing", *found)
 
 
 def sync_radius(s, x):
@@ -286,97 +251,11 @@ def nonsync_subshift(s):
     return NonSyncReport(cover, search, "finite", tuple(canonical_order(points)))
 
 
-def close_orbit_through(cover, word):
-    """A periodic point whose orbit reads ``word`` starting at 0.
-
-    Closes the run of ``word`` from the first state i that has one back
-    to i by the shortest return word (non-empty for the empty word).
-    Every caller passes a Fischer cover, which is irreducible, so that
-    word exists.  Raises ``NotInLanguage`` when no state has a run.
-    """
-    for i in range(len(cover.states)):
-        ends = cover.run(1 << i, word)
-        if ends:
-            path = _shortest_word(cover, ends, lambda m: m >> i & 1, empty=bool(word))
-            return BiSeq.periodic(word + path, 0)
-    raise NotInLanguage(f"no run of {word!r}")
-
-
-def _shortest_word(cover, mask, done, empty=True):
-    """The first word ``u``, by length and then in alphabet order, whose
-    non-empty run from ``mask`` passes ``done`` (``()`` too if ``empty``),
-    or None; a BFS over the masks reached, each expanded once."""
-    if empty and done(mask):
-        return ()
-    queue = [(mask, ())]
-    seen = {mask} if empty else set()
-    for (current, u) in queue:
-        for a in cover.alphabet:
-            nxt = cover.step(current, a)
-            if nxt and done(nxt):
-                return u + (a,)
-            if nxt and nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, u + (a,)))
-    return None
-
-
 def sync_density_check(s, L):
     """Exhibits synchronizing points through every cylinder of length <= L.
 
-    On a presented shift each admissible word w gets the shortest u with
-    w·u synchronizing and the point ``close_orbit_through`` closes
-    through w·u, status ``"yes"`` by a theorem (L&M §3.3): the Fischer
-    cover is irreducible with a synchronizing word v, so w·t·v
-    synchronizes for a path t from an end of w's run to v, u exists, and
-    the point, holding w·u, synchronizes.  An oracle shift gets the
-    witness ``oracle_density_entry`` proves to exist.
+    Each admissible word w gets the periodic point through it that the
+    shift's ``density_entry`` proves to exist and to synchronize, with
+    status ``"yes"``.
     """
-    entries = []
-    if isinstance(s, OracleShift):
-        for w in enumerate_words(s, L):
-            entries.append(oracle_density_entry(s, w, want_sync=True))
-    else:
-        cover = fischer_cover(s)
-        for w in enumerate_words(s, L):
-            u = _shortest_word(cover, cover.run(cover.full_mask, w),
-                               lambda m: m.bit_count() == 1)
-            entries.append({"word": w, "point": str(close_orbit_through(cover, w + u)),
-                            "status": "yes", "witness": w + u})
-    return {"L": L, "entries": entries}
-
-
-def oracle_density_entry(s, w, want_sync):
-    """A periodic point of an oracle shift that reads ``w`` at 0, and
-    synchronizes when ``want_sync``.
-
-    Tries the cycles w·v with w·v admissible and |v| <= |w| + 2, v
-    shortest first, and returns the first whose periodization is in the
-    shift and, when asked, synchronizes, both decided, with status
-    ``"yes"``.  One always qualifies, so the search ends with a witness:
-    * context-free: v = cb.  The periodization holds ``cb``, so it
-      synchronizes, and its a-to-a blocks are those of w or one through
-      ``cb``, which is not b^m c^n: none is forbidden.
-    * ray: with h the least start height of w and e its end height from
-      h, v = c^(e-1) a b^(h-1) returns to height h through an ``a`` at
-      height 1, so the periodization holds ``a`` and every height is
-      >= 1 with every ``a`` at 1.  As h - 1 and e - 1 count at most the
-      ``c`` and ``b`` of w (of w outside its ``a``s when it has one),
-      |v| <= |w| + 1.
-    """
-    for v in _admissible_suffixes(s, w, len(w) + 2):
-        if w + v:
-            point = BiSeq.periodic(w + v)
-            if point_in_shift(s, point) == "yes" and (
-                    not want_sync or classify_point(s, point).status == "synchronizing"):
-                return {"word": w, "point": str(point), "status": "yes", "witness": w + v}
-    raise InvariantViolation(f"no periodic witness through {w}")
-
-
-def _admissible_suffixes(s, base, depth):
-    """All v with |v| <= depth and base + v admissible, shortest first."""
-    queue = [()]
-    for v in queue:
-        yield v
-        if len(v) < depth:
-            queue.extend(v + (a,) for a in s.alphabet if s.admits(base + v + (a,)))
+    return {"L": L, "entries": [s.density_entry(w, True) for w in enumerate_words(s, L)]}

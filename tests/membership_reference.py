@@ -41,11 +41,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from synchrolab.errors import NotInLanguage, SearchExhausted
+from synchrolab.oracles import OracleShift
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, agree_on, decide_relation,
                                shift_by, splice)
 from synchrolab.presentation import Presentation
-from synchrolab.shift import OracleShift, contains_word
+from synchrolab.shift import contains_word
 from synchrolab.sync import classify_point
 
 

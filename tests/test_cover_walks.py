@@ -20,10 +20,11 @@ import random
 import pytest
 
 from synchrolab.errors import EmptyShift, NotIrreducible, Unverified
+from synchrolab.oracles import OracleShift
 from synchrolab.periodic import periodic_density_check
 from synchrolab.presentation import Presentation, minimal_cover
-from synchrolab.shift import (Alphabet, OracleShift, build_sofic, enumerate_words,
-                              fischer_cover, product)
+from synchrolab.shift import (Alphabet, build_sofic, enumerate_words, fischer_cover,
+                              product)
 from synchrolab.specfile import BUILTIN_SPECS, load_spec
 from synchrolab.sync import nonsync_subshift, sync_density_check
 

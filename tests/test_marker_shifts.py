@@ -2,10 +2,11 @@
 
 ``nonsofic-ray`` and ``context-free`` are coded by the marker ``a``.
 The library decides a point by one predicate query on a window of two
-periods of each tail cycle, or |core| + |other cycle| + 2 periods of a
-ray tail that steps down, and classifies it by the builtin's
-synchronizing patterns.  Here membership is read on a window of
-80 periods, synchronization by gluing every short left and right
+periods of each tail cycle, or, for a ray tail that steps down from an
+``a``, the periods until its height reaches 0, and classifies it by the
+builtin's synchronizing patterns.  Here the predicates are checked
+against walks and factors, membership is read on a window of 80
+periods, synchronization by gluing every short left and right
 extension, and the least witness by scanning central windows outward.
 """
 
@@ -16,10 +17,10 @@ from itertools import product as iproduct
 import pytest
 
 from synchrolab.errors import NotInShift, NotSynchronizing
-from synchrolab.oracles import BUILTIN_ORACLES, SYNC_PATTERNS
+from synchrolab.oracles import BUILTIN_ORACLES, SYNC_PATTERNS, OracleShift
 from synchrolab.periodic import periodic_density_check
 from synchrolab.points import BiSeq, point_in_shift
-from synchrolab.shift import OracleShift, enumerate_words
+from synchrolab.shift import enumerate_words
 from synchrolab.sync import classify_point, sync_density_check, sync_radius
 
 SYMBOLS = ("a", "b", "c")
@@ -131,6 +132,76 @@ def test_membership_window_is_linear_in_a_drift_free_tail():
             assert point_in_shift(s, x) == "yes"
             assert asked == [2 * len(x.left) + len(x.core) + 2 * len(x.right)]
             assert asked[0] < 3 * x.description_size()
+
+
+def _recording_ray():
+    """The ray shift with a predicate that records each word it is asked."""
+    asked = []
+    builtin = BUILTIN_ORACLES["nonsofic-ray"]()
+
+    def recording(w):
+        asked.append(w)
+        return builtin.admits(w)
+
+    return OracleShift(builtin.alphabet, recording, "nonsofic-ray"), asked
+
+
+def test_stepping_down_ray_tail_window_is_short():
+    # the a-free tail c^301 b^300 falls one height a period from the pin at
+    # height 1, and its first period already reaches 0: two periods of each
+    # tail decide, where |core| + |other cycle| + 2 periods sent 363,605
+    s, asked = _recording_ray()
+    x = BiSeq(("a",) + ("b",) * 300 + ("c",) * 300, ("a",), ("c",) * 301 + ("b",) * 300, 0)
+    assert point_in_shift(s, x) == "no"
+    assert len(asked) == 1 and len(asked[0]) <= 2405
+
+
+def test_stepping_down_ray_tail_count_is_least():
+    # a pin n heights above the drop of a drift -1 tail (cbc to the right,
+    # bcb to the left): n + 1 periods, and with one fewer the window passes
+    s, asked = _recording_ray()
+    for n in (3, 10, 40):
+        for x, right in ((BiSeq(("a",), ("b",) * n, ("c", "b", "c"), 0), True),
+                         (BiSeq(("b", "c", "b"), ("c",) * n, ("a",), 0), False)):
+            asked.clear()
+            assert point_in_shift(s, x) == "no"
+            assert not _reference_in_shift(s, x)
+            window = asked[0]
+            tail, other = (x.right, x.left) if right else (x.left, x.right)
+            assert len(window) == (n + 1) * len(tail) + len(x.core) + 2 * len(other), (n, x)
+            shorter = window[:-len(tail)] if right else window[len(tail):]
+            assert s.admits(shorter), (n, x)
+
+
+def test_ray_predicate_walks_the_graph(ray_oracle):
+    # admissible iff a walk on heights 1, 2, ... reads the word from some
+    # start height: a loops at 1, b steps up, c steps down
+    def walks(w, h):
+        for s in w:
+            if s == "a" and h != 1:
+                return False
+            h += {"a": 0, "b": 1, "c": -1}[s]
+            if h < 1:
+                return False
+        return True
+
+    for n in range(9):
+        for w in iproduct(SYMBOLS, repeat=n):
+            assert ray_oracle.admits(w) == any(walks(w, h) for h in range(1, n + 2)), w
+    assert not ray_oracle.admits(("a", "d")) and not ray_oracle.admits(("ab",))
+
+
+def test_context_free_predicate_reads_every_block(cf_oracle):
+    # admissible iff each factor a b^m c^n a (a-free inside, b's before
+    # c's) has m = n, read off every factor of every word up to length 8
+    for n in range(9):
+        for w in iproduct(SYMBOLS, repeat=n):
+            inners = [w[i + 1:j] for i in range(n) for j in range(i + 1, n)
+                      if w[i] == w[j] == "a" and "a" not in w[i + 1:j]]
+            want = all(inner.count("b") == inner.count("c")
+                       for inner in inners if inner == tuple(sorted(inner)))
+            assert cf_oracle.admits(w) == want, w
+    assert not cf_oracle.admits(("a", "d")) and not cf_oracle.admits(("ab",))
 
 
 def test_pattern_rule_matches_gluing(marker_shift):

@@ -6,8 +6,9 @@ module-level private function or class is referenced somewhere in
 ``src/`` outside its own definition, and every public module-level
 function is either called in ``src/`` or re-exported from ``__init__``,
 so no dead helper is left behind.  Imports sit at module top, never
-inside a function.  No ``isinstance`` names a presented-shift class, and
-the oracle gate is tested by type on at most 9 lines.
+inside a function.  No ``isinstance`` names a shift class: each shift
+answers through its own methods, and only ``oracles.py`` reads the
+marker shifts' names, predicates and synchronizing patterns.
 """
 
 import ast
@@ -84,10 +85,11 @@ def test_no_import_inside_a_function():
 
 
 def test_no_isinstance_dispatch_on_presented_shifts():
-    # a presented shift decides "is an SFT" from its cover, not from its
-    # class; the oracle lines may only fall from their 9
+    # a shift answers through its own class: a presented shift decides
+    # "is an SFT" from its cover, and no module tests a shift's class
     modules = _modules()
-    shift_classes = {stmt.name for stmt in modules["shift.py"].body
+    shift_classes = {stmt.name for name in ("shift.py", "oracles.py")
+                     for stmt in modules[name].body
                      if isinstance(stmt, ast.ClassDef)
                      and (stmt.name == "Shift" or any(getattr(base, "id", None) == "Shift"
                                                       for base in stmt.bases))}
@@ -100,5 +102,19 @@ def test_no_isinstance_dispatch_on_presented_shifts():
                 for sub in ast.walk(node.args[1]):
                     if isinstance(sub, ast.Name) and sub.id in shift_classes:
                         lines.setdefault(sub.id, set()).add((name, node.lineno))
-    assert set(lines) <= {"OracleShift"}, lines
-    assert len(lines.get("OracleShift", ())) <= 9
+    assert lines == {}
+
+
+def test_marker_logic_stays_in_oracles():
+    # only oracles.py reads an oracle shift's name or predicate, or the
+    # builtins' synchronizing patterns
+    readers = []
+    for name, tree in _modules().items():
+        if name == "oracles.py":
+            continue
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and sub.attr in ("oracle_name", "predicate"):
+                readers.append(f"{name}:{sub.lineno} {sub.attr}")
+        if "SYNC_PATTERNS" in _references(tree):
+            readers.append(f"{name} SYNC_PATTERNS")
+    assert readers == []

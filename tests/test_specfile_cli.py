@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import synchrolab
 from synchrolab.cli import HANDLERS, main
 from synchrolab.errors import ParseError, SemanticError
+from synchrolab.oracles import OracleShift
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq
-from synchrolab.shift import OracleShift, enumerate_words, fischer_cover, product
+from synchrolab.shift import enumerate_words, fischer_cover, product
 from synchrolab.specfile import (BUILTIN_SPECS, SpecFile, emit_spec, load_spec, parse_point,
                                  parse_spec_text, parse_word)
 from synchrolab.sync import nonsync_subshift
@@ -77,6 +79,7 @@ def test_builtin_goldenmean_is_sft():
 def test_builtin_oracles_load():
     assert isinstance(load_spec("nonsofic-ray").shift, OracleShift)
     assert isinstance(load_spec("context-free").shift, OracleShift)
+    assert synchrolab.OracleShift is OracleShift  # still exported at the top
 
 
 def test_round_trip(even_shift):
@@ -320,9 +323,70 @@ def test_cli_bound_below_one_exit_2(capsys, argv, bound):
      "--kind", "lcu"],
 ])
 def test_cli_oracle_search_is_unverified(capsys, argv):
+    # the whole stderr line: the periodic counts refuse on their own, the
+    # rest stop at the presentation
+    reason = ("cannot decide its periodic points" if argv[0] in ("periodic", "zeta")
+              else "has no presentation")
     assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("Unverified: ")
+    assert capsys.readouterr() == ("", f"Unverified: an oracle shift {reason}\n")
+
+
+_MARKER_INFO = """\
+== info ==
+alphabet:
+  a
+  b
+  c
+flags:
+  irreducible: None
+  mixing: None
+  period: None
+kind: oracle:{0}
+points:
+spec: {0}
+"""
+
+_MARKER_REPORT = """\
+== report ==
+bf_invariant_factors:
+det_sign: 0
+flags:
+  finitelyManyNonSync: None
+  irreducible: None
+  mixing: None
+m: unknown
+quotient: None
+shift: {0}
+"""
+
+_MARKER_CLASSIFY = """\
+== classify ==
+point: L=b C=cb O=0 R=c
+spec: {0}
+status: {1}
+"""
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["info", "nonsofic-ray"], _MARKER_INFO.format("nonsofic-ray")),
+    (["info", "context-free"], _MARKER_INFO.format("context-free")),
+    (["words", "nonsofic-ray", "--maxlen", "2"],
+     "== words ==\ncount: 11\nmaxlen: 2\nspec: nonsofic-ray\nwords:\n"
+     + "".join(f"  {w}\n" for w in "ε a b c aa ab bb bc ca cb cc".split())),
+    (["words", "context-free", "--maxlen", "2"],
+     "== words ==\ncount: 13\nmaxlen: 2\nspec: context-free\nwords:\n"
+     + "".join(f"  {w}\n" for w in "ε a b c aa ab ac ba bb bc ca cb cc".split())),
+    (["report", "nonsofic-ray"], _MARKER_REPORT.format("nonsofic-ray")),
+    (["report", "context-free"], _MARKER_REPORT.format("context-free")),
+    (["classify", "nonsofic-ray", "--point", "L=b C=cb O=0 R=c"],
+     _MARKER_CLASSIFY.format("nonsofic-ray", "nonSynchronizing") + "window_used: 0\n"),
+    (["classify", "context-free", "--point", "L=b C=cb O=0 R=c"],
+     _MARKER_CLASSIFY.format("context-free", "synchronizing")
+     + "window_used: 1\nwitness: bcb\n"),
+])
+def test_cli_marker_shift_output(capsys, argv, stdout):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (stdout, "")
 
 
 def _minimal_argvs(spec, point, other):

@@ -71,7 +71,7 @@ def test_classify_openness_witness(even_shift):
                 assert classify_point(even_shift, q).status == "synchronizing"
 
 
-def test_classify_oracle_unverified(ray_oracle):
+def test_classify_oracle_decided(ray_oracle):
     # decided: a word of the ray shift synchronizes iff it holds an a
     p = BiSeq.periodic(("a", "b", "b", "c", "c"))
     assert classify_point(ray_oracle, p) == SyncVerdict("synchronizing", ("a",), 0)
