@@ -194,31 +194,29 @@ class Germ:
         return out
 
     def inverse(self):
-        inv_rule, lo, hi = self._inverted()
-        return Germ(self.shift, self.kind, self.target, self.source, lo, hi, inv_rule)
+        return Germ(self.shift, self.kind, self.target, self.source,
+                    self.dom_lo, self.dom_hi, self._inverted())
 
     def _inverted(self):
+        """The inverse's rule; every inverse keeps its germ's bounds."""
         rule = self.rule
-        lo, hi = self.dom_lo, self.dom_hi
         if isinstance(rule, IdentityRule):
-            return rule, lo, hi
+            return rule
         if isinstance(rule, BlockRule):
             span = self.source.window(rule.lo, rule.lo + len(rule.pattern))
-            return BlockRule(rule.lo, span), lo, hi
+            return BlockRule(rule.lo, span)
         if isinstance(rule, PastRule):
-            return PastRule(self.source, rule.cut), lo, hi
+            return PastRule(self.source, rule.cut)
         if isinstance(rule, FutureRule):
-            return FutureRule(self.source, rule.cut), lo, hi
+            return FutureRule(self.source, rule.cut)
         if isinstance(rule, ChainRule):
-            return ChainRule(tuple(g.inverse() for g in reversed(rule.germs))), lo, hi
+            return ChainRule(tuple(g.inverse() for g in reversed(rule.germs)))
         if isinstance(rule, ShiftRule):
-            inv = rule.base.inverse().conjugate(rule.k)
-            return inv.rule, inv.dom_lo, inv.dom_hi
+            return ShiftRule(rule.base.inverse(), rule.k)
         if isinstance(rule, ComposeRule):
-            return (ComposeRule(rule.gu.inverse(), rule.gs.inverse(),
-                                self.target, rule.window), lo, hi)
+            return ComposeRule(rule.gu.inverse(), rule.gs.inverse(), self.target, rule.window)
         if isinstance(rule, LiftedRule):
-            return LiftedRule(rule.cover, rule.inner.inverse()), lo, hi
+            return LiftedRule(rule.cover, rule.inner.inverse())
         raise TypeError(f"cannot invert rule {rule!r}")
 
     def conjugate(self, k):

@@ -2,7 +2,8 @@
 presentation, ``nonsofic-ray`` and ``context-free``, both coded by the
 marker ``a`` (Blanchard & Hansel 1986).  All their logic lives here,
 behind the methods of ``shift.Shift``: the word predicates, the
-tail-period rule, the synchronizing patterns and the density witness."""
+two-period membership window, the synchronizing patterns and the density
+witness."""
 
 import re
 from dataclasses import dataclass, field
@@ -53,8 +54,8 @@ class OracleShift(Shift):
         return {"irreducible": None, "mixing": None, "period": None}
 
     def contains_point(self, x):
-        """One predicate query, on the window W of k_L periods of the left
-        cycle, the core and k_R periods of the right cycle.
+        """One predicate query, on the window W of two periods of each tail
+        cycle around the core, or none for a pinned falling ray tail.
 
         x is a point iff every such window with more periods is
         admissible, as each window of x lies in one; so W decides when W
@@ -63,53 +64,27 @@ class OracleShift(Shift):
         b^m c^n a with m != n; ray: a Dyck path from height 1 back to 1),
         and, on the ray, its a-free ends stay at height >= 1 when pinned
         by an ``a``.  An ``a``-free x has no block and no pin, and every
-        window is admissible.  Otherwise each tail gets its own count:
+        window is admissible.  Otherwise, for each tail:
 
-        * a tail cycle that holds ``a`` gets 2 periods: it repeats its
-          a-to-a blocks with its period, so each block in it, or from the
-          core into it, ends within two periods of the core.  On the ray
-          its pins also agree across two periods only if its drift is 0,
-          and then its heights repeat with its period;
-        * an a-free tail gets 2 periods, except on the ray with negative
-          outward drift.  On the context-free shift no a-to-a block
-          enters it.  On the ray its heights change by the cycle's drift
-          d each period outward; with d >= 0 none falls below those of
-          its first period, in W;
-        * an a-free ray tail with d < 0 (more ``c`` than ``b`` going right,
-          more ``b`` than ``c`` going left) is pinned by the nearest ``a``
-          on its inner side, if x has one, in the core or in the other
-          cycle's period next to it, which W holds.  The pin is at height
-          1, so the tail starts at height h, 1 plus the drift from the pin
-          read outward, and falls by |d| a period: x is not a point.  With
-          m <= d the least height within a period relative to its start,
-          period j (from 0) first reaches height <= 0 when h + j·d + m <=
-          0, at j* = max(0, ⌈(h + m)/|d|⌉); max(2, j* + 1) periods hold
-          it, so W is inadmissible.  As h <= |core| + |other cycle| and
-          m <= -1, that is at most max(2, |core| + |other cycle|) periods.
+        * a tail cycle that holds ``a`` repeats its a-to-a blocks with its
+          period, so each block in it, or from the core into it, ends
+          within two periods of the core.  On the ray its pins also agree
+          across two periods only if its drift is 0, and then its heights
+          repeat with its period;
+        * an a-free tail: on the context-free shift no a-to-a block enters
+          it.  On the ray its heights change by the cycle's drift d each
+          period outward; with d >= 0 none falls below those of its first
+          period, in W;
+        * an a-free ray tail that falls outward (d < 0: more ``c`` than
+          ``b`` going right, more ``b`` than ``c`` going left) is pinned
+          by an ``a`` of x at height 1, which fixes each of its heights;
+          each period outward lowers them by |d|, so x is not a point.
         """
-        k_left = self._tail_periods(
-            x.left[::-1], x.window(x.origin, x.right_start + len(x.right))[::-1], "b")
-        k_right = self._tail_periods(
-            x.right, x.window(x.origin - len(x.left), x.right_start), "c")
-        return self.admits(x.window(x.origin - k_left * len(x.left),
-                                    x.right_start + k_right * len(x.right)))
-
-    def _tail_periods(self, cycle, inner, down):
-        """The periods ``contains_point`` asks of a tail (proof there), from
-        its ``cycle`` and the ``inner`` core and other cycle's period, both
-        read outward, ``down`` lowering the ray's height outward."""
-        if self.oracle_name != "nonsofic-ray" or "a" in cycle or "a" not in inner:
-            return 2
-        height = 1  # from the last 'a' of inner on
-        for symbol in inner:
-            height = 1 if symbol == "a" else height + (-1 if symbol == down else 1)
-        drift = low = 0
-        for symbol in cycle:
-            drift += -1 if symbol == down else 1
-            low = min(low, drift)
-        if drift >= 0:
-            return 2
-        return max(2, 1 - (height + low) // drift)
+        if self.oracle_name == "nonsofic-ray" and "a" in x.symbols and (
+                _falls(x.left, "b") or _falls(x.right, "c")):
+            return False
+        return self.admits(x.window(x.origin - 2 * len(x.left),
+                                    x.right_start + 2 * len(x.right)))
 
     def sync_window(self, x):
         """The least central word that holds one of ``SYNC_PATTERNS`` (a
@@ -146,6 +121,12 @@ class OracleShift(Shift):
                         not want_sync or classify_point(self, point).status == "synchronizing"):
                     return {"word": w, "point": str(point), "status": "yes", "witness": w + v}
         raise InvariantViolation(f"no periodic witness through {w}")
+
+
+def _falls(cycle, down):
+    """An a-free ray tail cycle that lowers the height outward, ``down``
+    being the symbol that steps down."""
+    return "a" not in cycle and 2 * cycle.count(down) > len(cycle)
 
 
 def _ray_admissible(w):

@@ -222,7 +222,8 @@ DERIVED_GERM_CASES = {
 @pytest.mark.parametrize("shift_name", sorted(DERIVED_GERM_CASES))
 def test_inverses_of_derived_germs_map_back_and_verify(request, shift_name, kind):
     # conjugated, chained (one-sided bounds included), identity and
-    # rectangle-composed germs invert through their own rule branches
+    # rectangle-composed germs invert through their own rule branches; every
+    # inverse keeps its germ's bounds, so inverting commutes with conjugating
     s = request.getfixturevalue(shift_name)
     (x, y, z), rules = DERIVED_GERM_CASES[shift_name]
     g = construct_germ(s, x, y, kind)
@@ -232,10 +233,13 @@ def test_inverses_of_derived_germs_map_back_and_verify(request, shift_name, kind
     if kind == "lc":
         derived.append(compose_lcs_lcu(s, construct_germ(s, x, y, "lcs"),
                                        construct_germ(s, x, y, "lcu"), x, y))
-    for germ in derived:
+    for germ in [g] + derived:
         inverse = germ.inverse()
         assert inverse.apply(germ.target) == germ.source
         assert verify_germ(inverse) >= 1
+        assert (inverse.dom_lo, inverse.dom_hi) == (germ.dom_lo, germ.dom_hi)
+        for k in (-2, 1, 3):
+            assert germ.conjugate(k).inverse() == inverse.conjugate(k), (germ, k)
 
 
 def test_lifted_germ_refuses_phase_mismatch(even_shift):

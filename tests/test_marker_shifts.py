@@ -2,8 +2,8 @@
 
 ``nonsofic-ray`` and ``context-free`` are coded by the marker ``a``.
 The library decides a point by one predicate query on a window of two
-periods of each tail cycle, or, for a ray tail that steps down from an
-``a``, the periods until its height reaches 0, and classifies it by the
+periods of each tail cycle, or, for an a-free ray tail that falls
+outward from an ``a``, by no query at all, and classifies it by the
 builtin's synchronizing patterns.  Here the predicates are checked
 against walks and factors, membership is read on a window of 80
 periods, synchronization by gluing every short left and right
@@ -147,30 +147,58 @@ def _recording_ray():
 
 
 def test_stepping_down_ray_tail_window_is_short():
-    # the a-free tail c^301 b^300 falls one height a period from the pin at
-    # height 1, and its first period already reaches 0: two periods of each
-    # tail decide, where |core| + |other cycle| + 2 periods sent 363,605
+    # the a-free tails c^301 b^300 and (cb)^300 c fall one height a period
+    # from the pin at height 1, so x is refused with no query; the second
+    # reaches height 0 only in its 302nd period, so its reference reads 320
     s, asked = _recording_ray()
-    x = BiSeq(("a",) + ("b",) * 300 + ("c",) * 300, ("a",), ("c",) * 301 + ("b",) * 300, 0)
-    assert point_in_shift(s, x) == "no"
-    assert len(asked) == 1 and len(asked[0]) <= 2405
+    cb = ("c", "b") * 300 + ("c",)
+    for x, periods in ((BiSeq(("a",) + ("b",) * 300 + ("c",) * 300, ("a",),
+                              ("c",) * 301 + ("b",) * 300, 0), 80),
+                       (BiSeq(("a",), ("b",) * 300, cb, 0), 320)):
+        asked.clear()
+        assert point_in_shift(s, x) == "no"
+        assert asked == []
+        assert not _reference_in_shift(s, x, periods)
 
 
 def test_stepping_down_ray_tail_count_is_least():
     # a pin n heights above the drop of a drift -1 tail (cbc to the right,
-    # bcb to the left): n + 1 periods, and with one fewer the window passes
+    # bcb to the left) is refused with no query, the n + 1 periods the
+    # reference needs unread
     s, asked = _recording_ray()
     for n in (3, 10, 40):
-        for x, right in ((BiSeq(("a",), ("b",) * n, ("c", "b", "c"), 0), True),
-                         (BiSeq(("b", "c", "b"), ("c",) * n, ("a",), 0), False)):
+        for x in (BiSeq(("a",), ("b",) * n, ("c", "b", "c"), 0),
+                  BiSeq(("b", "c", "b"), ("c",) * n, ("a",), 0)):
             asked.clear()
             assert point_in_shift(s, x) == "no"
+            assert asked == []
             assert not _reference_in_shift(s, x)
-            window = asked[0]
-            tail, other = (x.right, x.left) if right else (x.left, x.right)
-            assert len(window) == (n + 1) * len(tail) + len(x.core) + 2 * len(other), (n, x)
-            shorter = window[:-len(tail)] if right else window[len(tail):]
-            assert s.admits(shorter), (n, x)
+
+
+def test_pinned_falling_tails_match_the_uniform_window():
+    # long b^n and c^n cores between falling, rising and a-holding tails:
+    # the verdict is the uniform window's, and each query holds exactly
+    # two periods of each tail
+    s, asked = _recording_ray()
+    lefts = [("b",), ("b", "c", "b"), ("a",), ("a", "b"), ("c", "a", "b"), ("c",),
+             ("b", "c")]
+    rights = [("c",), ("c", "b", "c"), ("a",), ("a", "c"), ("b", "a", "c"), ("b",),
+              ("c", "b")]
+    verdicts = Counter()
+    for n in (1, 7, 40, 300):
+        for core in (("b",) * n, ("c",) * n, ("a",) + ("b",) * n, ("c",) * n + ("a",)):
+            for left in lefts:
+                for right in rights:
+                    x = BiSeq(left, core, right, 0)
+                    asked.clear()
+                    verdict = point_in_shift(s, x)
+                    queries = len(asked)
+                    assert asked in ([], [x.window(x.origin - 2 * len(left),
+                                                   x.right_start + 2 * len(right))]), x
+                    want = _uniform_window_in_shift(s, x)
+                    assert verdict == ("yes" if want else "no"), x
+                    verdicts[verdict, queries] += 1
+    assert min(verdicts[k] for k in (("yes", 1), ("no", 1), ("no", 0))) > 20, verdicts
 
 
 def test_ray_predicate_walks_the_graph(ray_oracle):
