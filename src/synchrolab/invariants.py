@@ -11,6 +11,7 @@ dimension when that set is finite.
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import neg
 
 from synchrolab.errors import InvariantViolation, NotIrreducible
 from synchrolab.shift import fischer_cover, shift_flags
@@ -40,11 +41,14 @@ class IntMatrix:
         return IntMatrix.from_rows(rows)
 
     def sub_from_identity(self):
-        """I - A for a square matrix A."""
+        """I - A for a square matrix A: each row negated whole, then 1
+        added on the diagonal."""
         if self.rows != self.cols:
             raise ValueError("not square")
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(int(i == j) - x for j, x in enumerate(r)) for i, r in enumerate(self.entries)))
+        rows = [list(map(neg, r)) for r in self.entries]
+        for i, r in enumerate(rows):
+            r[i] += 1
+        return IntMatrix(self.rows, self.cols, tuple(map(tuple, rows)))
 
     def determinant(self):
         """Exact determinant by fraction-free (Bareiss) elimination."""

@@ -21,9 +21,10 @@ which also finds the minimal cover's terminal component and zeta's
 blocks.  Trimming peels states with no in-edge or no out-edge in time
 linear in the graph.  The subset automata and the minimal cover share
 one subset search, which peels its graph on the discovery indices
-before any state set is named; the minimal cover merges followers,
-finds the terminal component and checks its language on those indices
-too, and names only the states of the cover.
+before any state set is named; the minimal cover merges followers and
+finds the terminal component on those indices too, checks its language
+on pairs (search index, core mask), and names only the states of the
+cover.  ``period`` and ``names`` read only the set bits of their masks.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -145,8 +146,15 @@ class Presentation:
         return self.run(self.full_mask, word) != 0
 
     def names(self, mask):
-        """The member states of ``mask``, in canonical order."""
-        return tuple(q for i, q in enumerate(self.states) if mask >> i & 1)
+        """The member states of ``mask``, in canonical order; bits past the
+        last state are ignored."""
+        mask &= self.full_mask
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(self.states[low.bit_length() - 1])
+            mask ^= low
+        return tuple(members)
 
     def tail_fixpoint(self, cycle, backward):
         """Mask of the states ending (``backward``: starting) an infinite
@@ -221,7 +229,9 @@ class Presentation:
 
         Computed per SCC by the standard level-gcd argument and combined
         across SCCs, so it divides the length of every cycle; a state on
-        no cycle adds gcd 0, which changes nothing.
+        no cycle adds gcd 0, which changes nothing.  Each state's
+        successors in its component are read off the set bits of its
+        rows, so the time is linear in the edges.
         """
         overall = 0
         for component in self.sccs:
@@ -232,9 +242,10 @@ class Presentation:
             for p in queue:
                 for rows in self.masks.values():
                     inner = rows[p] & component
-                    for q in range(len(self.states)):
-                        if not inner >> q & 1:
-                            continue
+                    while inner:
+                        low = inner & -inner
+                        inner ^= low
+                        q = low.bit_length() - 1
                         if q not in level:
                             level[q] = level[p] + 1
                             queue.append(q)
@@ -413,11 +424,20 @@ def minimal_cover(p):
 
     Raises ``NotIrreducible`` when the shift fails the construction's
     sanity checks: more than one terminal component, or a core whose
-    language is smaller than that of the essential part of ``p``, which
-    the quotient reads from all its classes.  A search over the pairs
-    of class sets reachable from (all classes, core) decides the check.
+    language is smaller than L(trim p), the language of the essential
+    part of ``p``, which the quotient reads from all its classes.  The
+    1-subset search reads from index 0, the full mask, exactly the words
+    of the graph it searches.  When ``p`` is essential (every state has
+    an in-edge and an out-edge, so ``trim`` keeps it whole) that graph
+    reads L(trim p), and the check reuses the search the quotient ran;
+    otherwise ``p`` may read words that run only into dead ends or only
+    out of sources, and the check searches ``trim(p)`` instead.  A search
+    over the pairs (search index, core mask) reachable from (0, core)
+    decides the check: the core reads all of L(trim p) iff no pair's
+    core side is empty.
     """
-    classes, edges = _moore_quotient(p)
+    search = _subset_search(p, 1)
+    classes, edges = _moore_quotient(p, search)
     count = len(classes)
     # rows[a][c]: the bit of the class label a leads to from c, or 0
     rows = {a: [0] * count for a in p.alphabet}
@@ -431,17 +451,28 @@ def minimal_cover(p):
     if len(terminal) != 1:
         raise NotIrreducible(f"{len(terminal)} terminal components; shift is not irreducible")
     core = sum(1 << c for c in terminal[0])
-    # the core reads a sublanguage of what all classes read, L(trim p);
-    # they differ iff a pair reachable from (all, core) empties only core
-    pair = ((1 << count) - 1, core)
-    seen = {pair}
-    pairs = [pair] if core != pair[0] else []
-    for (everything, inside) in pairs:
+    pairs = [(0, core)] if core != (1 << count) - 1 else []
+    if pairs:
+        # p is essential iff every state is a source and a target of an
+        # edge; then L(p) = L(trim p) and the quotient's search serves
+        sources = targets = 0
+        for row in p.masks.values():
+            for i, image in enumerate(row):
+                if image:
+                    sources |= 1 << i
+                    targets |= image
+        if sources & targets != p.full_mask:
+            search = _subset_search(trim(p), 1)
+        moves = [{} for _ in search[0]]
+        for (i, a, j) in search[1]:
+            moves[i][a] = j
+    seen = set(pairs)
+    for (i, inside) in pairs:
         if not inside:
             raise NotIrreducible("terminal component presents a proper sublanguage")
-        for row in rows.values():
-            nxt = (_image(row, everything), _image(row, inside))
-            if nxt[0] and nxt not in seen:
+        for a, j in moves[i].items():
+            nxt = (j, _image(rows[a], inside))
+            if nxt not in seen:
                 seen.add(nxt)
                 pairs.append(nxt)
 
@@ -455,12 +486,13 @@ def minimal_cover(p):
         (rank[c], a, rank[d]) for (c, a, d) in edges if c in rank])
 
 
-def _moore_quotient(p):
+def _moore_quotient(p, search):
     # The trimmed subset automaton of ``p`` with its states merged by
-    # follower set: Moore refinement on the peeled indices of the 1-subset
-    # search.  Returns the classes, each the list of its subset masks, and
-    # the labeled arcs ``(c, a, d)`` between class indices.
-    queue, arcs, keep = _subset_search(p, 1)
+    # follower set: Moore refinement on the peeled indices of ``search``,
+    # ``p``'s 1-subset search.  Returns the classes, each the list of its
+    # subset masks, and the labeled arcs ``(c, a, d)`` between class
+    # indices.
+    queue, arcs, keep = search
     kept = [i for i in range(len(queue)) if keep >> i & 1]
     at = {i: k for k, i in enumerate(kept)}
     n = len(kept)

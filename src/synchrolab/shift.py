@@ -117,7 +117,8 @@ class PresentedShift(Shift):
         irreducibility, so the quotient and the Fischer cover have the
         same non-synchronizing words, and one reading serves every shift.
         """
-        classes, edges = _moore_quotient(self.presentation)
+        g = self.presentation
+        classes, edges = _moore_quotient(g, _subset_search(g, 1))
         cover = Presentation.build(range(len(classes)), edges)
         queue, arcs, keep = _subset_search(cover, 2)
         if keep:

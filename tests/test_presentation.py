@@ -16,8 +16,9 @@ from synchrolab.shift import (Alphabet, build_sft, build_sofic, contains_word,
 from synchrolab.sync import nonsync_subshift
 
 from membership_reference import (distinguishing_word, reference_graph_structure,
-                                  reference_subset_automaton, reference_tail_states,
-                                  reference_trim, same_language, window_admissible)
+                                  reference_minimal_cover, reference_subset_automaton,
+                                  reference_tail_states, reference_trim, same_language,
+                                  window_admissible)
 
 BINARY = Alphabet(("0", "1"))
 
@@ -174,6 +175,50 @@ def test_minimal_cover_ignores_words_read_only_into_dead_ends(golden_mean):
                                   list(p.edges) + [(p.states[0], "2", "dead")])
     assert not same_language(dead_end, trim(dead_end))
     assert minimal_cover(dead_end) == minimal_cover(p)
+
+
+@pytest.mark.parametrize("states, edges", [
+    # "c" is read only into a dead end
+    (["q0", "q1", "q2", "q3", "dead"],
+     [("q0", "b", "q1"), ("q1", "b", "q2"), ("q1", "c", "dead"), ("q2", "a", "q0"),
+      ("q2", "b", "q1"), ("q3", "a", "q0"), ("q3", "a", "q1")]),
+    # q3 has no in-edge, so "aaa" is read by p but by no point
+    (["q0", "q1", "q2", "q3"],
+     [("q0", "b", "q2"), ("q1", "a", "q0"), ("q1", "b", "q1"), ("q2", "a", "q1"),
+      ("q3", "a", "q2")]),
+], ids=["dead-end", "source"])
+def test_language_check_of_an_untrimmed_graph_reads_its_essential_part(states, edges):
+    # a check that read p's own subset search would see words no point
+    # carries and call the core a proper sublanguage
+    p = Presentation.build(states, edges)
+    assert not same_language(p, trim(p))
+    cover = minimal_cover(p)
+    assert cover.states == ("s0", "s1", "s2")
+    assert set(cover.edges) == (
+        {("s0", "b", "s1"), ("s1", "b", "s2"), ("s2", "a", "s0"), ("s2", "b", "s1")}
+        if "dead" in states else
+        {("s0", "b", "s2"), ("s1", "a", "s0"), ("s1", "b", "s1"), ("s2", "a", "s1")})
+
+
+def test_minimal_cover_matches_reference_on_seeded_graphs():
+    # 600 graphs of 1-6 states on a/b; every other one gets a dead end
+    # reached on a, b or c, and many have states with no in-edge
+    rng = random.Random(0)
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        states = list(range(n))
+        edges = [(rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+                 for _ in range(rng.randint(n, 3 * n))]
+        if trial % 2:
+            states.append("dead")
+            edges.append((rng.randrange(n), rng.choice("abc"), "dead"))
+        p = Presentation.build(states, edges)
+        expected = reference_minimal_cover(p)
+        if expected is None:
+            with pytest.raises(NotIrreducible):
+                minimal_cover(p)
+        else:
+            assert minimal_cover(p) == expected, p
 
 
 def test_irreducible_cover_has_all_pairs_reachable(even_shift):
