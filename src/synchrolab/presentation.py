@@ -23,8 +23,10 @@ linear in the graph.  The subset automata and the minimal cover share
 one subset search, which peels its graph on the discovery indices
 before any state set is named; the minimal cover merges followers and
 finds the terminal component on those indices too, checks its language
-on pairs (search index, core mask), and names only the states of the
-cover.  ``period`` and ``names`` read only the set bits of their masks.
+on pairs (search index, core mask) only for a reducible input, since
+irreducibility proves it, and names only the states of the cover, ranked
+by the reprs of their names.  ``period`` and ``names`` read
+only the set bits of their masks.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -299,9 +301,11 @@ def _peel(n, arcs):
     in_degree = [len(row) for row in pred]
     alive = [True] * n
     queue = [i for i in range(n) if not out_degree[i] or not in_degree[i]]
+    # A state is queued twice only if its second count falls to 0 while it
+    # is alive; then all its in-arcs and out-arcs are gone, so processing
+    # it again touches only the counters of dead states, which nothing
+    # reads.
     for i in queue:
-        if not alive[i]:
-            continue
         alive[i] = False
         for j in succ[i]:
             in_degree[j] -= 1
@@ -365,14 +369,16 @@ def _subset_search(p, least):
     # The masks reachable from the full state set through images of at
     # least ``least`` states, in discovery order, with their labeled arcs
     # ``(i, a, j)`` between discovery indices and the mask of the indices
-    # ``_peel`` keeps.
+    # ``_peel`` keeps.  ``masks`` is in alphabet order, so each mask's arcs
+    # are too.
     full = p.full_mask
     queue = [full] if full.bit_count() >= least else []
     index = {mask: i for i, mask in enumerate(queue)}
     arcs = []
+    labels = list(p.masks.items())
     for i, current in enumerate(queue):
-        for a in p.alphabet:
-            nxt = p.step(current, a)
+        for a, rows in labels:
+            nxt = _image(rows, current)
             if nxt.bit_count() < least:
                 continue
             if nxt not in index:
@@ -417,24 +423,35 @@ def minimal_cover(p):
     an irreducible sofic shift this is its Fischer cover (Lind & Marcus
     §3.3), unique up to state renaming.  The work runs on the subset
     search's discovery indices: Moore refinement on the peeled indices,
-    Tarjan's blocks of the quotient, the language check, and one build
-    naming only the core.  A core class of one subset is named by
-    its members, a larger class by the tuple of its subsets' names in
-    canonical order; the classes are then renamed ``s0, s1, ...``.
+    Tarjan's blocks of the quotient, the language check where it is not
+    proved, and one build naming only the core.  A core class of one
+    subset is named by its members, a larger class by the tuple of its
+    subsets' names in canonical order; the classes are then renamed
+    ``s0, s1, ...`` in the canonical order of those names.  Every name is
+    a tuple, so that order is the order of their reprs, which are ranked
+    with no class name built.
 
     Raises ``NotIrreducible`` when the shift fails the construction's
     sanity checks: more than one terminal component, or a core whose
     language is smaller than L(trim p), the language of the essential
-    part of ``p``, which the quotient reads from all its classes.  The
-    1-subset search reads from index 0, the full mask, exactly the words
-    of the graph it searches.  When ``p`` is essential (every state has
-    an in-edge and an out-edge, so ``trim`` keeps it whole) that graph
-    reads L(trim p), and the check reuses the search the quotient ran;
-    otherwise ``p`` may read words that run only into dead ends or only
-    out of sources, and the check searches ``trim(p)`` instead.  A search
-    over the pairs (search index, core mask) reachable from (0, core)
-    decides the check: the core reads all of L(trim p) iff no pair's
-    core side is empty.
+    part of ``p``, which the quotient reads from all its classes.
+
+    The check cannot fail when ``p`` is irreducible, and is skipped then.
+    Such a ``p`` is essential and presents an irreducible sofic X, which
+    has a synchronizing word w (Lind & Marcus §3.3).  Each class is the
+    follower set F_X(u) of the states full·u for a word u.  From any of
+    them the graph has a path to a path reading w, jointly labelled y·w,
+    and F_X(u·y·w) = F_X(w).  So every class reaches the classes of
+    synchronizing words, which form a closed irreducible set: the unique
+    terminal component, reading L(X).  Otherwise the 1-subset search
+    reads from index 0, the full mask, exactly the words of the graph it
+    searches.  When ``p`` is essential (every state has an in-edge and an
+    out-edge, so ``trim`` keeps it whole) that graph reads L(trim p), and
+    the check reuses the search the quotient ran; otherwise ``p`` may read
+    words that run only into dead ends or only out of sources, and the
+    check searches ``trim(p)`` instead.  A search over the pairs (search
+    index, core mask) reachable from (0, core) decides the check: the
+    core reads all of L(trim p) iff no pair's core side is empty.
     """
     search = _subset_search(p, 1)
     classes, edges = _moore_quotient(p, search)
@@ -451,7 +468,7 @@ def minimal_cover(p):
     if len(terminal) != 1:
         raise NotIrreducible(f"{len(terminal)} terminal components; shift is not irreducible")
     core = sum(1 << c for c in terminal[0])
-    pairs = [(0, core)] if core != (1 << count) - 1 else []
+    pairs = [(0, core)] if core != (1 << count) - 1 and not p.irreducible else []
     if pairs:
         # p is essential iff every state is a source and a target of an
         # edge; then L(p) = L(trim p) and the quotient's search serves
@@ -476,12 +493,14 @@ def minimal_cover(p):
                 seen.add(nxt)
                 pairs.append(nxt)
 
-    def class_name(masks):
-        names = sorted((p.names(mask) for mask in masks), key=_state_key)
-        return tuple(names) if len(names) > 1 else names[0]
+    def class_repr(c):
+        # the repr of the class's name; a one-subset class is named by its
+        # subset's name
+        names = sorted(repr(p.names(mask)) for mask in classes[c])
+        return names[0] if len(names) == 1 else "(" + ", ".join(names) + ")"
 
-    names = {c: class_name(classes[c]) for c in range(count) if core >> c & 1}
-    rank = {c: f"s{r}" for r, c in enumerate(sorted(names, key=lambda c: _state_key(names[c])))}
+    ranked = sorted((c for c in range(count) if core >> c & 1), key=class_repr)
+    rank = {c: f"s{r}" for r, c in enumerate(ranked)}
     return Presentation.build(rank.values(), [
         (rank[c], a, rank[d]) for (c, a, d) in edges if c in rank])
 
@@ -503,13 +522,16 @@ def _moore_quotient(p, search):
     for (i, a, j) in arcs:
         if i in at and j in at:
             moves[at[i]][column[a]] = at[j]
-    # Moore refinement; the dead state is block -1.
+    # Moore refinement; the dead state is block -1.  A state's signature is
+    # its block and its targets' blocks, read one label column at a time;
+    # ``block[:n]`` leaves the dead state out.
+    columns = list(zip(*moves))
     block = [0] * n + [-1]
     count = 1
     while True:
         relabel = {}
-        block = [relabel.setdefault((block[k], *[block[j] for j in out]), len(relabel))
-                 for k, out in enumerate(moves)] + [-1]
+        block = [relabel.setdefault(signature, len(relabel)) for signature in
+                 zip(block[:n], *[[block[j] for j in column] for column in columns])] + [-1]
         if len(relabel) == count:
             break
         count = len(relabel)

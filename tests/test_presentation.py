@@ -15,10 +15,10 @@ from synchrolab.shift import (Alphabet, build_sft, build_sofic, contains_word,
                               shift_flags, word)
 from synchrolab.sync import nonsync_subshift
 
-from membership_reference import (distinguishing_word, reference_graph_structure,
-                                  reference_minimal_cover, reference_subset_automaton,
-                                  reference_tail_states, reference_trim, same_language,
-                                  window_admissible)
+from membership_reference import (distinguishing_word, reference_follower_partition,
+                                  reference_graph_structure, reference_minimal_cover,
+                                  reference_subset_automaton, reference_tail_states,
+                                  reference_trim, same_language, window_admissible)
 
 BINARY = Alphabet(("0", "1"))
 
@@ -219,6 +219,56 @@ def test_minimal_cover_matches_reference_on_seeded_graphs():
                 minimal_cover(p)
         else:
             assert minimal_cover(p) == expected, p
+
+
+def _quotient_size(p):
+    # the classes of the follower-merged trimmed subset automaton, of which
+    # the cover keeps the terminal component
+    return len(reference_follower_partition(reference_subset_automaton(p, 1)))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_minimal_cover_of_a_reversed_cerny_graph_matches_reference(n):
+    # the Černý-like graph with every edge reversed: irreducible, not
+    # deterministic, and its quotient has one class outside the cover, so
+    # the cover is built with the language check skipped
+    edges = [(i, "a", (i + 1) % n) for i in range(n)] + [(0, "b", 1)]
+    edges += [(i, "b", i) for i in range(1, n - 1)]
+    p = Presentation.build(range(n), [(j, a, i) for (i, a, j) in edges])
+    assert p.irreducible and not p.deterministic
+    expected = reference_minimal_cover(p)
+    assert len(expected.states) < _quotient_size(p)
+    assert minimal_cover(p) == expected
+
+
+def test_minimal_cover_of_seeded_irreducible_graphs_matches_reference():
+    # 600 graphs of 2-6 states on a/b; the irreducible ones skip the
+    # language check, and some of them have a core smaller than the
+    # quotient
+    rng = random.Random(3)
+    smaller = 0
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        edges = [(rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+                 for _ in range(rng.randint(n, 3 * n))]
+        p = Presentation.build(range(n), edges)
+        if not p.irreducible:
+            continue
+        expected = reference_minimal_cover(p)
+        assert minimal_cover(p) == expected, p
+        smaller += len(expected.states) < _quotient_size(p)
+    assert smaller >= 10
+
+
+def test_minimal_cover_of_a_graph_with_no_cycle_has_no_terminal_component():
+    # the subset search peels every index, so the quotient is empty
+    with pytest.raises(NotIrreducible, match="0 terminal components"):
+        minimal_cover(Presentation.build([0, 1], [(0, "a", 1)]))
+
+
+def test_build_rejects_an_edge_with_an_undeclared_state():
+    with pytest.raises(ValueError, match="undeclared state"):
+        Presentation.build([0], [(0, "a", 1)])
 
 
 def test_irreducible_cover_has_all_pairs_reachable(even_shift):
