@@ -1,12 +1,16 @@
 """Integer-matrix fingerprints and the structured shift report.
 
-Smith normal form over the integers (exact: +-1 pivots are eliminated
-first on sparse rows, then what is left is reduced modulo a nonzero
-minor of full rank from one Bareiss pass, after Domich, Kannan & Trotter
-1987), the Bowen-Franks data of a shift's minimal cover, and
-the report that packages the synchronizing-structure facts of a shift:
-flags, the size of the non-synchronizing set, and the finite quotient
-dimension when that set is finite.
+Smith normal form over the integers, by one elimination kernel on sparse
+rows (exact: +-1 pivots are eliminated first, then what is left is
+reduced modulo a nonzero minor of full rank from one Bareiss pass, after
+Domich, Kannan & Trotter 1987); ``smith_normal_form`` reads the rows of
+an ``IntMatrix`` into it once.  The Bowen-Franks data of a shift's
+minimal cover read I - A sparse off the cover's label masks, so no
+dense matrix is built; ``adjacency_matrix`` and
+``IntMatrix.sub_from_identity`` build the dense I - A and have no
+caller in the library.  The report packages the synchronizing-structure
+facts of a shift: flags, the size of the non-synchronizing set, and the
+finite quotient dimension when that set is finite.
 """
 
 from dataclasses import dataclass
@@ -100,8 +104,10 @@ class SmithForm:
     determinant: object
 
 
-def _unit_pivots(a):
-    """Eliminates the +-1 pivots of ``a``: ``(units, sign, rest)``.
+def _unit_pivots(row, cols):
+    """Eliminates the +-1 pivots of the sparse rows ``row`` (each a dict
+    ``{column: nonzero entry}`` over ``cols`` columns), in place:
+    ``(units, sign, rest)``.
 
     A unit u at position (r, c) of what is left clears the rest of its
     column by row operations; then its row and column are dropped.  Each
@@ -109,16 +115,15 @@ def _unit_pivots(a):
     u (-1)^(r+c), which ``sign`` collects.  One pass takes the rows in
     order; in a row, the unit whose column has the fewest entries is
     used, so fill-in stays low on sparse rows.  While every pivot is a
-    unit, the entries are minors of ``a`` up to sign and do not grow.
-    ``rest`` is what is left, dense, with its rows and columns in their
-    original order.
+    unit, the entries are minors of the input up to sign and do not
+    grow.  ``rest`` is what is left, dense, with its rows and columns in
+    their original order.
     """
-    row = [{j: x for j, x in enumerate(r) if x} for r in a.entries]
-    col = [set() for _ in range(a.cols)]
+    col = [set() for _ in range(cols)]
     for i, r in enumerate(row):
         for j in r:
             col[j].add(i)
-    live_rows, live_cols = (1 << a.rows) - 1, (1 << a.cols) - 1
+    live_rows, live_cols = (1 << len(row)) - 1, (1 << cols) - 1
     units = 0
     sign = 1
     for r, top in enumerate(row):
@@ -147,14 +152,15 @@ def _unit_pivots(a):
         live_rows &= ~(1 << r)
         live_cols &= ~(1 << c)
         units += 1
-    keep = [j for j in range(a.cols) if live_cols >> j & 1]
-    rest = [[row[i].get(j, 0) for j in keep] for i in range(a.rows) if live_rows >> i & 1]
+    keep = [j for j in range(cols) if live_cols >> j & 1]
+    rest = [[row[i].get(j, 0) for j in keep] for i in range(len(row)) if live_rows >> i & 1]
     return units, sign, rest
 
 
-def smith_normal_form(a):
-    """Smith normal form over the integers: unit pivots, then elimination
-    modulo one minor.
+def _smith(row, cols):
+    """Smith normal form of the sparse rows ``row`` (``{column: nonzero
+    entry}`` over ``cols`` columns, consumed): unit pivots, then
+    elimination modulo one minor.
 
     The +-1 pivots are eliminated first (``_unit_pivots``); each gives a
     factor 1.  On I - A of a cover, which is sparse and mostly +-1, the
@@ -167,10 +173,10 @@ def smith_normal_form(a):
     pivot does not divide; then d_i = gcd(pivot_i, g) for i < r.  That
     these form a chain whose product divides g, and equals g for a
     square nonsingular b, is checked on every call.  The determinant of
-    a square ``a`` is the unit pivots' sign times that of b.
+    a square input is the unit pivots' sign times that of b.
     """
-    units, sign, m = _unit_pivots(a)
-    rows, cols = a.rows - units, a.cols - units
+    units, sign, m = _unit_pivots(row, cols)
+    rows, cols = len(row) - units, cols - units
     rank, minor = _bareiss(m, cols)
     g = abs(minor)
     m = [[x % g for x in r] for r in m]
@@ -224,6 +230,12 @@ def smith_normal_form(a):
                      units + rank, det)
 
 
+def smith_normal_form(a):
+    """Smith normal form over the integers of the ``IntMatrix`` ``a``: its
+    rows, read sparse once, go to the elimination kernel ``_smith``."""
+    return _smith([{j: x for j, x in enumerate(r) if x} for r in a.entries], a.cols)
+
+
 def adjacency_matrix(p):
     """Edge-count adjacency matrix of a presentation, in state order."""
     index = {q: i for i, q in enumerate(p.states)}
@@ -238,9 +250,23 @@ def bowen_franks(s):
 
     Returns ``{"invariant_factors": (...), "det_sign": -1|0|1}`` where
     the factors are the Smith diagonal entries different from 1 (0
-    denotes a free summand).
+    denotes a free summand).  I - A is read sparse off the cover's
+    label masks, in state order: 1 on the diagonal, -1 for each labelled
+    edge, and a diagonal entry that reaches 0 (a state with one loop)
+    dropped; no other entry can.  The cover is deterministic, so each
+    label's mask of a state holds at most one bit.
     """
-    form = smith_normal_form(adjacency_matrix(fischer_cover(s)).sub_from_identity())
+    cover = fischer_cover(s)
+    row = [{i: 1} for i in range(len(cover.states))]
+    for masks in cover.masks.values():
+        for r, target in zip(row, masks):
+            if target:
+                j = target.bit_length() - 1
+                r[j] = r.get(j, 0) - 1
+    for i, r in enumerate(row):
+        if not r[i]:
+            del r[i]
+    form = _smith(row, len(row))
     factors = tuple(d for d in form.diagonal if d != 1)
     det = form.determinant
     sign = 0 if det == 0 else (1 if det > 0 else -1)

@@ -25,8 +25,10 @@ before any state set is named; the minimal cover merges followers and
 finds the terminal component on those indices too, checks its language
 on pairs (search index, core mask) only for a reducible input, since
 irreducibility proves it, and names only the states of the cover, ranked
-by the reprs of their names.  ``period`` and ``names`` read
-only the set bits of their masks.
+by the reprs of their names, joined from the input states' reprs with
+no name built.  The cover carries its one strongly connected block, so
+its flags run no Tarjan pass.  ``period`` and ``names`` read only the
+set bits of their masks.
 
 All functions are pure; presentations are immutable values with a
 canonical state order so that outputs are reproducible across runs.
@@ -429,7 +431,10 @@ def minimal_cover(p):
     subsets' names in canonical order; the classes are then renamed
     ``s0, s1, ...`` in the canonical order of those names.  Every name is
     a tuple, so that order is the order of their reprs, which are ranked
-    with no class name built.
+    with no class name built: a subset's repr is joined from the reprs
+    of ``p``'s states, computed once, as ``tuple.__repr__`` joins them.
+    The returned cover's ``sccs`` is recorded as its one block, so its
+    flags run no Tarjan pass.
 
     Raises ``NotIrreducible`` when the shift fails the construction's
     sanity checks: more than one terminal component, or a core whose
@@ -493,16 +498,33 @@ def minimal_cover(p):
                 seen.add(nxt)
                 pairs.append(nxt)
 
+    state_reprs = [repr(q) for q in p.states]
+
+    def subset_repr(mask):
+        # repr(p.names(mask)), joined as tuple.__repr__ joins its items
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(state_reprs[low.bit_length() - 1])
+            mask ^= low
+        return "(" + ", ".join(members) + ("," if len(members) == 1 else "") + ")"
+
     def class_repr(c):
         # the repr of the class's name; a one-subset class is named by its
         # subset's name
-        names = sorted(repr(p.names(mask)) for mask in classes[c])
+        names = sorted(map(subset_repr, classes[c]))
         return names[0] if len(names) == 1 else "(" + ", ".join(names) + ")"
 
     ranked = sorted((c for c in range(count) if core >> c & 1), key=class_repr)
     rank = {c: f"s{r}" for r, c in enumerate(ranked)}
-    return Presentation.build(rank.values(), [
+    cover = Presentation.build(rank.values(), [
         (rank[c], a, rank[d]) for (c, a, d) in edges if c in rank])
+    # The cover is the quotient's terminal block: strongly connected, and
+    # with an edge, since each peeled index, so each class, has an arc out
+    # and no arc leaves the block.  So its one component holds every
+    # state, and no flag of the cover runs a Tarjan pass.
+    cover.__dict__["sccs"] = (cover.full_mask,)
+    return cover
 
 
 def _moore_quotient(p, search):

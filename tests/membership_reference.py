@@ -174,17 +174,24 @@ def _reachable(g, q):
     return seen
 
 
-def reference_graph_structure(g):
-    """``(irreducible, terminal, period, components)`` of ``g``: strong
+def reference_components(g):
+    """``(irreducible, terminal, components)`` of ``g``: strong
     connectivity, the subgraph on the unique component with no edge out
-    of it (``None`` unless there is exactly one), gcd{n <= |states| : some
-    closed walk has length n}, and the set of strongly connected
-    components as frozensets of states, from pairwise reachability and
-    bounded walks."""
+    of it (``None`` unless there is exactly one), and the set of strongly
+    connected components as frozensets of states, from pairwise
+    reachability."""
     reach = {q: _reachable(g, q) for q in g.states}
     components = {frozenset({q} | {r for r in reach[q] if q in reach[r]})
                   for q in g.states}
     terminal = [c for c in components if all(reach[q] <= c for q in c)]
+    irreducible = bool(g.states) and all(reach[q] == set(g.states) for q in g.states)
+    return (irreducible, _subgraph(g, terminal[0]) if len(terminal) == 1 else None,
+            components)
+
+
+def reference_period(g):
+    """gcd{n <= |states| : some closed walk has length n}, from bounded
+    walks; cubic in the states, so only callers that read it pay."""
     period = 0
     walks = {q: {q} for q in g.states}
     for n in range(1, len(g.states) + 1):
@@ -192,9 +199,14 @@ def reference_graph_structure(g):
                  for q in g.states}
         if any(q in walks[q] for q in g.states):
             period = math.gcd(period, n)
-    irreducible = bool(g.states) and all(reach[q] == set(g.states) for q in g.states)
-    return (irreducible, _subgraph(g, terminal[0]) if len(terminal) == 1 else None,
-            period, components)
+    return period
+
+
+def reference_graph_structure(g):
+    """``(irreducible, terminal, period, components)`` of ``g``: the
+    components of ``reference_components`` with ``reference_period``."""
+    irreducible, terminal, components = reference_components(g)
+    return irreducible, terminal, reference_period(g), components
 
 
 def reference_subset_automaton(g, least, key=_canonical_key):
@@ -696,7 +708,7 @@ def reference_minimal_cover(g):
     merged = Presentation.build(
         set(representative.values()),
         {(representative[p], a, representative[q]) for (p, a, q) in det.edges})
-    core = reference_graph_structure(reference_trim(merged))[1]
+    core = reference_components(reference_trim(merged))[1]
     if core is None or distinguishing_word(det, core) is not None:
         return None
     return renamed(core)

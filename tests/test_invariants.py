@@ -9,7 +9,7 @@ import pytest
 from synchrolab.invariants import (IntMatrix, _unit_pivots, adjacency_matrix, bowen_franks,
                                    exact_sequence_report, smith_normal_form)
 from synchrolab.presentation import Presentation
-from synchrolab.shift import Alphabet, build_sofic, fischer_cover
+from synchrolab.shift import Alphabet, build_sofic, fischer_cover, product
 from synchrolab.sync import nonsync_subshift
 from membership_reference import (fraction_determinant, reference_smith_form,
                                   reference_subset_automaton, renamed)
@@ -289,6 +289,11 @@ def _assert_matches_reference(a):
     return form
 
 
+def _sparse_rows(a):
+    """The rows of ``a`` as ``{column: nonzero entry}`` dicts."""
+    return [{j: x for j, x in enumerate(r) if x} for r in a.entries]
+
+
 def _mixed(rng, m):
     """``m`` with its rows and columns permuted and some rows negated, a
     unimodular change that keeps the Smith form."""
@@ -306,7 +311,7 @@ def test_smith_without_unit_entries_matches_reference():
         m += [[rng.choice((0, 0, 2, -2, 3, -3, 4, 6)) for _ in m[0]]
               for _ in range(rng.randint(0, 4))]
         a = IntMatrix.from_rows(m)
-        assert _unit_pivots(a) == (0, 1, m)
+        assert _unit_pivots(_sparse_rows(a), a.cols) == (0, 1, m)
         _assert_matches_reference(a)
 
 
@@ -324,7 +329,7 @@ def test_smith_with_a_remainder_without_rows_or_columns():
         combos = [[sum(c * x for c, x in zip(q, col)) for col in zip(*base)]
                   for q in ([rng.randint(-2, 2) for _ in base] for _ in range(e2))]
         a = IntMatrix.from_rows(_mixed(rng, base + combos))
-        units, _, rest = _unit_pivots(a)
+        units, _, rest = _unit_pivots(_sparse_rows(a), a.cols)
         assert units == k and len(rest) == e2 and all(r == [0] * e1 for r in rest)
         form = _assert_matches_reference(a)
         assert form.rank == k
@@ -346,7 +351,7 @@ def test_smith_of_fully_reduced_square_matrices():
             f = rng.choice((1, -1, 2, -2))
             m[i] = [x + f * y for x, y in zip(m[i], m[j])]
         a = IntMatrix.from_rows(m)
-        units, sign, rest = _unit_pivots(a)
+        units, sign, rest = _unit_pivots(_sparse_rows(a), a.cols)
         form = _assert_matches_reference(a)
         assert abs(form.determinant) == 1 and form.diagonal == (1,) * n
         if units == n:
@@ -368,3 +373,66 @@ def test_smith_of_i_minus_a_on_random_covers():
         s = build_sofic(Alphabet(tuple(symbols)), Presentation.build(states, edges))
         i_minus_a = adjacency_matrix(fischer_cover(s)).sub_from_identity()
         _assert_matches_reference(i_minus_a)
+
+
+def _assert_bowen_franks_matches_dense(s):
+    # bowen_franks reads I - A sparse off the cover's masks; the dense
+    # smith_normal_form on adjacency_matrix must find the same diagonal
+    # (the factors after n - len(factors) ones), rank and determinant
+    # (the sign times the diagonal's product)
+    n = len(fischer_cover(s).states)
+    bf = bowen_franks(s)
+    factors = bf["invariant_factors"]
+    diagonal = (1,) * (n - len(factors)) + factors
+    form = smith_normal_form(adjacency_matrix(fischer_cover(s)).sub_from_identity())
+    assert (form.diagonal, form.rank, form.determinant) == (
+        diagonal, n - factors.count(0), bf["det_sign"] * prod(diagonal)), s
+    return form
+
+
+def _seeded_mixing_shift(rng, k, symbols):
+    # a cycle through every state and a loop at state 0: a mixing graph
+    states = list(range(k))
+    edges = {(q, rng.choice(symbols), (q + 1) % k) for q in states}
+    edges |= {(0, rng.choice(symbols), 0)}
+    edges |= {(rng.choice(states), rng.choice(symbols), rng.choice(states))
+              for _ in range(rng.randint(1, k))}
+    return build_sofic(Alphabet(tuple(symbols)), Presentation.build(states, edges))
+
+
+def test_bowen_franks_matches_the_dense_smith_form_on_seeded_shifts():
+    rng = random.Random(21)
+    singular = 0
+    for _ in range(150):
+        s = _seeded_mixing_shift(rng, rng.randint(2, 7), "abc"[:rng.randint(2, 3)])
+        singular += _assert_bowen_franks_matches_dense(s).determinant == 0
+    for _ in range(30):
+        # products of mixing shifts are mixing, so each has a cover
+        s = product(_seeded_mixing_shift(rng, rng.randint(2, 3), "ab"),
+                    _seeded_mixing_shift(rng, rng.randint(2, 3), "ab"))
+        singular += _assert_bowen_franks_matches_dense(s).determinant == 0
+    assert singular >= 10
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_bowen_franks_of_a_reversed_cerny_cover_matches_the_dense_smith_form(n):
+    # up to 2,024 cover states, with non-unit factors left after the unit
+    # pivots
+    edges = [(i, "a", (i + 1) % n) for i in range(n)] + [(0, "b", 1)]
+    edges += [(i, "b", i) for i in range(1, n - 1)]
+    s = build_sofic(Alphabet(("a", "b")),
+                    Presentation.build(range(n), [(j, a, i) for (i, a, j) in edges]))
+    form = _assert_bowen_franks_matches_dense(s)
+    assert form.determinant == 0 and form.diagonal[-1] == 0
+
+
+def test_bowen_franks_of_covers_with_parallel_labels_and_two_loops(full_two):
+    # two labels on the arc 0 -> 1 give the entry -2 of I - A; the full
+    # 2-shift's one state carries two loops, so its diagonal is 1 - 2
+    parallel = build_sofic(Alphabet(("a", "b", "c")), Presentation.build(
+        [0, 1], [(0, "a", 1), (0, "b", 1), (1, "c", 0)]))
+    assert adjacency_matrix(fischer_cover(parallel)).sub_from_identity().entries == (
+        (1, -2), (-1, 1))
+    assert _assert_bowen_franks_matches_dense(parallel).determinant == -1
+    assert adjacency_matrix(fischer_cover(full_two)).sub_from_identity().entries == ((-1,),)
+    assert _assert_bowen_franks_matches_dense(full_two).determinant == -1

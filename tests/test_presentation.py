@@ -227,14 +227,21 @@ def _quotient_size(p):
     return len(reference_follower_partition(reference_subset_automaton(p, 1)))
 
 
+def _cerny_graph(n, reverse):
+    # a: i -> i+1 mod n, b: 0 -> 1 and i -> i for 1 <= i <= n-2; with
+    # ``reverse``, every edge reversed
+    edges = [(i, "a", (i + 1) % n) for i in range(n)] + [(0, "b", 1)]
+    edges += [(i, "b", i) for i in range(1, n - 1)]
+    return Presentation.build(range(n), [(j, a, i) for (i, a, j) in edges] if reverse
+                              else edges)
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_minimal_cover_of_a_reversed_cerny_graph_matches_reference(n):
     # the Černý-like graph with every edge reversed: irreducible, not
     # deterministic, and its quotient has one class outside the cover, so
     # the cover is built with the language check skipped
-    edges = [(i, "a", (i + 1) % n) for i in range(n)] + [(0, "b", 1)]
-    edges += [(i, "b", i) for i in range(1, n - 1)]
-    p = Presentation.build(range(n), [(j, a, i) for (i, a, j) in edges])
+    p = _cerny_graph(n, True)
     assert p.irreducible and not p.deterministic
     expected = reference_minimal_cover(p)
     assert len(expected.states) < _quotient_size(p)
@@ -258,6 +265,45 @@ def test_minimal_cover_of_seeded_irreducible_graphs_matches_reference():
         assert minimal_cover(p) == expected, p
         smaller += len(expected.states) < _quotient_size(p)
     assert smaller >= 10
+
+
+def _assert_cover_carries_its_block(s):
+    # the cover's one block, recorded when it is built, is the one a fresh
+    # Tarjan pass finds, and the flags read off it match bounded walks
+    cover = fischer_cover(s)
+    assert "sccs" in vars(cover)
+    assert cover.sccs == Presentation(cover.states, cover.edges).sccs == (cover.full_mask,)
+    irreducible, _, period, _ = reference_graph_structure(cover)
+    assert shift_flags(s) == {"irreducible": irreducible, "mixing": irreducible and period == 1,
+                              "period": period}, s
+
+
+def test_fischer_covers_carry_their_one_block():
+    # seeded irreducible graphs, some of period 2 or more, with int-named
+    # states; products, with tuple-named states; and the Černý families.
+    # Each cover, ranked by the reprs of its class names, is the reference
+    # cover.
+    rng = random.Random(5)
+    shifts, periods = [], set()
+    while len(shifts) < 120:
+        n = rng.randint(2, 6)
+        edges = [(rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+                 for _ in range(rng.randint(n, 2 * n))]
+        p = Presentation.build(range(n), edges)
+        if p.irreducible:
+            shifts.append(build_sofic(Alphabet(("a", "b")), p))
+            periods.add(p.period)
+    assert {1, 2} <= periods
+    shifts += [product(s1, s2) for s1, s2 in zip(shifts[:40], shifts[40:80])
+               if s1.presentation.period == s2.presentation.period == 1]
+    shifts += [build_sofic(Alphabet(("a", "b")), _cerny_graph(n, reverse))
+               for n in range(3, 9) for reverse in (False, True) if n < 7 or not reverse]
+    names = set()
+    for s in shifts:
+        _assert_cover_carries_its_block(s)
+        assert fischer_cover(s) == reference_minimal_cover(s.presentation), s
+        names.add(type(s.presentation.states[0]))
+    assert names == {int, tuple}
 
 
 def test_minimal_cover_of_a_graph_with_no_cycle_has_no_terminal_component():
