@@ -13,20 +13,18 @@ from synchrolab.conjugacy import (Germ, GroupoidArrow, compose_lcs_lcu,
                                   heteroclinic_bridge, rectangle_germs,
                                   ruelle_germ, sync_bridge, verify_germ)
 from synchrolab.factor import (CoverMap, almost_one_to_one_check, degree_bound,
-                               preimage_count, resolving_check)
+                               preimage_count)
 from synchrolab.invariants import (IntMatrix, SmithForm, adjacency_matrix, bowen_franks,
                                    exact_sequence_report, smith_normal_form)
 from synchrolab.oracles import OracleShift
-from synchrolab.periodic import (PeriodicSet, count_periodic, enumerate_periodic,
-                                 find_periodic_by_bracket, find_return,
-                                 periodic_density_check, zeta)
+from synchrolab.periodic import (PeriodicSet, enumerate_periodic, find_periodic_by_bracket,
+                                 find_return, periodic_counts, periodic_density_check, zeta)
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, Dyadic, bracket,
                                decide_relation, distance, point_in_shift, shift_by,
-                               splice, try_bracket)
+                               splice)
 from synchrolab.presentation import Presentation, determinize, trim
 from synchrolab.shift import (Alphabet, PresentedShift, build_sft, build_sofic,
-                              contains_word, enumerate_words, fischer_cover, full_shift,
-                              product, shift_flags, word)
+                              contains_word, fischer_cover, full_shift, product, word)
 from synchrolab.specfile import SpecFile, emit_spec, load_spec, parse_point
 from synchrolab.sync import (NonSyncReport, SyncVerdict, classify_point,
                              is_sync_word, nonsync_subshift, rectangle_check,

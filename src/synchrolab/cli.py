@@ -11,9 +11,10 @@ import sys
 from functools import cache
 
 from synchrolab import conjugacy, factor, invariants, periodic, sync
-from synchrolab.errors import ParseError, SemanticError, SynchrolabError, UsageError
-from synchrolab.points import format_word, try_bracket
-from synchrolab.shift import enumerate_words, fischer_cover, product, shift_flags
+from synchrolab.errors import (NotAgreeing, NotInShift, ParseError, SemanticError,
+                               SynchrolabError, UsageError)
+from synchrolab.points import bracket, format_word
+from synchrolab.shift import fischer_cover, product
 from synchrolab.specfile import load_spec, parse_point
 
 
@@ -51,7 +52,7 @@ def cmd_info(args, spec):
         "spec": spec.name,
         "kind": s.kind,
         "alphabet": list(s.alphabet),
-        "flags": shift_flags(s),
+        "flags": s.flags(),
         "points": {name: str(p) for name, p in spec.points.items()},
     }
     if report["flags"]["irreducible"]:
@@ -64,14 +65,14 @@ def cmd_info(args, spec):
 
 
 def cmd_words(args, spec):
-    words = enumerate_words(spec.shift, args.maxlen)
+    words = spec.shift.words(args.maxlen)
     return {"command": "words", "spec": spec.name, "maxlen": args.maxlen,
             "count": len(words),
             "words": [format_word(w) or "ε" for w in words]}, 0
 
 
 def cmd_sync_words(args, spec):
-    words = [w for w in enumerate_words(spec.shift, args.maxlen)
+    words = [w for w in spec.shift.words(args.maxlen)
              if w and sync.is_sync_word(spec.shift, w)]
     return {"command": "sync-words", "spec": spec.name, "maxlen": args.maxlen,
             "count": len(words), "words": [format_word(w) for w in words]}, 0
@@ -80,7 +81,7 @@ def cmd_sync_words(args, spec):
 def cmd_periodic(args, spec):
     report = {"command": "periodic", "spec": spec.name, "n": args.n}
     if args.count_only:
-        report["count"] = periodic.count_periodic(spec.shift, args.n)
+        report["count"] = periodic.periodic_counts(spec.shift, args.n)[-1]
     else:
         ps = periodic.enumerate_periodic(spec.shift, args.n)
         report["count"] = ps.count
@@ -135,10 +136,12 @@ def cmd_nonsync(args, spec):
 def cmd_bracket(args, spec):
     x = _point(spec, args.x)
     y = _point(spec, args.y)
-    value = try_bracket(spec.shift, x, y, args.window)
+    try:
+        value = str(bracket(spec.shift, x, y, args.window))
+    except (NotAgreeing, NotInShift):
+        value = "undefined"
     return {"command": "bracket", "spec": spec.name, "x": str(x), "y": str(y),
-            "window": args.window,
-            "value": str(value) if value is not None else "undefined"}, 0
+            "window": args.window, "value": value}, 0
 
 
 def cmd_germ(args, spec):
@@ -163,7 +166,8 @@ def cmd_factor(args, spec):
     cover = factor.CoverMap.of_shift(spec.shift)
     if args.check == "resolving":
         return {"command": "factor", "check": "resolving", "spec": spec.name,
-                "flags": factor.resolving_check(cover)}, 0
+                "flags": {"rightResolving": cover.right_resolving,
+                          "leftResolving": cover.left_resolving}}, 0
     if args.check == "degree":
         report = {"command": "factor", "check": "degree", "spec": spec.name,
                   "M": factor.degree_bound(cover)}
@@ -194,7 +198,7 @@ def cmd_product(args, spec):
     cover = fischer_cover(combined)
     return {"command": "product", "left": spec.name, "right": other.name,
             "alphabet": list(combined.alphabet),
-            "flags": shift_flags(combined),
+            "flags": combined.flags(),
             "cover_states": len(cover.states)}, 0
 
 

@@ -10,8 +10,9 @@ points are locally conjugate via a central block rewrite, and one-sided
 tail swaps are sound behind a memory buffer.  On another sofic shift
 germs are lifted through the canonical cover: lift the endpoints to the
 edge shift, build the SFT germ there, and conjugate by the labeling
-map.  Lifting fails exactly where it should (ambiguous or unrelated
-lifts), so the sampler emits only sound arrows.
+map.  Lifting is sound but not complete: it refuses ambiguous or
+unrelated lifts, and may refuse a pair whose germ exists some other
+way, so the sampler emits only sound arrows.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from synchrolab.points import (BiSeq, agree_on, alignment_bound, bracket,
                                check_bracket_radius, decide_relation, enumerate_points,
                                future_splice, point_in_shift, replace_window, shift_by,
                                splice)
-from synchrolab.shift import shift_flags
 from synchrolab.sync import classify_point, cylinder_representatives, sync_radius
 
 KINDS = ("lc", "lcs", "lcu")
@@ -284,11 +284,10 @@ def verify_germ(germ, budget=6):
 
     if image(germ.source) != germ.target:
         raise InvariantViolation("the germ does not map its source to its target")
-    samples = domain_samples(germ, budget)
     images = []
-    for z in samples:
-        if not germ.contains(z):
-            continue
+    # every sample lies in the germ's cylinder: "u" samples keep the source
+    # up to dom_hi, "s" samples from dom_lo on, and the fallback is the source
+    for z in domain_samples(germ, budget):
         out = image(z)
         images.append(out)
         bound = max(alignment_bound(z, out), abs(germ.window)) + 1
@@ -559,7 +558,7 @@ def heteroclinic_bridge(s, z, p, q):
     ``(x, y, germ_x_to_z, germ_y_to_z)``: splices at 0 of z pinning its
     synchronizing central word, so they verify (see ``rectangle_germs``).
     """
-    if not shift_flags(s)["mixing"]:
+    if not s.flags()["mixing"]:
         raise NotSynchronizing("bridges need a mixing shift")
     _require_sync_periodic(s, p, q)
     n = sync_radius(s, z)
@@ -583,7 +582,7 @@ def sync_bridge(s, x, y, p, q):
     its lcu germ to y, ``FutureRule(y, 0)`` on that word, verifies (see
     ``rectangle_germs``).
     """
-    if not shift_flags(s)["mixing"]:
+    if not s.flags()["mixing"]:
         raise NotSynchronizing("bridges need a mixing shift")
     _require_sync_periodic(s, p, q)
     if not decide_relation(x, p, "unstable"):

@@ -79,11 +79,6 @@ class CoverMap:
         return True
 
 
-def resolving_check(c):
-    """Direction flags of the labeling map."""
-    return {"rightResolving": c.right_resolving, "leftResolving": c.left_resolving}
-
-
 def degree_bound(c):
     """The finite-to-one bound M = number of graph states.
 

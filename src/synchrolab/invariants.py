@@ -18,7 +18,7 @@ from math import gcd, prod
 from operator import neg
 
 from synchrolab.errors import InvariantViolation, NotIrreducible
-from synchrolab.shift import fischer_cover, shift_flags
+from synchrolab.shift import fischer_cover
 from synchrolab.sync import nonsync_subshift
 
 
@@ -303,7 +303,7 @@ def exact_sequence_report(s):
     reports "unknown".  Structural claims tied to mixing are suppressed
     (flag only) when the shift is not mixing.
     """
-    flags = shift_flags(s)
+    flags = s.flags()
     if flags["irreducible"] is False:
         raise NotIrreducible("report requires an irreducible shift")
     m, quotient, factors, sign, finite = "unknown", None, (), 0, None

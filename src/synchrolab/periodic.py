@@ -26,7 +26,7 @@ from synchrolab.errors import InvariantViolation, NotInShift, NotSynchronizing, 
 from synchrolab.points import (BiSeq, agree_on, bracket, canonical_order, check_bracket_radius,
                                point_in_shift, shift_by)
 from synchrolab.presentation import _blocks, _subset_search, determinize
-from synchrolab.shift import close_orbit_through, enumerate_words, fischer_cover
+from synchrolab.shift import close_orbit_through, fischer_cover
 from synchrolab.sync import sync_radius
 
 
@@ -65,7 +65,7 @@ def enumerate_periodic(s, n):
     length n; membership of the periodization is decided exactly on the
     presentation.  Distinct canonical points are returned.  This tries
     all |A|^n words, so only the points path of ``synchrolab periodic``
-    calls it: ``count_periodic`` counts the points without them, and
+    calls it: ``periodic_counts`` counts the points without them, and
     ``factor.almost_one_to_one_check`` finds the multiply covered ones
     by ``multiply_covered_cycles``.
     """
@@ -197,12 +197,6 @@ def periodic_counts(s, n):
     return tuple(counts)
 
 
-def count_periodic(s, n):
-    """|Fix(shift^n)|, the last of ``periodic_counts``; exact past the
-    kernel's limits too, with no |A|^n enumeration."""
-    return periodic_counts(s, n)[-1]
-
-
 def _det_one_minus(rows):
     # det(I - tB) in rising powers of t, for B given by sparse ``rows``
     # ({column: entry}): the coefficients of det(tI - B) from the top,
@@ -251,7 +245,7 @@ def periodic_density_check(s, L):
     Each admissible word w gets the periodic point through it that the
     shift's ``density_entry`` proves to exist, with status ``"yes"``.
     """
-    return {"L": L, "entries": [s.density_entry(w, False) for w in enumerate_words(s, L)]}
+    return {"L": L, "entries": [s.density_entry(w, False) for w in s.words(L)]}
 
 
 def find_periodic_by_bracket(s, x, y, n, N):
@@ -269,8 +263,10 @@ def find_periodic_by_bracket(s, x, y, n, N):
     reads z_0(i - n) on [0, n] and z_0(i + n) on [-n, 0): both are
     y_(i mod n).  So z_1 agrees on [-n, n] with p, the periodic point
     repeating y's word on [0, n), which is the 2n-periodization of z_0.
-    p is returned after checking that z_1 agrees with it and that it
-    lies in the shift.
+    p is returned once z_1 agrees with it, with no membership test: y's
+    word y[1 - N, n + N) starts with x's central word v and, as shift^n(y)
+    carries v too, ends with it: it is a·v = v·b, so as v synchronizes,
+    each a^k·v·b^k, a window of p, is in the language, and p is a point.
 
     Neither bracket can fail.  As y_i = x_i = y_(i+n) on [1 - N, N - 1],
     z_0 equals y from 1 - N on, and shift^-n(z_0) and shift^n(z_0) agree
@@ -300,8 +296,6 @@ def find_periodic_by_bracket(s, x, y, n, N):
     p = BiSeq.periodic(y.window(0, n))
     if not agree_on(z, p, -n, n + 1):
         raise InvariantViolation("z_1 does not agree with the periodization on [-n, n]")
-    if point_in_shift(s, p) != "yes":
-        raise NotInShift("periodization leaves the shift")
     return p
 
 

@@ -376,14 +376,6 @@ def bracket(s, x, y, N):
     raise NotInShift("splice leaves the shift")
 
 
-def try_bracket(s, x, y, N):
-    """``bracket`` returning None when the value is undefined."""
-    try:
-        return bracket(s, x, y, N)
-    except (NotAgreeing, NotInShift):
-        return None
-
-
 def enumerate_points(s, core_len=2, origin_radius=1):
     """All canonical points of the shift with small descriptions.
 

@@ -145,10 +145,6 @@ class Presentation:
         """Mask of the states with a path reading ``word`` into ``mask``."""
         return _read(self._kernel[1], mask, reversed(word))
 
-    def accepts(self, word):
-        """True iff some path in the graph reads ``word``."""
-        return self.run(self.full_mask, word) != 0
-
     def names(self, mask):
         """The member states of ``mask``, in canonical order; bits past the
         last state are ignored."""

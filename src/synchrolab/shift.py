@@ -65,11 +65,13 @@ class Shift:
     ``kind`` names the variant as a spec's ``type:`` line does:
     ``sft``, ``sofic`` or ``oracle:<name>``, and names an unnamed shift.
     ``memory`` is None unless the shift is decided to be an SFT.  Each
-    variant answers ``admits(w)``, ``words(max_len)``,
-    ``contains_point(x)``, ``sync_window(x)`` (the least synchronizing
-    central window ``(x[-n..n], n)`` of a point, or None),
-    ``density_entry(w, want_sync)`` and ``flags()``; the module
-    functions (``point_in_shift``, ``classify_point``, ...) ask them.
+    variant answers ``admits(w)``, ``words(max_len)`` (the admissible
+    words of length <= ``max_len``, by length and then in alphabet
+    order), ``contains_point(x)``, ``sync_window(x)`` (the least
+    synchronizing central window ``(x[-n..n], n)`` of a point, or None),
+    ``density_entry(w, want_sync)`` and ``flags()`` (irreducible, mixing
+    and period, each None where undecided); the module functions
+    (``point_in_shift``, ``classify_point``, ...) ask them.
     """
 
     alphabet: Alphabet
@@ -129,7 +131,9 @@ class PresentedShift(Shift):
         return memory
 
     def admits(self, w):
-        return self.presentation.accepts(w)
+        """True iff some path of the trimmed presentation reads ``w``."""
+        g = self.presentation
+        return g.run(g.full_mask, w) != 0
 
     def words(self, max_len):
         g = self.presentation
@@ -187,6 +191,8 @@ class PresentedShift(Shift):
                 "status": "yes", "witness": w + u}
 
     def flags(self):
+        """Read on the Fischer cover, or on the presentation itself when
+        the shift is reducible and has no cover."""
         try:
             p = fischer_cover(self)
         except NotIrreducible:
@@ -252,13 +258,6 @@ def contains_word(s, w):
     return s.admits(s.alphabet.check_word(w))
 
 
-def enumerate_words(s, max_len):
-    """All admissible words of length <= ``max_len``, by length and then
-    in alphabet order: off the presentation's word search, or asked of
-    an oracle shift's predicate word by word."""
-    return s.words(max_len)
-
-
 @cache
 def fischer_cover(s):
     """The minimal deterministic irreducible presentation of ``s``.
@@ -296,11 +295,12 @@ def close_orbit_through(cover, word):
 def _shortest_word(cover, mask, done, empty=True):
     """The first word ``u``, by length and then in alphabet order, whose
     non-empty run from ``mask`` passes ``done`` (``()`` too if ``empty``),
-    or None; a BFS over the masks reached, each expanded once."""
+    or None; a BFS over the masks reached, each expanded once, the start
+    too: ``done`` is tested before ``seen``, so a return to it is found."""
     if empty and done(mask):
         return ()
     queue = [(mask, ())]
-    seen = {mask} if empty else set()
+    seen = {mask}
     for (current, u) in queue:
         for a in cover.alphabet:
             nxt = cover.step(current, a)
@@ -310,15 +310,6 @@ def _shortest_word(cover, mask, done, empty=True):
                 seen.add(nxt)
                 queue.append((nxt, u + (a,)))
     return None
-
-
-def shift_flags(s):
-    """Structural flags of the shift, computed on its Fischer cover.
-
-    Falls back to the raw presentation's flags when the cover does not
-    exist (reducible shift); an oracle shift has none decided.
-    """
-    return s.flags()
 
 
 def product(s1, s2):

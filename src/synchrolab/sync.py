@@ -14,7 +14,7 @@ from functools import cached_property
 from synchrolab.errors import NotInLanguage, NotInShift, NotSynchronizing, WindowTooSmall
 from synchrolab.points import BiSeq, canonical_order, check_bracket_radius, point_in_shift
 from synchrolab.presentation import Presentation, _subset_presentation, _subset_search
-from synchrolab.shift import enumerate_words, fischer_cover
+from synchrolab.shift import fischer_cover
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def cylinder_count(s, x, N, L, side):
     g, cycles, start = _cylinder_frame(s, x, N, unstable)
     read, end = (g.run, -1) if unstable else (g.back, 0)
     free = max(0, L - N)
-    layer, total = {(start, None): 1} if start else {}, 0
+    layer, total = {(start, None): 1}, 0  # an empty start meets no fixpoint and grows nothing
     for depth in range(free + 1):
         total += sum(n for ((run, b), n) in layer.items()
                      for (c, fixed) in cycles if run & fixed and b != c[end])
@@ -258,4 +258,4 @@ def sync_density_check(s, L):
     shift's ``density_entry`` proves to exist and to synchronize, with
     status ``"yes"``.
     """
-    return {"L": L, "entries": [s.density_entry(w, True) for w in enumerate_words(s, L)]}
+    return {"L": L, "entries": [s.density_entry(w, True) for w in s.words(L)]}

@@ -12,8 +12,8 @@ from synchrolab.conjugacy import (KINDS, BlockRule, FutureRule, Germ, IdentityRu
                                   rectangle_germs, ruelle_germ, sync_bridge,
                                   verify_germ)
 from synchrolab.errors import (InvariantViolation, NotConstructive, NotHomoclinic,
-                               NotInRectangle, NotInShift, NotSFT, SearchExhausted,
-                               Unverified)
+                               NotInDomain, NotInRectangle, NotInShift, NotSFT,
+                               NotSynchronizing, SearchExhausted, Unverified)
 from synchrolab.points import (BiSeq, agree_on, decide_relation, enumerate_points,
                                point_in_shift, shift_by)
 from synchrolab.presentation import Presentation
@@ -528,3 +528,71 @@ def test_identity_germ_needs_a_point_of_the_shift(golden_mean, even_shift, ray_o
             construct_germ(s, x, x, kind)
         y = parse_point(inside)
         assert isinstance(construct_germ(s, y, y, kind).rule, IdentityRule)
+
+
+# -- refusals ----------------------------------------------------------------
+
+def test_germ_constructions_refuse_unknown_kinds(golden_mean, even_shift):
+    one0 = BiSeq(("0",), ("1",), ("0",), 0)
+    with pytest.raises(ValueError, match="unknown germ kind"):
+        construct_germ(golden_mean, ZEROS, one0, "ls")
+    with pytest.raises(InvariantViolation, match="unknown germ kind"):
+        verify_germ(Germ(golden_mean, "ls", ZEROS, ZEROS, -2, 2, IdentityRule()))
+    with pytest.raises(ValueError, match=r"needs \(lcs, lcu\) germs"):
+        compose_lcs_lcu(even_shift, identity_germ(even_shift, ONES, "lcu"),
+                        identity_germ(even_shift, ONES, "lcs"), ONES, ONES)
+    with pytest.raises(ValueError, match="unknown groupoid selector"):
+        groupoid_sample(golden_mean, "lcx")
+
+
+def test_germs_refuse_to_chain_or_to_leave_their_domain(golden_mean):
+    one0 = BiSeq(("0",), ("1",), ("0",), 0)
+    one1 = BiSeq(("0",), ("1",), ("0",), 1)
+    g = construct_germ(golden_mean, ZEROS, one0, "lc")
+    with pytest.raises(ValueError, match="do not chain"):
+        g.compose(construct_germ(golden_mean, ZEROS, one1, "lc"))
+    with pytest.raises(ValueError, match="do not chain"):
+        g.compose(construct_germ(golden_mean, one0, one1, "lcs"))
+    # one1 differs from the source at 1, inside the domain [-3, 3]
+    with pytest.raises(NotInDomain):
+        g.apply(one1)
+
+
+def test_conjugated_germ_domain_and_window(golden_mean):
+    # conjugating by -2 moves the lc domain [-3, 3] to [-1, 5]; a point
+    # that differs from the source only past dom_hi stays inside it
+    y = parse_point("L=0 C=1 O=0 R=0")
+    g = construct_germ(golden_mean, ZEROS, y, "lc").conjugate(-2)
+    assert (g.dom_lo, g.dom_hi, g.window) == (-1, 5, 6)
+    assert g.contains(parse_point("L=0 C=1 O=10 R=0"))
+    assert not g.contains(parse_point("L=0 C=1 O=5 R=0"))
+
+
+def test_rectangle_germs_refuse_a_radius_below_the_witness(even_shift):
+    # x synchronizes only from radius 4, where its central word holds the 1
+    x = BiSeq(("0",), ("1",), ("0",), 3)
+    with pytest.raises(NotSynchronizing, match="radius 2"):
+        rectangle_germs(even_shift, x, x, 2)
+
+
+@pytest.mark.parametrize("bridge", ["heteroclinic", "sync"])
+def test_bridges_refuse_a_non_mixing_shift_and_a_non_periodic_base(
+        golden_mean, period_two, bridge):
+    def build(s, z, p):
+        if bridge == "heteroclinic":
+            return heteroclinic_bridge(s, z, p, p)
+        return sync_bridge(s, z, z, p, p)
+
+    ab = BiSeq.periodic(("a", "b"))
+    with pytest.raises(NotSynchronizing, match="mixing shift"):
+        build(period_two, ab, ab)
+    with pytest.raises(NotSynchronizing, match="is not periodic"):
+        build(golden_mean, ZEROS, BiSeq(("0",), ("1",), ("0",), 0))
+
+
+def test_sync_bridge_refuses_points_outside_the_base_classes(golden_mean):
+    orbit = BiSeq.periodic(("0", "1"))
+    with pytest.raises(NotSynchronizing, match="unstable class of p"):
+        sync_bridge(golden_mean, orbit, ZEROS, ZEROS, ZEROS)
+    with pytest.raises(NotSynchronizing, match="stable class of q"):
+        sync_bridge(golden_mean, ZEROS, orbit, ZEROS, ZEROS)

@@ -4,7 +4,7 @@ word lists and the minimal cover against their old state-name versions.
 ``sync_density_check`` and ``periodic_density_check`` close orbits and
 extend words by one mask BFS, ``nonsync_subshift`` decides finiteness by
 counting the kept arcs of its subset search and reads one cycle per kept
-index, ``enumerate_words`` lists words with ``Presentation.words`` and
+index, ``Shift.words`` lists words with ``Presentation.words`` and
 ``minimal_cover`` merges followers on the peeled indices of the subset
 search.  ``membership_reference``
 keeps the walks they replace -- a state BFS over out-edge lists, a
@@ -23,7 +23,7 @@ from synchrolab.errors import EmptyShift, NotIrreducible, Unverified
 from synchrolab.oracles import OracleShift
 from synchrolab.periodic import periodic_density_check
 from synchrolab.presentation import Presentation, minimal_cover
-from synchrolab.shift import (Alphabet, build_sofic, enumerate_words, fischer_cover,
+from synchrolab.shift import (Alphabet, build_sofic, fischer_cover,
                               product)
 from synchrolab.specfile import BUILTIN_SPECS, load_spec
 from synchrolab.sync import nonsync_subshift, sync_density_check
@@ -65,7 +65,7 @@ def _shifts():
 def _compare(s, seen, L=3):
     """Compares every walk on ``s`` with its reference; counts what the
     shift exercised in ``seen``."""
-    assert enumerate_words(s, 4) == reference_enumerate_words(s, 4)
+    assert s.words(4) == reference_enumerate_words(s, 4)
     want = reference_minimal_cover(s.presentation)
     if want is None:
         with pytest.raises(NotIrreducible):
@@ -97,7 +97,7 @@ def test_walks_match_reference_on_builtin_shifts():
     oracles = 0
     for s in _shifts():
         if isinstance(s, OracleShift):
-            assert enumerate_words(s, 4) == reference_enumerate_words(s, 4)
+            assert s.words(4) == reference_enumerate_words(s, 4)
             for call in (lambda: fischer_cover(s), lambda: nonsync_subshift(s)):
                 with pytest.raises(Unverified):
                     call()

@@ -27,7 +27,7 @@ from synchrolab.errors import EmptyShift, NotIrreducible, NotSFT
 from synchrolab.factor import CoverMap
 from synchrolab.points import BiSeq
 from synchrolab.presentation import Presentation
-from synchrolab.shift import Alphabet, build_sft, build_sofic, fischer_cover, shift_flags, word
+from synchrolab.shift import Alphabet, build_sft, build_sofic, fischer_cover, word
 from synchrolab.specfile import load_spec, parse_spec_text
 from synchrolab.sync import nonsync_subshift
 
@@ -187,7 +187,7 @@ def test_sofic_presented_sft_takes_block_rewrites(even_shift):
 
 def test_reducible_sft_keeps_its_block_rewrite():
     s = build_sft(BINARY, {word("10")})
-    assert not shift_flags(s)["irreducible"] and s.memory == 2
+    assert not s.flags()["irreducible"] and s.memory == 2
     x, y = BiSeq(("0",), (), ("1",), 0), BiSeq(("0",), (), ("1",), 1)
     assert isinstance(construct_germ(s, x, y, "lc").rule, BlockRule)
 
@@ -211,5 +211,5 @@ edge: C 1 B
 edge: D 2 D
 edge: D 2 A
 """).shift
-    assert not shift_flags(s)["irreducible"] and s.memory == 2
+    assert not s.flags()["irreducible"] and s.memory == 2
     assert isinstance(construct_germ(s, ZEROS, ONE, "lc").rule, BlockRule)

@@ -5,14 +5,14 @@ from collections import Counter
 
 import pytest
 
-from synchrolab.errors import EmptyShift, NotResolving, SynchrolabError
+from synchrolab.errors import EmptyShift, NotInShift, NotResolving, SynchrolabError
 from synchrolab.factor import (CoverMap, almost_one_to_one_check, degree_bound,
-                               preimage_count, resolving_check)
+                               preimage_count)
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import (BiSeq, decide_relation, enumerate_points,
                                point_in_shift, shift_by)
 from synchrolab.presentation import Presentation, trim
-from synchrolab.shift import Alphabet, contains_word, enumerate_words
+from synchrolab.shift import Alphabet, contains_word
 
 from membership_reference import reference_almost_one_to_one_check, reference_preimage_count
 
@@ -38,22 +38,28 @@ def test_cover_target_is_trimmed():
     p = Presentation.build(["A", "B"], [("A", "0", "A"), ("A", "1", "B")])
     c = CoverMap.build(p)
     assert not contains_word(c.target, ("1",))
-    assert enumerate_words(c.target, 2) == [(), ("0",), ("0", "0")]
+    assert c.target.words(2) == [(), ("0",), ("0", "0")]
     with pytest.raises(ValueError):
         CoverMap.build(p, Alphabet(("1",)))
 
 
 def test_even_cover_is_right_resolving():
-    flags = resolving_check(even_cover())
-    assert flags["rightResolving"] is True
-    assert flags["leftResolving"] is True  # in-labels are distinct here too
+    c = even_cover()
+    assert c.right_resolving is True
+    assert c.left_resolving is True  # in-labels are distinct here too
 
 
 def test_nondeterministic_labeling_flags():
     p = Presentation.build(
         ["A", "B"], [("A", "0", "A"), ("A", "0", "B"), ("B", "1", "A")])
     c = CoverMap.build(p, Alphabet(("0", "1")))
-    assert resolving_check(c)["rightResolving"] is False
+    assert c.right_resolving is False
+
+
+def test_preimage_count_refuses_a_point_outside_the_image():
+    # one 0 between ones: an odd run, which the even cover cannot read
+    with pytest.raises(NotInShift, match="image shift"):
+        preimage_count(even_cover(), BiSeq(("1",), ("0",), ("1",), 0))
 
 
 def test_degree_bound_requires_resolving():

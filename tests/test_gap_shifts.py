@@ -14,7 +14,7 @@ from synchrolab.invariants import exact_sequence_report
 from synchrolab.periodic import enumerate_periodic, periodic_density_check
 from synchrolab.points import BiSeq, enumerate_points, point_in_shift
 from synchrolab.presentation import Presentation
-from synchrolab.shift import Alphabet, build_sofic, fischer_cover, shift_flags
+from synchrolab.shift import Alphabet, build_sofic, fischer_cover
 from synchrolab.sync import classify_point, nonsync_subshift, sync_density_check
 
 ZEROS = BiSeq.constant("0")
@@ -32,8 +32,7 @@ def three_gap():
 def test_three_gap_cover_and_flags(three_gap):
     cover = fischer_cover(three_gap)
     assert len(cover.states) == 3
-    assert shift_flags(three_gap) == {"irreducible": True, "mixing": True,
-                                      "period": 1}
+    assert three_gap.flags() == {"irreducible": True, "mixing": True, "period": 1}
 
 
 def test_three_gap_membership(three_gap):

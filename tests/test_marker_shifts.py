@@ -20,7 +20,6 @@ from synchrolab.errors import NotInShift, NotSynchronizing
 from synchrolab.oracles import BUILTIN_ORACLES, SYNC_PATTERNS, OracleShift
 from synchrolab.periodic import periodic_density_check
 from synchrolab.points import BiSeq, point_in_shift
-from synchrolab.shift import enumerate_words
 from synchrolab.sync import classify_point, sync_density_check, sync_radius
 
 SYMBOLS = ("a", "b", "c")
@@ -237,7 +236,7 @@ def test_pattern_rule_matches_gluing(marker_shift):
     s = marker_shift
     extensions = [e for n in range(5) for e in iproduct(SYMBOLS, repeat=n)]
     glued = 0
-    for w in enumerate_words(s, 3):
+    for w in s.words(3):
         lefts = [u for u in extensions if s.admits(u + w)]
         rights = [v for v in extensions if s.admits(w + v)]
         glues = all(s.admits(u + w + v) for u in lefts for v in rights)

@@ -1,6 +1,7 @@
 """Periodic enumeration and the bracket-iteration recursion."""
 
 import random
+import re
 
 import pytest
 
@@ -8,13 +9,13 @@ from synchrolab import periodic
 from synchrolab.cli import main
 from synchrolab.errors import EmptyShift, NotInShift, NotSynchronizing, SearchExhausted
 from synchrolab.invariants import IntMatrix
-from synchrolab.periodic import (count_periodic, enumerate_periodic, find_periodic_by_bracket,
+from synchrolab.periodic import (enumerate_periodic, find_periodic_by_bracket,
                                  find_return, minimal_period, multiply_covered_cycles,
                                  periodic_counts, periodic_density_check, zeta)
 from synchrolab.points import (BiSeq, agree_on, bracket, distance, enumerate_points,
                                point_in_shift, replace_window, shift_by)
 from synchrolab.presentation import Presentation, determinize
-from synchrolab.shift import Alphabet, build_sofic, fischer_cover
+from synchrolab.shift import Alphabet, build_sft, build_sofic, fischer_cover
 from synchrolab.sync import classify_point, is_sync_word
 
 from membership_reference import reference_point_in_shift, reference_trace_power
@@ -108,14 +109,21 @@ def test_count_matches_trace_up_to_thirty(golden_mean, full_two):
     for s in (golden_mean, full_two):
         a = adjacency(fischer_cover(s))
         for n in range(1, 31):
-            assert count_periodic(s, n) == reference_trace_power(a, n)
+            assert periodic_counts(s, n)[-1] == reference_trace_power(a, n)
+
+
+def test_zeta_with_a_singular_block():
+    # no 111: the signed subset matrices have a singular 4 x 4 block, whose
+    # det(I - tB) ends in zero coefficients that are dropped
+    s = build_sft(Alphabet(("0", "1")), {("1", "1", "1")})
+    assert zeta(s, 6) == ((1,), (1, -1, -1, -1), (1, 3, 7, 11, 21, 39))
 
 
 def test_golden_mean_counts_are_lucas_numbers(golden_mean):
     numerator, denominator, counts = zeta(golden_mean, 500)
     assert (numerator, denominator) == ((1,), (1, -1, -1))
     assert counts == tuple(lucas(n) for n in range(1, 501))
-    assert count_periodic(golden_mean, 500) == lucas(500)
+    assert periodic_counts(golden_mean, 500)[-1] == lucas(500)
 
 
 def series_quotient(f, g, n):
@@ -146,7 +154,7 @@ def test_counts_read_back_from_zeta_coefficients(golden_mean, even_shift, full_t
 
 
 def test_count_falls_back_past_the_limits(monkeypatch, even_shift, even_times_golden):
-    expected = {s: [count_periodic(s, n) for n in range(1, 7)]
+    expected = {s: [periodic_counts(s, n)[-1] for n in range(1, 7)]
                 for s in (even_shift, even_times_golden)}
     for limit in ("_CANDIDATE_LIMIT", "_BLOCK_LIMIT"):
         with monkeypatch.context() as m:
@@ -157,7 +165,7 @@ def test_count_falls_back_past_the_limits(monkeypatch, even_shift, even_times_go
             m.setattr(periodic, "enumerate_periodic",
                       lambda s, n: calls.append(n) or enumerate_periodic(s, n))
             for s, counts in expected.items():
-                assert [count_periodic(s, n) for n in range(1, 7)] == counts
+                assert [periodic_counts(s, n)[-1] for n in range(1, 7)] == counts
             # the fallback reads the trace and the multiply covered cycles
             assert calls == []
 
@@ -199,7 +207,7 @@ def _random_sofics(count, seed):
 
 def test_counts_past_the_limits_match_enumeration(monkeypatch):
     # p_n = tr(A^n) + sum(1 - c_w) over the multiply covered cycles of length n
-    assert count_periodic(_sofic([tuple(e.split()) for e in CLIFFS[86].split(", ")]), 1) > 0
+    assert periodic_counts(_sofic([tuple(e.split()) for e in CLIFFS[86].split(", ")]), 1)[-1] > 0
     with pytest.raises(SearchExhausted):
         zeta(_sofic([tuple(e.split()) for e in CLIFFS[86].split(", ")]), 1)
     monkeypatch.setattr(periodic, "_CANDIDATE_LIMIT", 0)
@@ -210,7 +218,6 @@ def test_counts_past_the_limits_match_enumeration(monkeypatch):
     for s, top in cases:
         want = tuple(enumerate_periodic(s, n).count for n in range(1, top + 1))
         assert periodic_counts(s, top) == want, s.presentation
-        assert count_periodic(s, top) == want[-1]
         corrected += any(multiply_covered_cycles(determinize(s.presentation), top))
     assert corrected >= 10
 
@@ -222,7 +229,7 @@ def test_cli_count_only_reads_the_kernel(capsys):
 
 
 def test_period_below_one_is_rejected(golden_mean):
-    for call in (enumerate_periodic, count_periodic, zeta):
+    for call in (enumerate_periodic, periodic_counts, zeta):
         with pytest.raises(ValueError, match="period must be >= 1"):
             call(golden_mean, 0)
 
@@ -329,6 +336,22 @@ def test_bracket_iteration_nonsync_base_rejected(even_shift):
     y = BiSeq(("0",), ("1",), ("0",), 5)
     with pytest.raises(NotSynchronizing):
         find_periodic_by_bracket(even_shift, ZEROS, y, n=4, N=2)
+
+
+def test_bracket_iteration_rejects_a_radius_below_the_witness(even_shift):
+    # x synchronizes only from radius 4; at radius 2 the ball conditions
+    # hold for y = x and n = 1, but the recursion may not run
+    x = BiSeq(("0",), ("1",), ("0",), 3)
+    with pytest.raises(NotSynchronizing, match="radius 2"):
+        find_periodic_by_bracket(even_shift, x, x, n=1, N=2)
+
+
+@pytest.mark.parametrize("offset, name", [(0, "y"), (4, "shift^n(y)")])
+def test_bracket_iteration_rejects_return_point_outside_the_ball(golden_mean, offset, name):
+    # y carries a 1 at ``offset``: inside [-1, 1], or at 0 once shifted by n = 4
+    y = BiSeq(("0",), ("1",), ("0",), offset)
+    with pytest.raises(ValueError, match=re.escape(f"{name} is not within 2^-2")):
+        find_periodic_by_bracket(golden_mean, ZEROS, y, n=4, N=2)
 
 
 def test_bracket_iteration_rejects_return_point_outside_shift(golden_mean):

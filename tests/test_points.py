@@ -5,10 +5,10 @@ import pytest
 from synchrolab.errors import NotAgreeing, NotInShift
 from synchrolab.points import (BiSeq, CylinderS, CylinderU, Dyadic, agree_on,
                                alignment_bound, bracket, decide_relation, distance,
-                               enumerate_points, point_in_shift, shift_by, splice,
-                               try_bracket)
+                               enumerate_points, point_in_shift, shift_by, splice)
 from synchrolab.presentation import Presentation
 from synchrolab.shift import Alphabet, build_sft, build_sofic
+from synchrolab.specfile import parse_point
 
 from membership_reference import reference_point_in_shift
 
@@ -31,6 +31,34 @@ def small_points(symbols=("0", "1"), cycle_len=2, core_len=2, origin_radius=1):
 
 
 # -- canonical form ----------------------------------------------------------
+
+@pytest.mark.parametrize("left, right", [((), ("0",)), (("0",), ())])
+def test_biseq_rejects_an_empty_cycle(left, right):
+    with pytest.raises(ValueError, match="non-empty"):
+        BiSeq(left, ("1",), right, 0)
+
+
+def test_tail_patterns_refuse_a_cut_inside_the_core():
+    x = BiSeq(("0",), ("1", "1"), ("0",), 0)  # core on [0, 2)
+    assert x.left_pattern_at(0) == ("0",) and x.right_pattern_at(2) == ("0",)
+    with pytest.raises(ValueError, match="up to the origin"):
+        x.left_pattern_at(1)
+    with pytest.raises(ValueError, match="beyond the core"):
+        x.right_pattern_at(1)
+
+
+def test_point_literal_joins_long_symbols_by_commas():
+    alph = Alphabet(("0|0", "0|1", "1|0", "1|1"))
+    p = BiSeq(("1|0",), ("0|0", "1|1"), ("1|0",), 0)
+    assert str(p) == "L=1|0 C=0|0,1|1 O=0 R=1|0"
+    assert parse_point(str(p), alph) == p
+
+
+def test_dyadic_values():
+    assert str(Dyadic(3)) == "2^-3" and str(Dyadic.zero()) == "0"
+    with pytest.raises(ValueError, match="exponent must be >= 0"):
+        Dyadic(-1)
+
 
 def test_equal_points_have_equal_canonical_forms():
     a = BiSeq(("0", "0"), ("0",), ("0",), 5)
@@ -191,7 +219,19 @@ def test_cylinder_monotone():
             assert CylinderU(x, n).contains(y)
 
 
+@pytest.mark.parametrize("cylinder", [CylinderS, CylinderU])
+@pytest.mark.parametrize("N", [0, -1])
+def test_cylinder_rejects_radius_below_one(cylinder, N):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        cylinder(ZEROS, N)
+
+
 # -- relations ---------------------------------------------------------------
+
+def test_relation_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown relation"):
+        decide_relation(ZEROS, ZEROS, "conjugate")
+
 
 def test_relation_examples():
     one_at_0 = BiSeq(("0",), ("1",), ("0",), 0)
@@ -269,6 +309,13 @@ def test_bracket_rejected_splice(even_shift):
         bracket(even_shift, x, y, 2)
 
 
+def _bracket_or_none(s, x, y, N):
+    try:
+        return bracket(s, x, y, N)
+    except (NotAgreeing, NotInShift):
+        return None
+
+
 def test_bracket_uniqueness_brute_force(even_shift, golden_mean):
     # whenever defined, the bracket is the only point of the shift in the
     # intersection of the cylinders, among candidates with free central
@@ -281,7 +328,7 @@ def test_bracket_uniqueness_brute_force(even_shift, golden_mean):
         sample = pts[:12]
         for x in sample:
             for y in sample:
-                z = try_bracket(s, x, y, N)
+                z = _bracket_or_none(s, x, y, N)
                 if z is None:
                     continue
                 a = min(-(N + 2), y.origin)
@@ -303,7 +350,7 @@ def test_bracket_lipschitz_constant_one(even_shift):
            if point_in_shift(even_shift, p) == "yes"]
     for y in pts:
         for z in pts:
-            w = try_bracket(even_shift, y, z, 2)
+            w = _bracket_or_none(even_shift, y, z, 2)
             if w is None or y == z:
                 continue
             assert distance(y, w) <= distance(y, z)

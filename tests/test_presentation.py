@@ -11,8 +11,7 @@ from synchrolab.points import BiSeq, point_in_shift
 from synchrolab.presentation import (Presentation, determinize, minimal_cover,
                                      subset_automaton, trim)
 from synchrolab.shift import (Alphabet, build_sft, build_sofic, contains_word,
-                              enumerate_words, fischer_cover, full_shift, product,
-                              shift_flags, word)
+                              fischer_cover, full_shift, product, word)
 from synchrolab.sync import nonsync_subshift
 
 from membership_reference import (distinguishing_word, reference_follower_partition,
@@ -77,6 +76,25 @@ def test_build_sft_matches_window_scan(forbidden):
     assert s.presentation == reference_trim(Presentation.build(states, edges))
 
 
+@pytest.mark.parametrize("symbols, message", [
+    ((), "non-empty"), (("0", "0"), "duplicate"), (("0", 1), "bad symbol"), (("0", ""), "bad symbol"),
+])
+def test_alphabet_rejects_bad_symbols(symbols, message):
+    with pytest.raises(ValueError, match=message):
+        Alphabet(symbols)
+
+
+def test_check_word_keeps_alphabet_symbols():
+    assert BINARY.check_word(["0", "1"]) == ("0", "1")
+    with pytest.raises(ValueError, match="not in alphabet"):
+        BINARY.check_word(("0", "2"))
+
+
+def test_build_sft_rejects_an_empty_forbidden_word():
+    with pytest.raises(ValueError, match="length >= 1"):
+        build_sft(BINARY, {word("11"), word("")})
+
+
 def test_trim_removes_one_sided_dead_ends():
     p = Presentation.build(
         ["a", "b", "c"],
@@ -87,7 +105,7 @@ def test_trim_removes_one_sided_dead_ends():
 
 def test_shift_flags_golden_and_even(golden_mean, even_shift):
     for s in (golden_mean, even_shift):
-        assert shift_flags(s) == {"irreducible": True, "mixing": True, "period": 1}
+        assert s.flags() == {"irreducible": True, "mixing": True, "period": 1}
 
 
 def test_flags_pure_two_cycle():
@@ -274,8 +292,8 @@ def _assert_cover_carries_its_block(s):
     assert "sccs" in vars(cover)
     assert cover.sccs == Presentation(cover.states, cover.edges).sccs == (cover.full_mask,)
     irreducible, _, period, _ = reference_graph_structure(cover)
-    assert shift_flags(s) == {"irreducible": irreducible, "mixing": irreducible and period == 1,
-                              "period": period}, s
+    assert s.flags() == {"irreducible": irreducible, "mixing": irreducible and period == 1,
+                         "period": period}, s
 
 
 def test_fischer_covers_carry_their_one_block():
@@ -342,7 +360,7 @@ def test_contains_word_examples(golden_mean, even_shift):
 def test_sft_membership_agrees_with_presentation_route(golden_mean):
     # both routes: forbidden-factor scan vs cover run
     cover = fischer_cover(golden_mean)
-    for w in enumerate_words(full_shift(BINARY), 8):
+    for w in full_shift(BINARY).words(8):
         by_scan = window_admissible(golden_mean, w)
         by_cover = bool(cover.run(cover.full_mask, w))
         assert by_scan == by_cover
@@ -352,7 +370,7 @@ def test_sft_words_occur_in_points_despite_dead_ends():
     # "1" may follow nothing, so no point contains a 1 although the
     # words 1, 01, 001 have no forbidden factor
     s = build_sft(BINARY, {word("11"), word("10")})
-    assert enumerate_words(s, 3) == [(), word("0"), word("00"), word("000")]
+    assert s.words(3) == [(), word("0"), word("00"), word("000")]
     for w in (word("1"), word("01"), word("001")):
         assert window_admissible(s, w)
         assert not contains_word(s, w)
@@ -373,22 +391,21 @@ def test_product_full_shifts(full_two):
 
 
 def test_product_flags(even_shift, golden_mean, period_two):
-    from synchrolab.shift import shift_flags
-    assert shift_flags(product(even_shift, golden_mean))["mixing"] is True
-    mixed = shift_flags(product(even_shift, period_two))
+    assert product(even_shift, golden_mean).flags()["mixing"] is True
+    mixed = product(even_shift, period_two).flags()
     assert mixed["mixing"] is False
 
 
 def test_product_language_is_pairwise_zip(even_shift, golden_mean, even_times_golden):
-    for w in enumerate_words(even_times_golden, 4):
+    for w in even_times_golden.words(4):
         left = tuple(sym.split("|")[0] for sym in w)
         right = tuple(sym.split("|")[1] for sym in w)
         assert contains_word(even_shift, left)
         assert contains_word(golden_mean, right)
     # converse spot checks
     from itertools import product as iproduct
-    for lw in enumerate_words(even_shift, 3):
-        for rw in enumerate_words(golden_mean, 3):
+    for lw in even_shift.words(3):
+        for rw in golden_mean.words(3):
             if len(lw) != len(rw):
                 continue
             zipped = tuple(f"{a}|{b}" for a, b in zip(lw, rw))

@@ -5,13 +5,21 @@ Every name a module of ``src/synchrolab`` imports is used in that module
 module-level private function or class is referenced somewhere in
 ``src/`` outside its own definition, and every public module-level
 function is either called in ``src/`` or re-exported from ``__init__``,
-so no dead helper is left behind.  Imports sit at module top, never
-inside a function.  No ``isinstance`` names a shift class: each shift
-answers through its own methods, and only ``oracles.py`` reads the
-marker shifts' names, predicates and synchronizing patterns.
+so no dead helper is left behind.  No function or method is a pure
+forward: a body that, after its docstring, is one ``return`` of one call
+passing the function's own parameters through unchanged and in order
+(a method call's receiver counts as the first) is an alias, and its
+callers call the target instead.  Decorated functions (a cache is
+behaviour), dunder methods (Python calls them by name) and forwards to
+a builtin (``word`` names the library's word type) are not aliases.
+Imports sit at module top, never inside a function.  No ``isinstance``
+names a shift class: each shift answers through its own methods, and
+only ``oracles.py`` reads the marker shifts' names, predicates and
+synchronizing patterns.
 """
 
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -74,6 +82,34 @@ def test_every_public_function_is_called_or_exported():
     # ``__init__``'s imports are the re-exports, and count as references
     assert _unreferenced(_modules(), lambda stmt: (
         isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"))) == []
+
+
+def _forwarded(call):
+    """The names ``call`` passes on, in order: the root of a method call's
+    receiver, then each positional argument; None marks anything else."""
+    root = call.func
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    passed = [root.id] if call.func is not root and isinstance(root, ast.Name) else []
+    passed += [arg.id if isinstance(arg, ast.Name) else None for arg in call.args]
+    return passed + [None] * len(call.keywords)
+
+
+def test_no_function_is_a_pure_forward():
+    forwards = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.decorator_list:
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if (not isinstance(call, ast.Call) or node.name.startswith("__")
+                    or getattr(call.func, "id", None) in dir(builtins)):
+                continue
+            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            if _forwarded(call) == params:
+                forwards.append(f"{name}:{node.lineno} {node.name}")
+    assert forwards == []
 
 
 def test_no_import_inside_a_function():

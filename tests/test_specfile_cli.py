@@ -14,7 +14,7 @@ from synchrolab.errors import ParseError, SemanticError
 from synchrolab.oracles import OracleShift
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq
-from synchrolab.shift import enumerate_words, fischer_cover, product
+from synchrolab.shift import fischer_cover, product
 from synchrolab.specfile import (BUILTIN_SPECS, SpecFile, emit_spec, load_spec, parse_point,
                                  parse_spec_text, parse_word)
 from synchrolab.sync import nonsync_subshift
@@ -469,7 +469,7 @@ def test_product_spec_round_trip():
     text = emit_spec(SpecFile("<product>", shift))
     assert "state: (('0',),'A')\n" in text
     again = parse_spec_text(text).shift
-    assert enumerate_words(again, 6) == enumerate_words(shift, 6)
+    assert again.words(6) == shift.words(6)
     assert len(fischer_cover(again).states) == len(fischer_cover(shift).states)
 
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from synchrolab.errors import NotInLanguage, NotInShift, NotSynchronizing
+from synchrolab.errors import NotInLanguage, NotInShift, NotSynchronizing, WindowTooSmall
 from synchrolab.points import BiSeq, distance, enumerate_points, point_in_shift, shift_by
 from synchrolab.presentation import Presentation
-from synchrolab.shift import Alphabet, build_sofic, enumerate_words, word
+from synchrolab.shift import Alphabet, build_sofic, word
 from synchrolab.sync import (SyncVerdict, classify_point, is_sync_word, nonsync_subshift,
                              rectangle_check, sync_density_check, sync_radius)
 
@@ -27,11 +27,11 @@ def test_sync_word_not_in_language(even_shift):
 
 def test_sync_word_extension_closure(even_shift):
     # any admissible extension of a synchronizing word synchronizes
-    for w in enumerate_words(even_shift, 6):
+    for w in even_shift.words(6):
         if not w or not is_sync_word(even_shift, w):
             continue
-        for u in enumerate_words(even_shift, 2):
-            for v in enumerate_words(even_shift, 2):
+        for u in even_shift.words(2):
+            for v in even_shift.words(2):
                 from synchrolab.shift import contains_word
                 if contains_word(even_shift, u + w + v):
                     assert is_sync_word(even_shift, u + w + v)
@@ -140,6 +140,24 @@ def test_rectangle_check_rejects_nonsync(even_shift):
         rectangle_check(even_shift, ZEROS, N=2, L=6)
 
 
+def test_rectangle_check_rejects_a_radius_below_the_witness(even_shift):
+    # x synchronizes, but only from radius 4, where its central word holds the 1
+    x = BiSeq(("0",), ("1",), ("0",), 3)
+    assert sync_radius(even_shift, x) == 4
+    assert rectangle_check(even_shift, x, N=4, L=6)["passed"]
+    with pytest.raises(NotSynchronizing, match="radius 2"):
+        rectangle_check(even_shift, x, N=2, L=6)
+
+
+def test_rectangle_check_refuses_a_window_with_no_representative():
+    # representatives close into cycles of length <= 2, and the 3-cycle
+    # P -a-> Q -b-> R -c-> P has none
+    cycle = build_sofic(Alphabet(("a", "b", "c")), Presentation.build(
+        "PQR", [("P", "a", "Q"), ("Q", "b", "R"), ("R", "c", "P")]))
+    with pytest.raises(WindowTooSmall, match="window 6"):
+        rectangle_check(cycle, BiSeq.periodic(("a", "b", "c")), N=2, L=6)
+
+
 @pytest.mark.parametrize("N", [1, 0, -1])
 def test_rectangle_check_rejects_radius_below_two(golden_mean, N):
     with pytest.raises(ValueError, match="N >= 2"):
@@ -182,7 +200,7 @@ def test_nonsync_product_even_even_is_infinite(even_times_even):
     # one non-synchronizing coordinate already blocks synchronization, so
     # the non-sync set contains {all-zeros} x X_even and is infinite
     report = nonsync_subshift(even_times_even)
-    assert report.finiteness == "infinite"
+    assert report.finiteness == "infinite" and report.count is None
     mixed = BiSeq.periodic(("0|1",))
     assert point_in_shift(even_times_even, mixed) == "yes"
     assert classify_point(even_times_even, mixed).status == "nonSynchronizing"
