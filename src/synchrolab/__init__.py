@@ -27,7 +27,7 @@ from synchrolab.shift import (Alphabet, PresentedShift, build_sft, build_sofic,
                               contains_word, fischer_cover, full_shift, product, word)
 from synchrolab.specfile import SpecFile, emit_spec, load_spec, parse_point
 from synchrolab.sync import (NonSyncReport, SyncVerdict, classify_point,
-                             is_sync_word, nonsync_subshift, rectangle_check,
-                             sync_density_check, sync_radius)
+                             cylinder_representatives, is_sync_word, nonsync_subshift,
+                             rectangle_check, sync_density_check, sync_radius)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

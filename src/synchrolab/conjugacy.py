@@ -17,18 +17,19 @@ way, so the sampler emits only sound arrows.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from synchrolab.errors import (BracketUndefined, InvariantViolation, NotAgreeing,
                                NotConstructive, NotHomoclinic, NotInDomain,
                                NotInRectangle, NotInShift, NotSFT,
                                NotSynchronizing, SearchExhausted, Unverified)
-from synchrolab.factor import CoverMap, preimage_count
+from synchrolab.factor import CoverMap, _lifts_of, preimage_count
 from synchrolab.periodic import minimal_period
 from synchrolab.points import (BiSeq, agree_on, alignment_bound, bracket,
                                check_bracket_radius, decide_relation, enumerate_points,
                                future_splice, point_in_shift, replace_window, shift_by,
                                splice)
-from synchrolab.sync import classify_point, cylinder_representatives, sync_radius
+from synchrolab.sync import _cylinder_head, classify_point, sync_radius
 
 KINDS = ("lc", "lcs", "lcu")
 _REQUIRED_RELATION = {"lc": "homoclinic", "lcs": "stable", "lcu": "unstable"}
@@ -132,9 +133,8 @@ class LiftedRule:
     inner: object  # Germ on the cover's edge shift
 
     def apply(self, s, z):
-        lifts = preimage_count(self.cover, z)["preimages"]
         outputs = {self.cover.project(self.inner.apply(w))
-                   for w in lifts if self.inner.contains(w)}
+                   for w in _lifts_of(self.cover, z) if self.inner.contains(w)}
         if len(outputs) != 1:
             raise NotInDomain(
                 f"{len(outputs)} projected values over the lifts (need exactly 1)")
@@ -242,24 +242,24 @@ class Germ:
 
 
 def domain_samples(germ, budget=6):
-    """Representatives of a germ's domain for verification sweeps.
+    """Representatives of a germ's domain for verification sweeps: the
+    first ``budget`` cylinder representatives in canonical order, each
+    cylinder's cut ordered alone (``sync._cylinder_head``).
 
     For kind ``lc``, up to two past representatives of each future one,
-    read until ``budget`` samples are held.
+    read until ``budget`` samples are held; when there are none, the
+    source alone.
     """
-    s = germ.shift
-    x = germ.source
+    s, x, lo, hi = germ.shift, germ.source, germ.dom_lo, germ.dom_hi
     if germ.kind == "lcs":
-        return cylinder_representatives(s, x, germ.dom_hi + 1, germ.dom_hi + 1 + 2, "u")[:budget]
+        return _cylinder_head(s, x, hi + 1, hi + 3, "u", budget)
     if germ.kind == "lcu":
-        return cylinder_representatives(s, x, 1 - germ.dom_lo, 1 - germ.dom_lo + 2, "s")[:budget]
-    futures = cylinder_representatives(s, x, germ.dom_hi + 1, germ.dom_hi + 3, "u")[:budget]
+        return _cylinder_head(s, x, 1 - lo, 3 - lo, "s", budget)
     out = []
-    for y in futures:
+    for y in _cylinder_head(s, x, hi + 1, hi + 3, "u", budget):
         if len(out) >= budget:
             break
-        pasts = cylinder_representatives(s, y, 1 - germ.dom_lo, 1 - germ.dom_lo + 2, "s")
-        out.extend(pasts[:2])
+        out.extend(_cylinder_head(s, y, 1 - lo, 3 - lo, "s", 2))
     return out[:budget] if out else [x]
 
 
@@ -268,10 +268,10 @@ def verify_germ(germ, budget=6):
 
     Checks that the source maps to the target, values stay in the
     shift, the rule never edits coordinates outside the window in the
-    directions the kind controls, and the rule is injective on the
-    sample.  Returns the number of representatives exercised; raises
-    ``InvariantViolation`` when a check fails, an image that leaves the
-    shift included.
+    directions the kind controls (each such half-line decided whole),
+    and the rule is injective on the sample.  Returns the number of
+    representatives exercised; raises ``InvariantViolation`` when a
+    check fails, an image that leaves the shift included.
     """
     if germ.kind not in KINDS:
         raise InvariantViolation(f"unknown germ kind {germ.kind!r}")
@@ -290,15 +290,18 @@ def verify_germ(germ, budget=6):
     for z in domain_samples(germ, budget):
         out = image(z)
         images.append(out)
-        bound = max(alignment_bound(z, out), abs(germ.window)) + 1
+        # each half-line is decided exactly: past the coordinate where both
+        # points run their cycles, one joint period repeats forever
         if germ.kind in ("lc", "lcs"):
             # forward defect vanishes beyond the window
             hi = germ.window if germ.kind == "lc" else germ.dom_hi + 1
-            if not agree_on(z, out, hi + 1, bound):
+            end = max(hi + 1, z.right_start, out.right_start) + lcm(len(z.right), len(out.right))
+            if not agree_on(z, out, hi + 1, end):
                 raise InvariantViolation(f"{germ.kind} rule edits {z} after {hi}")
         if germ.kind in ("lc", "lcu"):
             lo = -germ.window if germ.kind == "lc" else germ.dom_lo - 1
-            if not agree_on(z, out, -bound, lo):
+            start = min(lo, z.origin, out.origin) - lcm(len(z.left), len(out.left))
+            if not agree_on(z, out, start, lo):
                 raise InvariantViolation(f"{germ.kind} rule edits {z} before {lo}")
     if len(set(images)) != len(images):
         raise InvariantViolation("rule is not injective on the sample")

@@ -118,11 +118,20 @@ def preimage_count(c, x):
     the core and then the right cycle; q has no lift when that path
     stops.  So the count is at most |T_u| <= ``degree_bound``.  Returns
     ``{"count": int, "preimages": tuple of BiSeq}``, the preimages in
-    canonical order.  Raises ``NotResolving`` on a map that is not
-    right-resolving.  The lifts need no check: each is a bi-infinite path
-    of the graph reading x, so it lies in the edge shift and projects to
-    x, and lifts pinned at distinct states are distinct.
+    canonical order; ``_lifts_of`` gives them unordered, to callers that
+    collect their images in a set.  Raises ``NotResolving`` on a map that
+    is not right-resolving, and ``NotInShift`` on a point outside the
+    image.  The lifts need no check: each is a bi-infinite path of the
+    graph reading x, so it lies in the edge shift and projects to x, and
+    lifts pinned at distinct states are distinct.
     """
+    lifts = _lifts_of(c, x)
+    return {"count": len(lifts), "preimages": tuple(canonical_order(lifts))}
+
+
+def _lifts_of(c, x):
+    # The lifts ``preimage_count`` lists, by their states at the origin
+    # rather than in canonical order; raises as it does.
     if not c.right_resolving:
         raise NotResolving("preimage counts need a right-resolving cover map")
     if point_in_shift(c.target, x) != "yes":
@@ -134,7 +143,7 @@ def preimage_count(c, x):
         future = _lasso(c, q, x.core, x.right_pattern_at(x.right_start))
         if future is not None:
             lifts.append(BiSeq(_lasso(c, q, (), u)[1], *future, x.origin))
-    return {"count": len(lifts), "preimages": tuple(canonical_order(lifts))}
+    return lifts
 
 
 def almost_one_to_one_check(c, max_period):

@@ -171,6 +171,17 @@ class Presentation:
                 return alive
             alive = nxt
 
+    @cached_property
+    def short_cycles(self):
+        """The primitive cycles c of length <= 2 that have a run, each
+        with its tail fixpoint: ``short_cycles[backward]`` is a tuple of
+        ``(c, tail_fixpoint(c, backward))``, read once per presentation
+        for every cylinder of its shift (``sync._cylinder_frame``)."""
+        cycles = [c for (c, _) in self.words(self.full_mask, self.alphabet, 2)
+                  if c and len(set(c)) == len(c)]  # primitive at length <= 2
+        return tuple(tuple((c, self.tail_fixpoint(c, backward)) for c in cycles)
+                     for backward in (False, True))
+
     def past_set(self, x, cut):
         """Mask of the states ending a left-infinite path that reads the
         eventually periodic point ``x`` (a ``points.BiSeq``) below ``cut``:

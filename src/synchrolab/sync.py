@@ -8,6 +8,7 @@ and the non-synchronizing points form a subshift presented by the
 size->=2 part of the subset automaton.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -102,21 +103,20 @@ def sync_radius(s, x):
 
 
 def _cylinder_frame(s, x, N, unstable):
-    """The presentation, the primitive cycles c of length <= 2 with their
-    tail fixpoints, and the frozen side's tail set, out of which the free
-    words of a cylinder of ``x`` are read (``unstable``: the past set at
-    N, read forward; else the future set at 1-N, read backward).  Raises
-    ``Unverified`` for an oracle shift."""
+    """The presentation, its primitive cycles c of length <= 2 with their
+    tail fixpoints (``Presentation.short_cycles``, read once per
+    presentation and direction), and the frozen side's tail set, out of
+    which the free words of a cylinder of ``x`` are read (``unstable``:
+    the past set at N, read forward; else the future set at 1-N, read
+    backward).  Raises ``Unverified`` for an oracle shift."""
     g = s.presentation
-    cycles = [(c, g.tail_fixpoint(c, unstable))
-              for (c, _) in g.words(g.full_mask, s.alphabet.symbols, 2)
-              if c and len(set(c)) == len(c)]  # primitive at length <= 2
-    return g, cycles, g.past_set(x, N) if unstable else g.future_set(x, 1 - N)
+    return g, g.short_cycles[unstable], g.past_set(x, N) if unstable else g.future_set(x, 1 - N)
 
 
 def cylinder_representatives(s, x, N, L, side):
-    """The small-description points of one cylinder of ``x``, the samples
-    ``conjugacy.domain_samples`` draws from.
+    """The small-description points of one cylinder of ``x``, in
+    canonical order; ``conjugacy.domain_samples`` keeps the first few
+    (``_cylinder_head``).
 
     ``side`` "u" freezes coordinates <= N-1 (unstable cylinder) and
     varies the future, the point ``x[<N] u c^inf``; "s" freezes
@@ -135,22 +135,40 @@ def cylinder_representatives(s, x, N, L, side):
     so distinct reduced pairs name distinct points and each point is
     built once.  Raises ``Unverified`` for an oracle shift.
     """
+    return canonical_order(_cylinder_points(s, x, N, L, side))
+
+
+def _cylinder_head(s, x, N, L, side, k):
+    """``cylinder_representatives(s, x, N, L, side)[:k]``.
+
+    The points are sorted by description size, an int, and literals are
+    formatted and ordered only for the sizes up to the k-th point's: the
+    canonical order sorts by size first, so every larger size is cut
+    whole.
+    """
+    points = sorted(_cylinder_points(s, x, N, L, side), key=BiSeq.description_size)
+    if k < len(points):
+        reached = points[k - 1].description_size() if k else -1
+        points = points[:bisect_right(points, reached, key=BiSeq.description_size)]
+    return canonical_order(points)[:k]
+
+
+def _cylinder_points(s, x, N, L, side):
+    # The points of ``cylinder_representatives``, each built once, unordered.
     unstable = side == "u"
     g, cycles, start = _cylinder_frame(s, x, N, unstable)
     free, symbols = max(0, L - N), s.alphabet.symbols
     if unstable:
         a = min(x.origin, N)
         past, head = x.left_pattern_at(a), x.window(a, N)
-        out = [BiSeq(past, head + u, c, a)
-               for (u, run) in g.words(start, symbols, free)
-               for (c, fixed) in cycles if run & fixed and u[-1:] != c[-1:]]
-    else:
-        b = max(x.right_start, 1 - N)
-        tail, future = x.window(1 - N, b), x.right_pattern_at(b)
-        out = [BiSeq(c, u + tail, future, 1 - N - len(u))
-               for (u, run) in g.words(start, symbols, free, backward=True)
-               for (c, fixed) in cycles if run & fixed and u[:1] != c[:1]]
-    return canonical_order(out)
+        return [BiSeq(past, head + u, c, a)
+                for (u, run) in g.words(start, symbols, free)
+                for (c, fixed) in cycles if run & fixed and u[-1:] != c[-1:]]
+    b = max(x.right_start, 1 - N)
+    tail, future = x.window(1 - N, b), x.right_pattern_at(b)
+    return [BiSeq(c, u + tail, future, 1 - N - len(u))
+            for (u, run) in g.words(start, symbols, free, backward=True)
+            for (c, fixed) in cycles if run & fixed and u[:1] != c[:1]]
 
 
 def cylinder_count(s, x, N, L, side):

@@ -1,6 +1,7 @@
 """Germ constructions, invariance laws, bridges, groupoid sampling."""
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import permutations
 
 import pytest
@@ -503,6 +504,37 @@ def test_verify_germ_reports_an_image_outside_the_shift(golden_mean):
         germ.apply(ZEROS)
     with pytest.raises(InvariantViolation, match="leaves the shift"):
         verify_germ(germ)
+
+
+@dataclass(frozen=True)
+class _Rotate:
+    """Rotates a point's right (``right``) or left cycle by one symbol, so
+    the image of (01)^oo differs from it on a whole half-line."""
+
+    right: bool
+
+    def apply(self, s, z):
+        if self.right:
+            return BiSeq(z.left, z.core, z.right[1:] + z.right[:1], z.origin)
+        return BiSeq(z.left[1:] + z.left[:1], z.core, z.right, z.origin)
+
+
+def test_verify_germ_decides_each_half_line(full_two):
+    # the one sample is the source (01)^oo, whose image differs from it at
+    # every coordinate >= 0; their alignment bound is below the window, so
+    # a scan cut at that bound would read no coordinate past it
+    x = BiSeq.periodic(("0", "1"))
+    rule = _Rotate(right=True)
+    germ = Germ(full_two, "lc", x, rule.apply(full_two, x), -5, 5, rule)
+    with pytest.raises(InvariantViolation, match="after 6"):
+        verify_germ(germ, budget=1)
+    # the mirror image: the left cycle rotated; the second sample is the
+    # source, edited at every coordinate < 0
+    rule = _Rotate(right=False)
+    germ = Germ(full_two, "lcu", x, rule.apply(full_two, x), 0, None, rule)
+    assert verify_germ(germ, budget=1) == 1
+    with pytest.raises(InvariantViolation, match="before -1"):
+        verify_germ(germ, budget=2)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -30,7 +30,7 @@ from synchrolab.errors import NotConstructive, SearchExhausted, Unverified
 from synchrolab.periodic import enumerate_periodic
 from synchrolab.points import BiSeq, decide_relation, enumerate_points
 from synchrolab.presentation import Presentation
-from synchrolab.shift import Alphabet, build_sft, build_sofic
+from synchrolab.shift import Alphabet, build_sft, build_sofic, fischer_cover
 from synchrolab.sync import (classify_point, cylinder_count, cylinder_representatives,
                              is_sync_word, rectangle_check)
 
@@ -208,10 +208,74 @@ def test_domain_samples_match_reference(named, name, kind):
     s = named[name]
     germs = _germs(s, kind)
     assert len(germs) > 1
+    # budget 0 cuts before the first sample (an lc germ falls back on its
+    # source), small budgets cut inside a size class, and 50 cuts nothing
     for germ in germs:
-        for budget in (1, 4, 6):
+        for budget in (0, 1, 2, 3, 4, 6, 50):
             assert domain_samples(germ, budget) == reference_domain_samples(germ, budget), \
                 (germ.source, germ.target, budget)
+
+
+def test_domain_samples_format_only_the_sizes_they_keep(named, monkeypatch):
+    # a budget of 1 keeps the least description size of each cylinder it
+    # reads; the points of larger sizes are built but never formatted
+    germ = _germs(named["even"], "lc")[1]
+    futures = cylinder_representatives(germ.shift, germ.source, germ.dom_hi + 1,
+                                       germ.dom_hi + 3, "u")
+    assert len({p.description_size() for p in futures}) > 1
+    calls = Counter()
+    post_init, literal = BiSeq.__post_init__, BiSeq.literal
+
+    def counted_post_init(self):
+        calls["built"] += 1
+        post_init(self)
+
+    def counted_literal(self):
+        calls["formatted"] += 1
+        return literal(self)
+
+    monkeypatch.setattr(BiSeq, "__post_init__", counted_post_init)
+    monkeypatch.setattr(BiSeq, "literal", counted_literal)
+    samples = domain_samples(germ, 1)
+    monkeypatch.undo()
+    assert samples == reference_domain_samples(germ, 1)
+    assert 0 < calls["formatted"] < calls["built"], calls
+
+
+def test_cylinder_counts_read_the_short_cycles_once(monkeypatch):
+    # every call reads its frozen side's tail set; the short cycles' tail
+    # fixpoints are read on the first call alone
+    s, x = _gap3(), BiSeq.constant("1")
+    calls = []
+    fixpoint = Presentation.tail_fixpoint
+
+    def counted(g, cycle, backward):
+        calls.append((cycle, backward))
+        return fixpoint(g, cycle, backward)
+
+    monkeypatch.setattr(Presentation, "tail_fixpoint", counted)
+    counts = [cylinder_count(s, x, 2, 5, side) for side in ("u", "s")]
+    first = len(calls)
+    assert first == 2 + sum(len(cycles) for cycles in s.presentation.short_cycles)
+    for _ in range(3):
+        assert [cylinder_count(s, x, 2, 5, side) for side in ("u", "s")] == counts
+    assert len(calls) == first + 6
+
+
+def test_presentations_stay_equal_after_their_memos_fill():
+    # the short cycles, like the kernel, are kept on the instance outside
+    # its fields, so fischer_cover's cache keys do not change
+    s, t = _gap3(), _gap3()
+    g, h = s.presentation, t.presentation
+    assert g is not h
+    assert cylinder_count(s, BiSeq.constant("1"), 2, 5, "u") > 0
+    assert "short_cycles" in vars(g) and "short_cycles" not in vars(h)
+    assert g == h and hash(g) == hash(h)
+    assert s == t and hash(s) == hash(t)
+    fischer_cover(s)
+    hits = fischer_cover.cache_info().hits
+    fischer_cover(t)
+    assert fischer_cover.cache_info().hits == hits + 1
 
 
 def _periodic_points(s):
